@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .arith import Matrix4, matrix4
-from .delsarte import Characteristic, DelsarteMatrix, build_delsarte
-from .duality import BhkPair, MirrorPair, dual_group, make_pair, mirror_pair
+from .delsarte import Characteristic, DelsarteMatrix, is_prime
+from .duality import MirrorPair, Workspace
 from .errors import (
     InputError,
     InternalCheckError,
@@ -27,17 +27,10 @@ from .picard import (
     picard_closed_form,
     picard_report,
     prime_scan,
-    transcendental_set,
+    transcendental_sets,
 )
-from .smoothness import AdequacyReport, Chain, Fermat, Loop, atomic_decomposition
-from .symmetry import (
-    SymmetrySubgroup,
-    aut_group,
-    enumerate_intermediate,
-    j_subgroup,
-    sl_subgroup,
-    subgroup_generated,
-)
+from .smoothness import AdequacyReport, Chain, Fermat, atomic_decomposition
+from .symmetry import enumerate_intermediate
 
 TOOL_VERSION = "0.1.0"
 
@@ -108,46 +101,6 @@ def parse_input(text: str) -> InputSpec:
     return InputSpec(matrix=matrix, group_spec=group_spec, characteristic=char)
 
 
-@dataclass
-class _Workspace:
-    spec: InputSpec
-    char: Characteristic
-    matrix: DelsarteMatrix
-    aut: SymmetrySubgroup
-    sl: SymmetrySubgroup
-    j_group: SymmetrySubgroup
-    pair: BhkPair
-
-
-def _resolve(spec: InputSpec, *, force_char: int | None = None) -> _Workspace:
-    """Build all core objects from a parsed input; semantic errors surface here."""
-    char_value = spec.characteristic if force_char is None else force_char
-    try:
-        char = Characteristic(char_value)
-    except ValueError as err:
-        raise SemanticError(str(err)) from err
-    m = build_delsarte(spec.matrix, char)
-    aut = aut_group(m)
-    sl = sl_subgroup(aut)
-    try:
-        jg = j_subgroup(m)
-    except ValueError as err:
-        raise SemanticError(str(err)) from err
-    if spec.group_spec == "J":
-        group = jg
-    elif spec.group_spec == "SL":
-        group = sl
-    else:
-        group = subgroup_generated(m.exponent, spec.group_spec)
-        for g in group.generators:
-            if g not in sl:
-                raise SemanticError(
-                    f"generator {list(g.coords)} is outside the coordinate-sum-zero kernel"
-                )
-    pair = make_pair(m, group, char)
-    return _Workspace(spec=spec, char=char, matrix=m, aut=aut, sl=sl, j_group=jg, pair=pair)
-
-
 def _echo(spec: InputSpec) -> dict:
     if isinstance(spec.group_spec, str):
         group = spec.group_spec
@@ -179,18 +132,10 @@ def _atoms_section(m: DelsarteMatrix):
     for atom in dec.atoms:
         if isinstance(atom, Fermat):
             out.append({"kind": "fermat", "variable": atom.variable, "exponent": atom.exponent})
-        elif isinstance(atom, Chain):
+        else:
             out.append(
                 {
-                    "kind": "chain",
-                    "variables": list(atom.variables),
-                    "exponents": list(atom.exponents),
-                }
-            )
-        elif isinstance(atom, Loop):
-            out.append(
-                {
-                    "kind": "loop",
+                    "kind": "chain" if isinstance(atom, Chain) else "loop",
                     "variables": list(atom.variables),
                     "exponents": list(atom.exponents),
                 }
@@ -209,23 +154,23 @@ def _adequacy_section(report: AdequacyReport) -> dict:
     }
 
 
-def _groups_section(ws: _Workspace) -> dict:
+def _groups_section(ws: Workspace) -> dict:
+    side, group = ws.primal, ws.pair.group
     return {
-        "aut_order": ws.aut.order,
-        "sl_order": ws.sl.order,
-        "j_order": ws.j_group.order,
-        "group_order": ws.pair.group.order,
-        "j": list(ws.j_group.generators[0].coords),
-        "group_generators": [list(g.coords) for g in ws.pair.group.generators],
+        "aut_order": side.aut.order,
+        "sl_order": side.sl.order,
+        "j_order": side.j.order,
+        "group_order": group.order,
+        "j": list(side.j.generators[0].coords),
+        "group_generators": [list(g.coords) for g in group.generators],
     }
 
 
-def _mirror_section(ws: _Workspace, mp: MirrorPair) -> dict:
-    mt = mp.mirror.matrix
-    slt = sl_subgroup(aut_group(mt))
-    jt = j_subgroup(mt)
-    dual_of_j = dual_group(make_pair(ws.matrix, ws.j_group, ws.char))
-    dual_of_sl = dual_group(make_pair(ws.matrix, ws.sl, ws.char))
+def _mirror_section(ws: Workspace) -> dict:
+    mp = ws.mirror
+    mt, slt, jt = ws.transpose.matrix, ws.transpose.sl, ws.transpose.j
+    dual_of_j = ws.dual(ws.primal.j)
+    dual_of_sl = ws.dual(ws.primal.sl)
     return {
         "weights": list(mt.weights),
         "degree": mt.degree,
@@ -246,45 +191,30 @@ def _mirror_section(ws: _Workspace, mp: MirrorPair) -> dict:
 
 
 def _picard_section(mp: MirrorPair, method: str) -> dict:
+    """One route, or all three cross-checked; the counting routes share each side's set."""
     if method == "all":
         report = picard_report(mp)
-        return {
-            "rho_primal": report.rho_primal,
-            "rho_mirror": report.rho_mirror,
-            "characteristic": report.characteristic,
-            "methods": {
-                name: {"rho_primal": v[0], "rho_mirror": v[1]}
-                for name, v in sorted(report.methods.items())
-            },
-            "set_sizes": {
-                "in_dual_group": report.set_sizes[0],
-                "in_group": report.set_sizes[1],
-            },
-        }
-    compute = {
-        "closed": picard_closed_form,
-        "kelly": picard_by_counting,
-        "orbit": picard_by_orbits,
-    }[method]
-    rho_primal, rho_mirror = compute(mp)
-    key = "closed_form" if method == "closed" else method
+        methods, sizes = report.methods, report.set_sizes
+    elif method == "closed":
+        methods, sizes = {"closed_form": picard_closed_form(mp)}, None
+    else:
+        sets = transcendental_sets(mp)
+        route = picard_by_counting if method == "kelly" else picard_by_orbits
+        methods, sizes = {method: route(mp, sets)}, (len(sets[0]), len(sets[1]))
+    rho_primal, rho_mirror = next(iter(methods.values()))  # the routes agree
     doc = {
         "rho_primal": rho_primal,
         "rho_mirror": rho_mirror,
         "characteristic": mp.primal.char.p,
-        "methods": {key: {"rho_primal": rho_primal, "rho_mirror": rho_mirror}},
+        "methods": {name: {"rho_primal": v[0], "rho_mirror": v[1]} for name, v in methods.items()},
     }
-    if method != "closed":
-        char = mp.primal.char
-        doc["set_sizes"] = {
-            "in_dual_group": len(transcendental_set(mp.mirror.group, char)),
-            "in_group": len(transcendental_set(mp.primal.group, char)),
-        }
+    if sizes is not None:
+        doc["set_sizes"] = {"in_dual_group": sizes[0], "in_group": sizes[1]}
     return doc
 
 
 def _scan_section(mp: MirrorPair, primes_up_to: int) -> dict:
-    primes = [p for p in range(2, primes_up_to + 1) if _is_prime(p)]
+    primes = [p for p in range(2, primes_up_to + 1) if is_prime(p)]
     report = prime_scan(mp, primes)
     return {
         "degree": report.degree,
@@ -314,110 +244,83 @@ def _scan_section(mp: MirrorPair, primes_up_to: int) -> dict:
     }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
-def _subgroups_section(ws: _Workspace) -> dict:
-    groups = enumerate_intermediate(ws.j_group, ws.sl)
+def _subgroups_section(ws: Workspace) -> dict:
     entries = []
-    for g in groups:
-        pair = make_pair(ws.matrix, g, ws.char)
-        dual = dual_group(pair)
+    for g in enumerate_intermediate(ws.primal.j, ws.primal.sl):
+        ws.check(g)
         entries.append(
             {
                 "order": g.order,
                 "generators": [list(x.coords) for x in g.generators],
-                "dual_order": dual.order,
+                "dual_order": ws.dual(g).order,
             }
         )
     return {"count": len(entries), "groups": entries}
 
 
-def _full_document(ws: _Workspace, method: str = "all") -> dict:
-    mp = mirror_pair(ws.pair)
-    return {
-        "input": _echo(ws.spec),
-        "tool_version": TOOL_VERSION,
-        "delsarte": _delsarte_section(ws.matrix),
-        "atoms": _atoms_section(ws.matrix),
-        "adequacy": _adequacy_section(ws.pair.adequacy),
-        "groups": _groups_section(ws),
-        "mirror": _mirror_section(ws, mp),
-        "picard": _picard_section(mp, method),
-    }
+# Section name -> its content, from the workspace, the parsed input and the options.
+_SECTIONS = {
+    "input": lambda ws, spec, options: _echo(spec),
+    "tool_version": lambda ws, spec, options: TOOL_VERSION,
+    "delsarte": lambda ws, spec, options: _delsarte_section(ws.primal.matrix),
+    "atoms": lambda ws, spec, options: _atoms_section(ws.primal.matrix),
+    "adequacy": lambda ws, spec, options: _adequacy_section(ws.pair.adequacy),
+    "groups": lambda ws, spec, options: _groups_section(ws),
+    "mirror": lambda ws, spec, options: _mirror_section(ws),
+    "subgroups": lambda ws, spec, options: _subgroups_section(ws),
+    "picard": lambda ws, spec, options: _picard_section(ws.mirror, options.get("method", "all")),
+    "scan": lambda ws, spec, options: _scan_section(ws.mirror, options["primes_up_to"]),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    sections: tuple[str, ...]
+    characteristic: int | None = None  # overrides the document's
+    status_from_verdict: bool = False  # exit 1 when the pair is not adequate
+
+
+_COMMANDS = {
+    "validate": _Command("adequacy report for one input document", ("adequacy",), status_from_verdict=True),
+    "analyze": _Command("matrix data, atomic shapes, and group orders", ("delsarte", "atoms", "adequacy", "groups")),
+    "mirror": _Command("transposed matrix and dual group data", ("delsarte", "adequacy", "groups", "mirror")),
+    "subgroups": _Command("all groups between J and SL with their duals", ("groups", "subgroups")),
+    "picard": _Command(
+        "Picard numbers of the pair and its mirror", ("delsarte", "atoms", "adequacy", "groups", "mirror", "picard")
+    ),
+    "scan": _Command("closed-form Picard numbers over a prime range", ("delsarte", "scan"), characteristic=0),
+}
+_OPTIONS = ("method", "primes_up_to")
 
 
 def run_command(command: str, spec: InputSpec, **options) -> tuple[dict, int]:
     """Execute one command against a parsed input; returns (document, exit status)."""
-    if command == "validate":
-        ws = _resolve(spec)
-        doc = {
-            "input": _echo(spec),
-            "tool_version": TOOL_VERSION,
-            "adequacy": _adequacy_section(ws.pair.adequacy),
-        }
-        status = EXIT_OK if ws.pair.adequacy.verdict else EXIT_INPUT
-        return doc, status
-    if command == "analyze":
-        ws = _resolve(spec)
-        doc = {
-            "input": _echo(spec),
-            "tool_version": TOOL_VERSION,
-            "delsarte": _delsarte_section(ws.matrix),
-            "atoms": _atoms_section(ws.matrix),
-            "adequacy": _adequacy_section(ws.pair.adequacy),
-            "groups": _groups_section(ws),
-        }
-        return doc, EXIT_OK
-    if command == "mirror":
-        ws = _resolve(spec)
-        mp = mirror_pair(ws.pair)
-        doc = {
-            "input": _echo(spec),
-            "tool_version": TOOL_VERSION,
-            "delsarte": _delsarte_section(ws.matrix),
-            "adequacy": _adequacy_section(ws.pair.adequacy),
-            "groups": _groups_section(ws),
-            "mirror": _mirror_section(ws, mp),
-        }
-        return doc, EXIT_OK
-    if command == "subgroups":
-        ws = _resolve(spec)
-        doc = {
-            "input": _echo(spec),
-            "tool_version": TOOL_VERSION,
-            "groups": _groups_section(ws),
-            "subgroups": _subgroups_section(ws),
-        }
-        return doc, EXIT_OK
-    if command == "picard":
-        ws = _resolve(spec)
-        doc = _full_document(ws, method=options.get("method", "all"))
-        return doc, EXIT_OK
-    if command == "scan":
-        ws = _resolve(spec, force_char=0)
-        mp = mirror_pair(ws.pair)
-        doc = {
-            "input": _echo(spec),
-            "tool_version": TOOL_VERSION,
-            "delsarte": _delsarte_section(ws.matrix),
-            "scan": _scan_section(mp, options["primes_up_to"]),
-        }
-        return doc, EXIT_OK
-    raise ValueError(f"unknown command: {command}")
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command: {command}")
+    cmd = _COMMANDS[command]
+    try:
+        char = Characteristic(spec.characteristic if cmd.characteristic is None else cmd.characteristic)
+    except ValueError as err:
+        raise SemanticError(str(err)) from err
+    ws = Workspace(spec.matrix, char, spec.group_spec)
+    pair = ws.pair  # every section reads a validated pair, so bad input fails first
+    doc = {name: _SECTIONS[name](ws, spec, options) for name in ("input", "tool_version", *cmd.sections)}
+    adequate = pair.adequacy.verdict or not cmd.status_from_verdict
+    return doc, EXIT_OK if adequate else EXIT_INPUT
+
+
+# Errors a run reports as a document; internal ones exit 2, the rest 1.
+_REPORTED = (InternalCheckError, InputError, ValueError)
 
 
 def _error_document(err: Exception) -> dict:
     category = "internal" if isinstance(err, InternalCheckError) else "input"
     return {"error": {"kind": type(err).__name__, "category": category, "message": str(err)}}
+
+
+def _error_status(err: Exception) -> int:
+    return EXIT_INTERNAL if isinstance(err, InternalCheckError) else EXIT_INPUT
 
 
 def _render(doc: dict, fmt: str) -> str:
@@ -439,38 +342,35 @@ def _flatten(value, prefix: str = "") -> list[str]:
     return lines
 
 
+def _read(path) -> str:
+    """A document's text; unreadable files are input errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(str(err)) from err
+
+
 def _run_batch(directory: str, out_path: str | None, fmt: str, quiet: bool) -> int:
     base = Path(directory)
     if not base.is_dir():
         print(json.dumps(_error_document(SemanticError(f"not a directory: {directory}")), sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
     lines = []
-    any_failed = False
     worst = EXIT_OK
     for path in sorted(base.glob("*.json"), key=lambda p: p.name):
         try:
-            spec = parse_input(path.read_text())
-            ws = _resolve(spec)
-            doc = _full_document(ws)
-            lines.append(json.dumps({"file": path.name, "report": doc, "status": "ok"}, sort_keys=True))
-        except InternalCheckError as err:
-            any_failed = True
-            worst = EXIT_INTERNAL
-            entry = {"file": path.name, "status": "error"}
-            entry.update(_error_document(err))
-            lines.append(json.dumps(entry, sort_keys=True))
-        except (InputError, ValueError) as err:
-            any_failed = True
-            worst = max(worst, EXIT_INPUT)
-            entry = {"file": path.name, "status": "error"}
-            entry.update(_error_document(err))
-            lines.append(json.dumps(entry, sort_keys=True))
+            doc, _ = run_command("picard", parse_input(_read(path)))
+            entry = {"file": path.name, "report": doc, "status": "ok"}
+        except _REPORTED as err:
+            worst = max(worst, _error_status(err))
+            entry = {"file": path.name, "status": "error", **_error_document(err)}
+        lines.append(json.dumps(entry, sort_keys=True))
     body = "\n".join(lines) + ("\n" if lines else "")
     if out_path:
         Path(out_path).write_text(body)
     elif not quiet:
         sys.stdout.write(body)
-    return worst if any_failed else EXIT_OK
+    return worst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,27 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress report output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("validate", "adequacy report for one input document"),
-        ("analyze", "matrix data, atomic shapes, and group orders"),
-        ("mirror", "transposed matrix and dual group data"),
-        ("subgroups", "all groups between J and SL with their duals"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="input JSON document")
-
-    p = sub.add_parser("picard", help="Picard numbers of the pair and its mirror")
-    p.add_argument("file", help="input JSON document")
-    p.add_argument(
+    commands = {}
+    for name, cmd in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=cmd.help)
+        commands[name].add_argument("file", help="input JSON document")
+    commands["picard"].add_argument(
         "--method",
         choices=("closed", "kelly", "orbit", "all"),
         default="all",
         help="which computation route to use (default: all, cross-checked)",
     )
-
-    p = sub.add_parser("scan", help="closed-form Picard numbers over a prime range")
-    p.add_argument("file", help="input JSON document")
-    p.add_argument("--primes-up-to", type=int, required=True, metavar="N", help="scan primes p <= N")
+    commands["scan"].add_argument(
+        "--primes-up-to", type=int, required=True, metavar="N", help="scan primes p <= N"
+    )
 
     p = sub.add_parser("batch", help="process every *.json in a directory, NDJSON output")
     p.add_argument("directory", help="directory of input documents")
@@ -514,25 +406,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "batch":
         return _run_batch(args.directory, args.out, args.format, args.quiet)
+    options = {k: v for k, v in vars(args).items() if k in _OPTIONS}
     try:
-        text = Path(args.file).read_text()
-    except OSError as err:
-        print(json.dumps(_error_document(ParseError(str(err))), sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
-    options = {}
-    if args.command == "picard":
-        options["method"] = args.method
-    if args.command == "scan":
-        options["primes_up_to"] = args.primes_up_to
-    try:
-        spec = parse_input(text)
-        doc, status = run_command(args.command, spec, **options)
-    except InternalCheckError as err:
+        doc, status = run_command(args.command, parse_input(_read(args.file)), **options)
+    except _REPORTED as err:
         print(json.dumps(_error_document(err), sort_keys=True), file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InputError, ValueError) as err:
-        print(json.dumps(_error_document(err), sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+        return _error_status(err)
     if not args.quiet:
         print(_render(doc, args.format))
     return status

@@ -19,7 +19,7 @@ from .errors import (
 )
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     p = 2
@@ -37,7 +37,7 @@ class Characteristic:
     p: int = 0
 
     def __post_init__(self):
-        if self.p != 0 and not _is_prime(self.p):
+        if self.p != 0 and not is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
 
     @property

@@ -1,11 +1,14 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
-and construction of the transposed (mirror) pair."""
+and construction of the transposed (mirror) pair, all read from one
+Workspace per input; make_pair, dual_group and mirror_pair are thin entry
+points onto it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .delsarte import Characteristic, DelsarteMatrix, is_calabi_yau, transpose
+from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
 from .errors import (
     InternalCheckError,
     MirrorNotAdequate,
@@ -20,6 +23,7 @@ from .symmetry import (
     aut_group,
     j_subgroup,
     sl_subgroup,
+    subgroup_generated,
 )
 
 
@@ -37,24 +41,6 @@ class BhkPair:
 class MirrorPair:
     primal: BhkPair
     mirror: BhkPair
-
-
-def make_pair(m: DelsarteMatrix, group: SymmetrySubgroup, char: Characteristic) -> BhkPair:
-    """Validate J <= G <= SL and attach the adequacy report."""
-    if group.modulus != m.exponent:
-        raise SemanticError(
-            f"group modulus {group.modulus} does not match the exponent {m.exponent}"
-        )
-    if not is_calabi_yau(m):
-        raise SemanticError(f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}")
-    sl = sl_subgroup(aut_group(m))
-    jg = j_subgroup(m)
-    if not jg.is_subgroup_of(group):
-        raise SemanticError("group does not contain the grading element")
-    if not group.is_subgroup_of(sl):
-        raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
-    report = adequacy(m, group, char)
-    return BhkPair(matrix=m, group=group, char=char, adequacy=report)
 
 
 def pairing(m: DelsarteMatrix, a: GroupElement, b: GroupElement, *, verify: bool = False) -> int:
@@ -93,41 +79,151 @@ def _raw_pairing(matrix, d, a, b) -> int:
     return total % (d * d)
 
 
-def dual_group(pair: BhkPair) -> SymmetrySubgroup:
-    """Annihilator of the group inside the transposed kernel.
+class _Side:
+    """One side of the pair: a matrix and its symmetry groups, each built on
+    first use from the matrix builder and kept."""
 
-    Filtering against the generators suffices: the pairing is bilinear mod d^2,
-    so vanishing on generators gives vanishing on the whole group.
+    def __init__(self, build_matrix):
+        self._build_matrix = build_matrix
+
+    @cached_property
+    def matrix(self) -> DelsarteMatrix:
+        return self._build_matrix()
+
+    @cached_property
+    def aut(self) -> SymmetrySubgroup:
+        return aut_group(self.matrix)
+
+    @cached_property
+    def sl(self) -> SymmetrySubgroup:
+        return sl_subgroup(self.aut)
+
+    @cached_property
+    def j(self) -> SymmetrySubgroup:
+        return j_subgroup(self.matrix)
+
+
+class Workspace:
+    """Every object derived from one input, each built on first use and at most once.
+
+    It holds one characteristic and both sides of the pair: `primal` (A) and
+    `transpose` (A^T), each with its matrix, Aut, SL and J; the resolved
+    group G; the validated `pair` and `mirror` pair; and the dual groups,
+    memoized by group. `matrix` is rows (validated on first use) or a built
+    DelsarteMatrix; `group` is "J", "SL", generator coordinates, or a
+    SymmetrySubgroup.
     """
-    mt = transpose(pair.matrix, pair.char)
-    aut_t = aut_group(mt)
-    gens = pair.group.generators
-    coords = [
-        a.coords
-        for a in aut_t.elements
-        if all(pairing(pair.matrix, a, g) == 0 for g in gens)
-    ]
-    return _from_coords(pair.matrix.exponent, coords)
+
+    def __init__(self, matrix, char: Characteristic, group="J"):
+        self.char = char
+        self._group_spec = group
+        if isinstance(matrix, DelsarteMatrix):
+            primal = _Side(lambda: matrix)
+        else:
+            primal = _Side(lambda: build_delsarte(matrix, char))
+        self.primal = primal
+        self.transpose = _Side(lambda: transpose(primal.matrix, char))
+        self._duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
+
+    @classmethod
+    def of(cls, pair: BhkPair) -> "Workspace":
+        """A workspace around an already validated pair, which it keeps as is."""
+        ws = cls(pair.matrix, pair.char, pair.group)
+        ws.pair = pair
+        return ws
+
+    @cached_property
+    def group(self) -> SymmetrySubgroup:
+        """G from its description; generators must lie in SL."""
+        spec = self._group_spec
+        if isinstance(spec, SymmetrySubgroup):
+            return spec
+        try:
+            jg = self.primal.j
+        except ValueError as err:
+            raise SemanticError(str(err)) from err
+        if spec == "J":
+            return jg
+        if spec == "SL":
+            return self.primal.sl
+        group = subgroup_generated(self.primal.matrix.exponent, spec)
+        for g in group.generators:
+            if g not in self.primal.sl:
+                raise SemanticError(
+                    f"generator {list(g.coords)} is outside the coordinate-sum-zero kernel"
+                )
+        return group
+
+    def check(self, group: SymmetrySubgroup) -> None:
+        """Raise SemanticError unless J <= group <= SL on a Calabi-Yau matrix."""
+        m = self.primal.matrix
+        if group.modulus != m.exponent:
+            raise SemanticError(
+                f"group modulus {group.modulus} does not match the exponent {m.exponent}"
+            )
+        if not is_calabi_yau(m):
+            raise SemanticError(f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}")
+        if not self.primal.j.is_subgroup_of(group):
+            raise SemanticError("group does not contain the grading element")
+        if not group.is_subgroup_of(self.primal.sl):
+            raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
+
+    @cached_property
+    def pair(self) -> BhkPair:
+        """The pair (A, G), checked and with its adequacy report attached."""
+        m, group = self.primal.matrix, self.group
+        self.check(group)
+        return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
+
+    def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
+        """Annihilator of a subgroup of Aut(A) inside Aut(A^T), under the pairing.
+
+        Filtering against the generators suffices: the pairing is bilinear mod
+        d^2, so vanishing on generators gives vanishing on the whole group.
+        """
+        if group not in self._duals:
+            m = self.primal.matrix
+            coords = [
+                a.coords
+                for a in self.transpose.aut.elements
+                if all(pairing(m, a, g) == 0 for g in group.generators)
+            ]
+            self._duals[group] = _from_coords(m.exponent, coords)
+        return self._duals[group]
+
+    @cached_property
+    def mirror(self) -> MirrorPair:
+        """The transposed pair (A^T, G^T); both sides must be adequate."""
+        pair = self.pair
+        if not pair.adequacy.verdict:
+            raise NotAdequate(
+                f"pair is not adequate: {'; '.join(pair.adequacy.diagnostics)}",
+                report=pair.adequacy,
+            )
+        mt = self.transpose.matrix
+        dual = self.dual(pair.group)
+        if not self.transpose.j.is_subgroup_of(dual) or not dual.is_subgroup_of(self.transpose.sl):
+            raise InternalCheckError("dual group escaped the J..SL window of the transpose")
+        report = adequacy(mt, dual, self.char)
+        if not report.verdict:
+            raise MirrorNotAdequate(
+                f"transposed pair is not adequate: {'; '.join(report.diagnostics)}",
+                report=report,
+            )
+        mirror = BhkPair(matrix=mt, group=dual, char=self.char, adequacy=report)
+        return MirrorPair(primal=pair, mirror=mirror)
+
+
+def make_pair(m: DelsarteMatrix, group: SymmetrySubgroup, char: Characteristic) -> BhkPair:
+    """Validate J <= G <= SL and attach the adequacy report."""
+    return Workspace(m, char, group).pair
+
+
+def dual_group(pair: BhkPair) -> SymmetrySubgroup:
+    """Annihilator of the group inside the transposed kernel."""
+    return Workspace.of(pair).dual(pair.group)
 
 
 def mirror_pair(pair: BhkPair) -> MirrorPair:
     """The transposed pair with the dual group; both sides must be adequate."""
-    if not pair.adequacy.verdict:
-        raise NotAdequate(
-            f"pair is not adequate: {'; '.join(pair.adequacy.diagnostics)}",
-            report=pair.adequacy,
-        )
-    mt = transpose(pair.matrix, pair.char)
-    dual = dual_group(pair)
-    jt = j_subgroup(mt)
-    slt = sl_subgroup(aut_group(mt))
-    if not jt.is_subgroup_of(dual) or not dual.is_subgroup_of(slt):
-        raise InternalCheckError("dual group escaped the J..SL window of the transpose")
-    report = adequacy(mt, dual, pair.char)
-    if not report.verdict:
-        raise MirrorNotAdequate(
-            f"transposed pair is not adequate: {'; '.join(report.diagnostics)}",
-            report=report,
-        )
-    mirror = BhkPair(matrix=mt, group=dual, char=pair.char, adequacy=report)
-    return MirrorPair(primal=pair, mirror=mirror)
+    return Workspace.of(pair).mirror

@@ -165,12 +165,15 @@ def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
     return tuple(subs)
 
 
-def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
+def transcendental_set_orbits(
+    group: SymmetrySubgroup, char: Characteristic, direct: tuple[AgedElement, ...] | None = None
+) -> tuple[AgedElement, ...]:
     """The same set via orbits, always cross-checked against the direct route.
 
     Characteristic zero: a unit orbit contributes when it contains an age-one
     element. Characteristic p: a unit orbit contributes when some p-power
-    suborbit has unequal counts of age-one and age-three elements.
+    suborbit has unequal counts of age-one and age-three elements. `direct` is
+    the set transcendental_set(group, char) when already computed.
     """
     dec = orbit_decomposition(group, char)
     picked = []
@@ -187,7 +190,8 @@ def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> 
             if unbalanced:
                 picked.extend(orbit)
     result = tuple(sorted(picked, key=lambda a: a.element.coords))
-    direct = transcendental_set(group, char)
+    if direct is None:
+        direct = transcendental_set(group, char)
     if result != direct:
         raise MethodMismatch(
             f"orbit route found {len(result)} elements, direct route {len(direct)}"
@@ -195,21 +199,31 @@ def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> 
     return result
 
 
-def _transcendental_counts(mp: MirrorPair, via) -> tuple[int, int]:
-    dual_count = len(via(mp.mirror.group, mp.primal.char))
-    group_count = len(via(mp.primal.group, mp.primal.char))
-    return dual_count, group_count
+TranscendentalSets = tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]
 
 
-def picard_by_counting(mp: MirrorPair) -> tuple[int, int]:
-    """(rho primal, rho mirror) = 22 minus the defect-set sizes, direct route."""
-    dual_count, group_count = _transcendental_counts(mp, transcendental_set)
-    return 22 - dual_count, 22 - group_count
+def transcendental_sets(mp: MirrorPair) -> TranscendentalSets:
+    """(set in the dual group, set in the group) by the direct route."""
+    char = mp.primal.char
+    return transcendental_set(mp.mirror.group, char), transcendental_set(mp.primal.group, char)
 
 
-def picard_by_orbits(mp: MirrorPair) -> tuple[int, int]:
-    """(rho primal, rho mirror) via the orbit route (internally cross-checked)."""
-    dual_count, group_count = _transcendental_counts(mp, transcendental_set_orbits)
+def picard_by_counting(mp: MirrorPair, sets: TranscendentalSets | None = None) -> tuple[int, int]:
+    """(rho primal, rho mirror) = 22 minus the defect-set sizes, direct route.
+
+    `sets` is transcendental_sets(mp) when already computed.
+    """
+    dual_set, group_set = transcendental_sets(mp) if sets is None else sets
+    return 22 - len(dual_set), 22 - len(group_set)
+
+
+def picard_by_orbits(mp: MirrorPair, sets: TranscendentalSets | None = None) -> tuple[int, int]:
+    """(rho primal, rho mirror) via the orbit route, each side's set checked
+    against the direct one (`sets`, computed when not given)."""
+    dual_set, group_set = transcendental_sets(mp) if sets is None else sets
+    char = mp.primal.char
+    dual_count = len(transcendental_set_orbits(mp.mirror.group, char, dual_set))
+    group_count = len(transcendental_set_orbits(mp.primal.group, char, group_set))
     return 22 - dual_count, 22 - group_count
 
 
@@ -240,11 +254,17 @@ class PicardReport:
 
 
 def picard_report(mp: MirrorPair) -> PicardReport:
-    """Run all three methods, insist they agree, and bound-check the result."""
+    """Run all three methods, insist they agree, and bound-check the result.
+
+    Each side's transcendental set is computed once: the counting route
+    reads it and the orbit route must reproduce it.
+    """
+    closed = picard_closed_form(mp)
+    sets = transcendental_sets(mp)
     values = {
-        "closed_form": picard_closed_form(mp),
-        "kelly": picard_by_counting(mp),
-        "orbit": picard_by_orbits(mp),
+        "closed_form": closed,
+        "kelly": picard_by_counting(mp, sets),
+        "orbit": picard_by_orbits(mp, sets),
     }
     distinct = set(values.values())
     if len(distinct) != 1:
@@ -253,12 +273,11 @@ def picard_report(mp: MirrorPair) -> PicardReport:
     for rho in (rho_primal, rho_mirror):
         if not 0 <= rho <= 22:
             raise InternalCheckError(f"rho = {rho} is outside [0, 22]")
-    dual_count, group_count = _transcendental_counts(mp, transcendental_set)
     return PicardReport(
         rho_primal=rho_primal,
         rho_mirror=rho_mirror,
         methods=values,
-        set_sizes=(dual_count, group_count),
+        set_sizes=(len(sets[0]), len(sets[1])),
         characteristic=mp.primal.char.p,
     )
 

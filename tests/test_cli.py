@@ -337,6 +337,27 @@ def test_batch_out_file(tmp_path, capsys):
     assert json.loads(lines[0])["file"] == "one.json"
 
 
+def test_batch_reports_unreadable_entry(tmp_path, capsys):
+    """A directory named like a document is one error line; the other files still run."""
+    _write(tmp_path, "a_good.json", A_EX_DOC)
+    (tmp_path / "x.json").mkdir()
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    entries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [("a_good.json", "ok"), ("x.json", "error")]
+    assert entries[1]["error"]["kind"] == "ParseError"
+    assert entries[1]["error"]["category"] == "input"
+
+
+def test_non_utf8_document_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "in.json").write_bytes(b'{"matrix": "\xff"}')
+    assert cli.main(["picard", str(tmp_path / "in.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "ParseError"
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    [entry] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert entry["error"]["kind"] == "ParseError"
+
+
 def test_batch_missing_directory(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path / "nowhere")]) == 1
     err = json.loads(capsys.readouterr().err)
