@@ -1,5 +1,6 @@
 """Exact integer and rational primitives: totients, multiplicative orders,
-4x4 determinants, adjugates, and exact inverses. No floating point anywhere."""
+4x4 determinants, adjugates, exact inverses, and solutions of linear
+congruences mod d. No floating point anywhere."""
 
 from __future__ import annotations
 
@@ -129,3 +130,49 @@ def inverse_rational(a: Matrix4) -> tuple[tuple[Fraction, ...], ...]:
     if det == 0:
         raise SingularMatrix("matrix is singular, no inverse")
     return tuple(tuple(Fraction(adj[i][j], det) for j in range(4)) for i in range(4))
+
+
+def kernel_mod(rows: Sequence[Sequence[int]], d: int) -> tuple[Vector4, ...]:
+    """Generators of {x in (Z/d)^4 : r . x = 0 mod d for every row r}.
+
+    The rows are diagonalized by unimodular integer row and column operations
+    (Smith normal form without the divisibility chain), the column operations
+    kept in V, so that U R V = diag(s). Since U is invertible, R x = 0 mod d
+    exactly when y = V^(-1) x has s_i y_i = 0 mod d for each i, so the columns
+    of V scaled by d / gcd(d, s_i) generate the solutions. Returns at most four
+    generators, none of them zero.
+    """
+    if d < 1:
+        raise ValueError(f"modulus must be >= 1, got {d}")
+    a = [[x % d for x in r] for r in rows]
+    if any(len(r) != 4 for r in a):
+        raise ValueError("every row needs 4 entries")
+    v = [list(r) for r in IDENTITY4]
+    diag = [0, 0, 0, 0]
+    for t in range(4):
+        while True:
+            entries = [(abs(a[i][j]), i, j) for i in range(t, len(a)) for j in range(t, 4) if a[i][j]]
+            if not entries:
+                break
+            _, i, j = min(entries)
+            a[t], a[i] = a[i], a[t]
+            for r in (*a, *v):
+                r[t], r[j] = r[j], r[t]
+            p = a[t][t]
+            for i in range(t + 1, len(a)):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, 4):
+                q = a[t][j] // p
+                for r in (*a, *v):
+                    r[j] -= q * r[t]
+            if not any(a[i][t] for i in range(t + 1, len(a))) and not any(a[t][t + 1 :]):
+                diag[t] = p
+                break
+    gens = []
+    for k in range(4):
+        step = d // gcd(d, diag[k])
+        col = tuple(v[i][k] * step % d for i in range(4))
+        if any(col):
+            gens.append(col)
+    return tuple(gens)

@@ -17,7 +17,6 @@ from .duality import MirrorPair, Workspace
 from .errors import (
     InputError,
     InternalCheckError,
-    NotInvertiblePotential,
     ParseError,
     SemanticError,
 )
@@ -29,7 +28,7 @@ from .picard import (
     prime_scan,
     transcendental_sets,
 )
-from .smoothness import AdequacyReport, Chain, Fermat, atomic_decomposition
+from .smoothness import AdequacyReport, AtomicDecomposition, Chain, Fermat
 from .symmetry import enumerate_intermediate
 
 TOOL_VERSION = "0.1.0"
@@ -123,10 +122,8 @@ def _delsarte_section(m: DelsarteMatrix) -> dict:
     }
 
 
-def _atoms_section(m: DelsarteMatrix):
-    try:
-        dec = atomic_decomposition(m)
-    except NotInvertiblePotential:
+def _atoms_section(dec: AtomicDecomposition | None):
+    if dec is None:
         return None
     out = []
     for atom in dec.atoms:
@@ -263,7 +260,7 @@ _SECTIONS = {
     "input": lambda ws, spec, options: _echo(spec),
     "tool_version": lambda ws, spec, options: TOOL_VERSION,
     "delsarte": lambda ws, spec, options: _delsarte_section(ws.primal.matrix),
-    "atoms": lambda ws, spec, options: _atoms_section(ws.primal.matrix),
+    "atoms": lambda ws, spec, options: _atoms_section(ws.pair.adequacy.atoms),
     "adequacy": lambda ws, spec, options: _adequacy_section(ws.pair.adequacy),
     "groups": lambda ws, spec, options: _groups_section(ws),
     "mirror": lambda ws, spec, options: _mirror_section(ws),

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .arith import kernel_mod
 from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
 from .errors import (
     InternalCheckError,
@@ -19,6 +20,7 @@ from .smoothness import AdequacyReport, adequacy
 from .symmetry import (
     GroupElement,
     SymmetrySubgroup,
+    _closure,
     _from_coords,
     aut_group,
     j_subgroup,
@@ -176,19 +178,32 @@ class Workspace:
         return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
 
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
-        """Annihilator of a subgroup of Aut(A) inside Aut(A^T), under the pairing.
+        """Annihilator of a subgroup G of Aut(A) inside Aut(A^T), under the pairing.
 
-        Filtering against the generators suffices: the pairing is bilinear mod
-        d^2, so vanishing on generators gives vanishing on the whole group.
+        The rows of B = d A^(-1) generate Aut(A^T), so every a in it is x B mod d
+        for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
+        mod d^2. So G^T is the image under x -> x B mod d of the solutions of
+        x . g = 0 mod d over the generators g of G, solved by `kernel_mod`
+        without enumerating Aut(A^T). Cross-checked on every call: |G| |G^T| =
+        |det|, and each generator of G^T pairs to zero with each generator of
+        G (which `pairing` only accepts inside Aut(A^T)); as the pairing is
+        perfect, the two together pin G^T down. A^T is validated first, so an
+        invalid transpose is reported as the input error it is.
         """
         if group not in self._duals:
+            self.transpose.matrix  # raises the input error of an invalid A^T
             m = self.primal.matrix
-            coords = [
-                a.coords
-                for a in self.transpose.aut.elements
-                if all(pairing(m, a, g) == 0 for g in group.generators)
-            ]
-            self._duals[group] = _from_coords(m.exponent, coords)
+            d, b = m.exponent, m.b_matrix
+            xs = kernel_mod([g.coords for g in group.generators], d)
+            gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
+            dual = _from_coords(d, _closure(d, gens))
+            if group.order * dual.order != abs(m.det):
+                raise InternalCheckError(
+                    f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {abs(m.det)}"
+                )
+            if any(pairing(m, a, g) != 0 for a in dual.generators for g in group.generators):
+                raise InternalCheckError("a dual generator pairs nontrivially with the group")
+            self._duals[group] = dual
         return self._duals[group]
 
     @cached_property

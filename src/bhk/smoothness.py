@@ -63,6 +63,7 @@ class AdequacyReport:
     char_ok: bool
     verdict: bool
     diagnostics: tuple[str, ...]
+    atoms: AtomicDecomposition | None = None  # the decomposition behind quasi_smooth
 
 
 def _match_rows(rows, assign):
@@ -199,6 +200,7 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
     weight and to the exponent d.
     """
     diagnostics: list[str] = []
+    dec = None
     try:
         dec = atomic_decomposition(m)
         qs = True
@@ -242,6 +244,7 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
         char_ok=char_ok,
         verdict=verdict,
         diagnostics=tuple(diagnostics),
+        atoms=dec,
     )
 
 

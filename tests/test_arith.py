@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhk.arith import (
     IDENTITY4,
@@ -14,6 +17,7 @@ from bhk.arith import (
     euler_phi,
     gcd_lcm,
     inverse_rational,
+    kernel_mod,
     mat_mul,
     mat_vec,
     matrix4,
@@ -177,3 +181,79 @@ def test_inverse_rational_exact():
 def test_inverse_rational_singular():
     with pytest.raises(SingularMatrix):
         inverse_rational(((1, 2, 3, 4),) * 4)
+
+
+def _kernel_by_enumeration(rows, d):
+    return {
+        x
+        for x in product(range(d), repeat=4)
+        if all(sum(r[i] * x[i] for i in range(4)) % d == 0 for r in rows)
+    }
+
+
+def _span(gens, d):
+    span = {(0, 0, 0, 0)}
+    frontier = list(span)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % d for a, b in zip(x, g))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def _assert_kernel(rows, d):
+    gens = kernel_mod(rows, d)
+    assert len(gens) <= 4
+    assert all(len(g) == 4 and any(g) and all(0 <= c < d for c in g) for g in gens)
+    assert _span(gens, d) == _kernel_by_enumeration(rows, d)
+
+
+_entries = st.integers(min_value=-20, max_value=20)
+_rows = st.lists(st.tuples(_entries, _entries, _entries, _entries), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=_rows,
+    d=st.integers(min_value=1, max_value=8),
+    shape=st.sampled_from(["as drawn", "zero row", "duplicate row", "sum of rows"]),
+)
+def test_kernel_mod_against_enumeration(rows, d, shape):
+    rows = list(rows)
+    if shape == "zero row":
+        rows[-1] = (0, 0, 0, 0)
+    elif shape == "duplicate row":
+        rows.append(rows[0])
+    elif shape == "sum of rows":  # rank-deficient
+        rows.append(tuple(a - 3 * b for a, b in zip(rows[0], rows[-1])))
+    _assert_kernel(rows, d)
+
+
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([(1, 2, 3, 4)], 1),
+        ([(0, 0, 0, 0)], 6),
+        ([(2, 4, 0, 6), (2, 4, 0, 6)], 8),
+        ([(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0)], 6),
+        ([(6, 0, 0, 0), (0, 4, 0, 0), (0, 0, 3, 0), (0, 0, 0, 8)], 8),
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 7),
+    ],
+)
+def test_kernel_mod_edge_cases(rows, d):
+    _assert_kernel(rows, d)
+
+
+def test_kernel_mod_without_rows_is_everything():
+    assert _span(kernel_mod([], 4), 4) == set(product(range(4), repeat=4))
+    assert kernel_mod([], 1) == ()
+
+
+def test_kernel_mod_rejects_bad_input():
+    with pytest.raises(ValueError):
+        kernel_mod([(1, 0, 0, 0)], 0)
+    with pytest.raises(ValueError):
+        kernel_mod([(1, 0, 0)], 5)

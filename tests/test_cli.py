@@ -284,6 +284,25 @@ def test_main_internal_error_exits_two(tmp_path, capsys, monkeypatch):
     assert err["error"]["category"] == "internal"
 
 
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ([[3, 0, 1, 1], [0, 2, 0, 1], [0, 0, 4, 1], [0, 0, 0, 6]], "RowWithoutZero"),
+        ([[2, 0, 0, 0], [0, 6, 0, 0], [0, 2, 2, 2], [0, 0, 1, 6]], "NonpositiveWeight"),
+    ],
+)
+def test_subgroups_rejects_invalid_transpose(tmp_path, capsys, rows, kind):
+    """A Calabi-Yau matrix whose transpose fails validation is an input error,
+    even though `subgroups` never needs the symmetry groups of the transpose."""
+    path = _write(tmp_path, "in.json", {"matrix": rows})
+    assert cli.main(["subgroups", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["kind"] == kind
+    assert err["error"]["category"] == "input"
+
+
 def test_main_scan(tmp_path, capsys):
     path = _write(tmp_path, "in.json", A_EX_DOC)
     assert cli.main(["scan", path, "--primes-up-to", "20"]) == 0

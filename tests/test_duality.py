@@ -18,9 +18,10 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from bhk.duality import BhkPair
+from bhk.duality import BhkPair, Workspace
+from bhk.symmetry import _from_coords, enumerate_intermediate
 from bhk.errors import InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError
-from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build
+from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
 from test_smoothness import CY_NOT_QS_ROWS
 
 
@@ -173,3 +174,56 @@ def test_double_dual_returns_group(a_ex, mixed_m):
             mt = transpose(m, CHAR0)
             back = dual_group(make_pair(mt, dual, CHAR0))
             assert back == pair.group
+
+
+def _dual_by_filter(ws, group):
+    """The dual group straight from its definition: every element of Aut(A^T)
+    that pairs to zero with every generator of the group."""
+    m = ws.primal.matrix
+    coords = [
+        a.coords
+        for a in ws.transpose.aut.elements
+        if all(pairing(m, a, g) == 0 for g in group.generators)
+    ]
+    return _from_coords(m.exponent, coords)
+
+
+def _assert_duals_match_filter(m):
+    ws = Workspace(m, CHAR0)
+    for group in enumerate_intermediate(ws.primal.j, ws.primal.sl):
+        want = _dual_by_filter(ws, group)
+        got = ws.dual(group)
+        assert got == want
+        assert got.generators == want.generators
+
+
+def test_dual_matches_filter_on_fixtures(a_ex, a_f, loop_m, mixed_m):
+    for m in (a_ex, a_f, loop_m, mixed_m):
+        _assert_duals_match_filter(m)
+
+
+def test_dual_matches_filter_on_small_catalog():
+    for m in cy_catalog_small():
+        _assert_duals_match_filter(m)
+
+
+def test_dual_of_trivial_and_full_groups(a_ex):
+    ws = Workspace(a_ex, CHAR0)
+    trivial = subgroup_generated(a_ex.exponent, [])
+    assert ws.dual(trivial) == ws.transpose.aut
+    assert ws.dual(ws.primal.aut).order == 1
+
+
+def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
+    import bhk.duality as duality
+
+    groups = enumerate_intermediate(j_subgroup(a_f), sl_subgroup(aut_group(a_f)))
+    group, other = next((g, h) for g in groups for h in groups if g != h and g.order == h.order)
+    real = duality.kernel_mod
+    wrong_rows = [x.coords for x in other.generators]
+    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: real(wrong_rows, d))
+    with pytest.raises(InternalCheckError, match="pairs nontrivially"):
+        Workspace(a_f, CHAR0).dual(group)
+    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: ())
+    with pytest.raises(InternalCheckError, match="differs from"):
+        Workspace(a_f, CHAR0).dual(group)
