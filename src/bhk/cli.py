@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -154,7 +155,7 @@ def _adequacy_section(report: AdequacyReport) -> dict:
 def _groups_section(ws: Workspace) -> dict:
     side, group = ws.primal, ws.pair.group
     return {
-        "aut_order": side.aut.order,
+        "aut_order": abs(side.matrix.det),
         "sl_order": side.sl.order,
         "j_order": side.j.order,
         "group_order": group.order,
@@ -370,7 +371,9 @@ def _run_batch(directory: str, out_path: str | None, fmt: str, quiet: bool) -> i
     return worst
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="bhk",
         description="Validate BHK pairs, construct mirrors, and compute Picard numbers.",

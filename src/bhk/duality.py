@@ -23,8 +23,9 @@ from .symmetry import (
     _closure,
     _from_coords,
     aut_group,
+    in_sl,
     j_subgroup,
-    sl_subgroup,
+    sl_group,
     subgroup_generated,
 )
 
@@ -82,8 +83,9 @@ def _raw_pairing(matrix, d, a, b) -> int:
 
 
 class _Side:
-    """One side of the pair: a matrix and its symmetry groups, each built on
-    first use from the matrix builder and kept."""
+    """One side of the pair: a matrix, whether it is Calabi-Yau, and its
+    symmetry groups, each built on first use from the matrix builder and kept.
+    SL is solved from the matrix; Aut is built only when asked for."""
 
     def __init__(self, build_matrix):
         self._build_matrix = build_matrix
@@ -98,7 +100,11 @@ class _Side:
 
     @cached_property
     def sl(self) -> SymmetrySubgroup:
-        return sl_subgroup(self.aut)
+        return sl_group(self.matrix)
+
+    @cached_property
+    def calabi_yau(self) -> bool:
+        return is_calabi_yau(self.matrix)
 
     @cached_property
     def j(self) -> SymmetrySubgroup:
@@ -136,7 +142,8 @@ class Workspace:
 
     @cached_property
     def group(self) -> SymmetrySubgroup:
-        """G from its description; generators must lie in SL."""
+        """G from its description; generators must lie in SL, which is tested
+        on each generator before any group beyond J is built."""
         spec = self._group_spec
         if isinstance(spec, SymmetrySubgroup):
             return spec
@@ -148,13 +155,12 @@ class Workspace:
             return jg
         if spec == "SL":
             return self.primal.sl
-        group = subgroup_generated(self.primal.matrix.exponent, spec)
-        for g in group.generators:
-            if g not in self.primal.sl:
-                raise SemanticError(
-                    f"generator {list(g.coords)} is outside the coordinate-sum-zero kernel"
-                )
-        return group
+        m = self.primal.matrix
+        for g in spec:
+            coords = GroupElement(m.exponent, tuple(g)).coords
+            if not in_sl(m, coords):
+                raise SemanticError(f"generator {list(coords)} is outside the coordinate-sum-zero kernel")
+        return subgroup_generated(m.exponent, spec)
 
     def check(self, group: SymmetrySubgroup) -> None:
         """Raise SemanticError unless J <= group <= SL on a Calabi-Yau matrix."""
@@ -163,7 +169,7 @@ class Workspace:
             raise SemanticError(
                 f"group modulus {group.modulus} does not match the exponent {m.exponent}"
             )
-        if not is_calabi_yau(m):
+        if not self.primal.calabi_yau:
             raise SemanticError(f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}")
         if not self.primal.j.is_subgroup_of(group):
             raise SemanticError("group does not contain the grading element")

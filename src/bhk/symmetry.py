@@ -1,6 +1,7 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
-the full kernel Aut, its coordinate-sum-zero subgroup SL, the grading element j,
-and enumeration of the groups between J and SL."""
+the full kernel Aut, its coordinate-sum-zero subgroup SL (from its definition,
+or from a Smith-normal-form solve that never enumerates Aut), the grading
+element j, and enumeration of the groups between J and SL."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from .arith import Vector4
+from .arith import Vector4, kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
 from .errors import InternalCheckError
 
@@ -158,6 +159,37 @@ def sl_subgroup(aut: SymmetrySubgroup) -> SymmetrySubgroup:
     """Coordinate-sum-zero subgroup of the kernel."""
     coords = [e.coords for e in aut.elements if sum(e.coords) % aut.modulus == 0]
     return _from_coords(aut.modulus, coords)
+
+
+def in_sl(m: DelsarteMatrix, coords: Sequence[int]) -> bool:
+    """Whether A g = 0 and the coordinate sum of g is 0, both mod d."""
+    d = m.exponent
+    return sum(coords) % d == 0 and all(
+        sum(row[j] * coords[j] for j in range(4)) % d == 0 for row in m.matrix
+    )
+
+
+def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
+    """SL(A), equal to sl_subgroup(aut_group(m)) but without enumerating Aut.
+
+    Every point of Aut is B x mod d for some x in (Z/d)^4, with coordinate
+    sum s . x, where s holds the column sums of B. So SL is the image under
+    x -> B x mod d of the solutions of s . x = 0 mod d, which `kernel_mod`
+    solves. Cross-checked on every call: each generator lies in SL, and
+    |SL| d / gcd(d, s) = |det|, since s . x takes d / gcd(d, s) values on Aut.
+    """
+    d, b = m.exponent, m.b_matrix
+    s = [sum(b[i][j] for i in range(4)) for j in range(4)]
+    gens = [tuple(sum(b[i][j] * x[j] for j in range(4)) % d for i in range(4)) for x in kernel_mod([s], d)]
+    if not all(in_sl(m, g) for g in gens):
+        raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
+    sl = _from_coords(d, _closure(d, gens))
+    index = d // gcd(d, *s)
+    if sl.order * index != abs(m.det):
+        raise InternalCheckError(
+            f"|SL| d / gcd(d, s) = {sl.order} * {index} differs from |det| = {abs(m.det)}"
+        )
+    return sl
 
 
 def j_element(m: DelsarteMatrix) -> GroupElement:

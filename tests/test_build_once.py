@@ -16,6 +16,8 @@ import bhk.cli as cli
 COUNTED = {
     "build_delsarte": "bhk.delsarte",
     "aut_group": "bhk.symmetry",
+    "sl_subgroup": "bhk.symmetry",
+    "is_calabi_yau": "bhk.delsarte",
     "transcendental_set": "bhk.picard",
     "pairing": "bhk.duality",
     "atomic_decomposition": "bhk.smoothness",
@@ -54,7 +56,8 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     doc = {"matrix": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 42]], "group": "SL"}
     _run(tmp_path, capsys, "picard", doc)
     assert calls["build_delsarte"] <= 2
-    assert calls["aut_group"] <= 2
+    assert calls["aut_group"] == 0
+    assert calls["sl_subgroup"] == 0
     assert calls["transcendental_set"] <= 2
     assert calls["pairing"] <= 16
     assert calls["atomic_decomposition"] <= 2
@@ -64,4 +67,6 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls):
     doc = {"matrix": [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], "group": "SL", "characteristic": 5}
     _run(tmp_path, capsys, "subgroups", doc)
     assert calls["build_delsarte"] <= 2
-    assert calls["aut_group"] <= 1
+    assert calls["aut_group"] == 0
+    assert calls["sl_subgroup"] == 0
+    assert calls["is_calabi_yau"] <= 2  # not once per intermediate group

@@ -55,6 +55,14 @@ def test_make_pair_rejects_group_outside_sl(a_ex):
         make_pair(a_ex, aut_group(a_ex), CHAR0)
 
 
+def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
+    ws = Workspace(A_EX_ROWS, CHAR0, ((48, 72, 24, 24), (1, 0, 0, 0)))
+    with pytest.raises(SemanticError, match=r"generator \[1, 0, 0, 0\] is outside"):
+        ws.group
+    assert "sl" not in vars(ws.primal) and "aut" not in vars(ws.primal)
+    assert Workspace(A_EX_ROWS, CHAR0, ((48, 72, 24, 24), (0, 0, 0, 0))).group.order == 7
+
+
 def test_make_pair_attaches_adequacy(a_ex):
     pair = _pair(a_ex)
     assert pair.adequacy.verdict

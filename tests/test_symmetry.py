@@ -14,11 +14,13 @@ from bhk import (
     enumerate_intermediate,
     j_element,
     j_subgroup,
+    sl_group,
     sl_subgroup,
     subgroup_generated,
+    transpose,
 )
 from bhk.errors import InternalCheckError
-from conftest import A_EX_ROWS, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build
+from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 
 
 def test_element_normalization():
@@ -75,6 +77,35 @@ def test_sl_orders(a_ex, a_f, loop_m, mixed_m):
         assert sl.order == order
         assert sl.is_subgroup_of(aut_group(m))
         assert all(e.coordinate_sum() == 0 for e in sl.elements)
+
+
+def _assert_sl_group_matches_definition(m):
+    for side in (m, transpose(m, CHAR0)):
+        got, want = sl_group(side), sl_subgroup(aut_group(side))
+        assert got.elements == want.elements
+        assert got.generators == want.generators
+
+
+def test_sl_group_matches_definition_on_fixtures(a_ex, a_f, loop_m, mixed_m):
+    for m in (a_ex, a_f, loop_m, mixed_m, build(((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42)))):
+        _assert_sl_group_matches_definition(m)
+
+
+def test_sl_group_matches_definition_on_small_catalog():
+    for m in cy_catalog_small():
+        _assert_sl_group_matches_definition(m)
+
+
+def test_sl_group_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
+    import bhk.symmetry as symmetry
+
+    real = symmetry.kernel_mod
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(rows, d)[:-1])
+    with pytest.raises(InternalCheckError, match="differs from"):
+        sl_group(a_f)
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: (*real(rows, d), (1, 0, 0, 0)))
+    with pytest.raises(InternalCheckError, match="outside"):
+        sl_group(a_f)
 
 
 def test_grading_element_goldens(a_ex, a_f, loop_m, mixed_m):
