@@ -1,14 +1,11 @@
-"""Exact integer and rational primitives: totients, multiplicative orders,
-4x4 determinants, adjugates, exact inverses, and solutions of linear
-congruences mod d. No floating point anywhere."""
+"""Exact integer primitives: totients, multiplicative orders, 4x4
+determinants and adjugates, and solutions of linear congruences mod d. No
+floating point anywhere."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
-
-from .errors import SingularMatrix
 
 Vector4 = tuple[int, int, int, int]
 Matrix4 = tuple[Vector4, Vector4, Vector4, Vector4]
@@ -122,14 +119,6 @@ def det_adjugate(a: Matrix4) -> tuple[int, Matrix4]:
     if mat_mul(a, adj) != scaled or mat_mul(adj, a) != scaled:
         raise AssertionError("adjugate identity A adj = adj A = det I failed")
     return det, adj
-
-
-def inverse_rational(a: Matrix4) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse as a 4x4 tuple of reduced Fractions."""
-    det, adj = det_adjugate(a)
-    if det == 0:
-        raise SingularMatrix("matrix is singular, no inverse")
-    return tuple(tuple(Fraction(adj[i][j], det) for j in range(4)) for i in range(4))
 
 
 def kernel_mod(rows: Sequence[Sequence[int]], d: int) -> tuple[Vector4, ...]:

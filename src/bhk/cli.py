@@ -29,7 +29,7 @@ from .picard import (
     prime_scan,
     transcendental_sets,
 )
-from .smoothness import AdequacyReport, AtomicDecomposition, Chain, Fermat
+from .smoothness import AdequacyReport, AtomicDecomposition, atom_parts
 from .symmetry import enumerate_intermediate
 
 TOOL_VERSION = "0.1.0"
@@ -127,17 +127,11 @@ def _atoms_section(dec: AtomicDecomposition | None):
     if dec is None:
         return None
     out = []
-    for atom in dec.atoms:
-        if isinstance(atom, Fermat):
-            out.append({"kind": "fermat", "variable": atom.variable, "exponent": atom.exponent})
+    for kind, variables, exponents in map(atom_parts, dec.atoms):
+        if kind == "fermat":
+            out.append({"kind": kind, "variable": variables[0], "exponent": exponents[0]})
         else:
-            out.append(
-                {
-                    "kind": "chain" if isinstance(atom, Chain) else "loop",
-                    "variables": list(atom.variables),
-                    "exponents": list(atom.exponents),
-                }
-            )
+            out.append({"kind": kind, "variables": list(variables), "exponents": list(exponents)})
     return out
 
 

@@ -4,7 +4,6 @@ and the combined adequacy verdict for a pair."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import gcd
 from typing import Union
 
@@ -46,13 +45,14 @@ class AtomicDecomposition:
     atoms: tuple[Atom, ...]
 
     def covered_variables(self) -> set[int]:
-        out: set[int] = set()
-        for atom in self.atoms:
-            if isinstance(atom, Fermat):
-                out.add(atom.variable)
-            else:
-                out.update(atom.variables)
-        return out
+        return {v for atom in self.atoms for v in atom_parts(atom)[1]}
+
+
+def atom_parts(atom: Atom) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """(kind, variables, exponents) of an atom; a Fermat atom has one of each."""
+    if isinstance(atom, Fermat):
+        return "fermat", (atom.variable,), (atom.exponent,)
+    return "chain" if isinstance(atom, Chain) else "loop", atom.variables, atom.exponents
 
 
 @dataclass(frozen=True)
@@ -66,28 +66,20 @@ class AdequacyReport:
     atoms: AtomicDecomposition | None = None  # the decomposition behind quasi_smooth
 
 
-def _match_rows(rows, assign):
-    """Try one row-to-variable assignment; return successor and exponent maps or None.
+def _row_shape(row) -> tuple[int, int | None] | None:
+    """The row's own variable and its successor, or None.
 
-    Row i must be a pure power of its assigned variable, or that power times a
-    single other variable with exponent exactly one. Two-variable rows with both
-    exponents equal to one are ambiguous and never match.
+    A row is y_v^e (no successor) or y_v^e y_w with e >= 2 (successor w); v
+    is its own variable. Any other row, including y_v y_w, has none.
     """
-    succ: dict[int, int | None] = {}
-    exps: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        v = assign[i]
-        if row[v] == 0:
-            return None
-        others = [j for j in range(4) if j != v and row[j] != 0]
-        if not others:
-            succ[v] = None
-        elif len(others) == 1 and row[others[0]] == 1 and row[v] >= 2:
-            succ[v] = others[0]
-        else:
-            return None
-        exps[v] = row[v]
-    return succ, exps
+    support = [j for j in range(4) if row[j] != 0]
+    if len(support) == 1:
+        return support[0], None
+    if len(support) == 2:
+        for v, w in (support, support[::-1]):
+            if row[v] >= 2 and row[w] == 1:
+                return v, w
+    return None
 
 
 def _assemble(succ, exps):
@@ -130,22 +122,20 @@ def _assemble(succ, exps):
 
 
 def _atom_key(atom: Atom) -> int:
-    if isinstance(atom, Fermat):
-        return atom.variable
-    return min(atom.variables)
+    return min(atom_parts(atom)[1])
 
 
 def atomic_decomposition(m: DelsarteMatrix) -> AtomicDecomposition:
     """Decompose the rows into disjoint Fermat, chain, and loop atoms.
 
-    Tries every row-to-variable bijection (at most 24) rather than guessing
-    greedily; raises NotInvertiblePotential when none matches.
+    Each row has at most one own variable, so the rows fix the only candidate
+    row-to-variable bijection; raises NotInvertiblePotential when there is
+    none or its successor map does not split into atoms.
     """
-    for assign in permutations(range(4)):
-        matched = _match_rows(m.matrix, assign)
-        if matched is None:
-            continue
-        result = _assemble(*matched)
+    shapes = [_row_shape(row) for row in m.matrix]
+    if None not in shapes and len({v for v, _ in shapes}) == 4:
+        exps = {v: row[v] for (v, _), row in zip(shapes, m.matrix)}
+        result = _assemble(dict(shapes), exps)
         if result is not None:
             return result
     raise NotInvertiblePotential(
@@ -250,13 +240,7 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
 
 def _describe_atoms(dec: AtomicDecomposition) -> str:
     parts = []
-    for atom in dec.atoms:
-        if isinstance(atom, Fermat):
-            parts.append(f"fermat(x{atom.variable}^{atom.exponent})")
-        elif isinstance(atom, Chain):
-            body = ",".join(f"x{v}^{e}" for v, e in zip(atom.variables, atom.exponents))
-            parts.append(f"chain({body})")
-        else:
-            body = ",".join(f"x{v}^{e}" for v, e in zip(atom.variables, atom.exponents))
-            parts.append(f"loop({body})")
+    for kind, variables, exponents in map(atom_parts, dec.atoms):
+        body = ",".join(f"x{v}^{e}" for v, e in zip(variables, exponents))
+        parts.append(f"{kind}({body})")
     return " + ".join(parts)

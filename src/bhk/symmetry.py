@@ -1,13 +1,14 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
 the full kernel Aut, its coordinate-sum-zero subgroup SL (from its definition,
 or from a Smith-normal-form solve that never enumerates Aut), the grading
-element j, and enumeration of the groups between J and SL."""
+element j, and enumeration of the groups between J and SL. Every group is
+built by one primitive, the join G + <g> of a subgroup with one element."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .arith import Vector4, kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
@@ -53,25 +54,32 @@ def element_order(g: GroupElement) -> int:
     return g.modulus // gcd(g.modulus, *g.coords)
 
 
+def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
+    """G + <g> for a subgroup G: the union of the cosets G + k g for k = 0, 1,
+    ... up to the first k with k g in G."""
+    step = tuple(c % modulus for c in g)
+    out = set(group)
+    shift = step
+    while shift not in group:
+        out.update(
+            (
+                (x[0] + shift[0]) % modulus,
+                (x[1] + shift[1]) % modulus,
+                (x[2] + shift[2]) % modulus,
+                (x[3] + shift[3]) % modulus,
+            )
+            for x in group
+        )
+        shift = tuple((a + b) % modulus for a, b in zip(shift, step))
+    return out
+
+
 def _closure(modulus: int, gens: Iterable[Coords]) -> set[Coords]:
     """Closure of the generators under addition mod the modulus."""
-    gens = [tuple(c % modulus for c in g) for g in gens]
-    zero = (0, 0, 0, 0)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (
-                (x[0] + g[0]) % modulus,
-                (x[1] + g[1]) % modulus,
-                (x[2] + g[2]) % modulus,
-                (x[3] + g[3]) % modulus,
-            )
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+    group = {(0, 0, 0, 0)}
+    for g in gens:
+        group = _join(modulus, group, g)
+    return group
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +123,7 @@ def _greedy_generators(modulus: int, coords_sorted: Sequence[Coords]) -> tuple[C
     for c in coords_sorted:
         if c not in covered:
             gens.append(c)
-            covered = _closure(modulus, gens)
+            covered = _join(modulus, covered, c)
     return tuple(gens)
 
 
@@ -211,34 +219,16 @@ def j_subgroup(m: DelsarteMatrix) -> SymmetrySubgroup:
 def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> list[SymmetrySubgroup]:
     """All subgroups G with J <= G <= SL, ordered by size then element list.
 
-    Fixpoint closure-and-dedup: repeatedly extend every known group by one
-    J-coset representative and close, until nothing new appears.
+    Joins each element of SL in turn to every group found so far: after the
+    elements e_1, ..., e_k the groups found are the J + <S> for S a subset of
+    them, so after all of SL they are every G, as G = J + <G>.
     """
     if not j_group.is_subgroup_of(sl):
         raise ValueError("J is not contained in SL")
     d = sl.modulus
-    jset = j_group.coord_set()
-    reps: list[Coords] = []
-    seen_cosets: set[Coords] = set()
+    known = {j_group.coord_set()}
     for e in sl.elements:
-        if e.coords not in seen_cosets:
-            reps.append(e.coords)
-            for j in jset:
-                seen_cosets.add(
-                    tuple((a + b) % d for a, b in zip(e.coords, j))
-                )
-    known: dict[frozenset, set[Coords]] = {jset: set(jset)}
-    frontier = [set(jset)]
-    while frontier:
-        base = frontier.pop()
-        for r in reps:
-            if r in base:
-                continue
-            extended = _closure(d, list(base) + [r])
-            key = frozenset(extended)
-            if key not in known:
-                known[key] = extended
-                frontier.append(extended)
-    groups = [_from_coords(d, coords) for coords in known.values()]
+        known.update([frozenset(_join(d, g, e.coords)) for g in known if e.coords not in g])
+    groups = [_from_coords(d, coords) for coords in known]
     groups.sort(key=lambda g: (g.order, tuple(e.coords for e in g.elements)))
     return groups

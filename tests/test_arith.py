@@ -16,7 +16,6 @@ from bhk.arith import (
     det_adjugate,
     euler_phi,
     gcd_lcm,
-    inverse_rational,
     kernel_mod,
     mat_mul,
     mat_vec,
@@ -25,7 +24,7 @@ from bhk.arith import (
     multiplicative_order,
     transpose_rows,
 )
-from bhk.errors import SingularMatrix
+from conftest import A_EX_ROWS, build
 
 
 def test_gcd_lcm_golden():
@@ -162,9 +161,9 @@ def test_det_matches_permutation_expansion():
         assert det == perm_det(a)
 
 
-def test_inverse_rational_exact():
-    a = matrix4(((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 6, 1), (0, 0, 0, 7)))
-    inv = inverse_rational(a)
+def test_delsarte_inverse_exact():
+    a = A_EX_ROWS
+    inv = build(a).inverse()
     assert inv[0] == (
         Fraction(1, 2),
         Fraction(-1, 4),
@@ -176,11 +175,6 @@ def test_inverse_rational_exact():
         for i in range(4)
     ]
     assert all(prod[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
-
-
-def test_inverse_rational_singular():
-    with pytest.raises(SingularMatrix):
-        inverse_rational(((1, 2, 3, 4),) * 4)
 
 
 def _kernel_by_enumeration(rows, d):

@@ -4,8 +4,10 @@ determinism, and batch processing."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -389,10 +391,14 @@ def test_batch_missing_directory(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     path = _write(tmp_path, "in.json", A_EX_DOC)
+    # The child must import the same bhk as this process, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "bhk.cli", "--quiet", "picard", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == ""

@@ -6,6 +6,8 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhk import (
     GroupElement,
@@ -20,6 +22,7 @@ from bhk import (
     transpose,
 )
 from bhk.errors import InternalCheckError
+from bhk.symmetry import _closure
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 
 
@@ -179,24 +182,57 @@ def test_intermediate_lattice_bounds(a_f):
         assert g.is_subgroup_of(sl)
 
 
-def _lattice_by_joins(j_group, sl):
-    """Independent oracle: saturate under joins with single elements."""
-    d = sl.modulus
-    known = {j_group.coord_set(): j_group}
-    frontier = [j_group]
+def _reference_closure(modulus, gens):
+    """Breadth-first closure of the generators under addition mod the modulus."""
+    gens = [tuple(c % modulus for c in g) for g in gens]
+    zero = (0, 0, 0, 0)
+    seen = {zero}
+    frontier = [zero]
     while frontier:
-        g = frontier.pop()
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % modulus for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_matches_breadth_first_reference(data):
+    d = data.draw(st.integers(1, 12))
+    coord = st.integers(-2 * d, 2 * d)
+    element = st.one_of(st.just((0, 0, 0, 0)), st.tuples(coord, coord, coord, coord))
+    gens = data.draw(st.lists(element, max_size=5))
+    if gens and data.draw(st.booleans()):
+        gens[-1] = gens[0]
+    assert _closure(d, gens) == _reference_closure(d, gens)
+
+
+def _lattice_by_joins(j_group, sl):
+    """Independent oracle: saturate under joins with single elements, each
+    join closed from its generators by breadth-first search."""
+    d = sl.modulus
+    start = tuple(g.coords for g in j_group.generators)
+    known = {frozenset(_reference_closure(d, start)): start}
+    frontier = list(known.items())
+    while frontier:
+        elements, gens = frontier.pop()
         for e in sl.elements:
-            joined = subgroup_generated(d, list(g.generators) + [e])
-            key = joined.coord_set()
+            if e.coords in elements:
+                continue
+            joined = gens + (e.coords,)
+            key = frozenset(_reference_closure(d, joined))
             if key not in known:
                 known[key] = joined
-                frontier.append(joined)
+                frontier.append((key, joined))
     return set(known)
 
 
 def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
-    for m in (a_ex, a_f, loop_m, mixed_m):
+    catalog_sides = [side for m in cy_catalog_small() for side in (m, transpose(m, CHAR0))]
+    for m in (a_ex, a_f, loop_m, mixed_m, *catalog_sides):
         j = j_subgroup(m)
         sl = sl_subgroup(aut_group(m))
         lattice = enumerate_intermediate(j, sl)
