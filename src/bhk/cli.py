@@ -54,7 +54,7 @@ def parse_input(text: str) -> InputSpec:
     """Parse one input document; strict about keys and shapes."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # json raises RecursionError on deep nesting
         raise ParseError(f"invalid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
@@ -153,8 +153,8 @@ def _groups_section(ws: Workspace) -> dict:
         "sl_order": side.sl.order,
         "j_order": side.j.order,
         "group_order": group.order,
-        "j": list(side.j.generators[0].coords),
-        "group_generators": [list(g.coords) for g in group.generators],
+        "j": list(side.j.generators[0]),
+        "group_generators": [list(g) for g in group.generators],
     }
 
 
@@ -172,7 +172,7 @@ def _mirror_section(ws: Workspace) -> dict:
         "sl_dual_order": slt.order,
         "group_dual": {
             "order": mp.mirror.group.order,
-            "generators": [list(g.coords) for g in mp.mirror.group.generators],
+            "generators": [list(g) for g in mp.mirror.group.generators],
         },
         "dual_of_j_order": dual_of_j.order,
         "dual_of_sl_order": dual_of_sl.order,
@@ -243,7 +243,7 @@ def _subgroups_section(ws: Workspace) -> dict:
         entries.append(
             {
                 "order": g.order,
-                "generators": [list(x.coords) for x in g.generators],
+                "generators": [list(x) for x in g.generators],
                 "dual_order": ws.dual(g).order,
             }
         )

@@ -19,20 +19,40 @@ from .errors import (
 )
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base above (Sorenson and Webster, 2015).
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the 13 prime bases 2..41, exact for
+    n < _PRIME_TEST_BOUND; ValueError at or above it."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large for an exact primality test (limit {_PRIME_TEST_BOUND})")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _PRIME_BASES:
         if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _PRIME_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True
 
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Base field characteristic: zero or a prime, checked by trial division."""
+    """Base field characteristic: zero or a prime below _PRIME_TEST_BOUND."""
 
     p: int = 0
 

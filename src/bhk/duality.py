@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .arith import kernel_mod
 from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
@@ -18,11 +19,9 @@ from .errors import (
 )
 from .smoothness import AdequacyReport, adequacy
 from .symmetry import (
-    GroupElement,
     SymmetrySubgroup,
     _closure,
     _from_coords,
-    aut_group,
     in_sl,
     j_subgroup,
     sl_group,
@@ -46,32 +45,19 @@ class MirrorPair:
     mirror: BhkPair
 
 
-def pairing(m: DelsarteMatrix, a: GroupElement, b: GroupElement, *, verify: bool = False) -> int:
-    """The residue a A b^t mod d^2, using canonical lifts in [0, d).
+def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
+    """The residue a A b^t mod d^2, using the canonical lifts in [0, d) of a and b.
 
     a must annihilate the columns of A and b its rows, else ValueError.
-    With verify=True the value is recomputed with every lift shifted by +d
-    in one coordinate and checked for agreement.
     """
     d = m.exponent
-    if a.modulus != d or b.modulus != d:
-        raise ValueError(f"pairing needs modulus {d} on both sides")
-    if any(sum(a.coords[i] * m.matrix[i][j] for i in range(4)) % d != 0 for j in range(4)):
-        raise ValueError(f"{a.coords} is not in the transposed kernel")
-    if any(sum(m.matrix[i][j] * b.coords[j] for j in range(4)) % d != 0 for i in range(4)):
-        raise ValueError(f"{b.coords} is not in the kernel")
-    value = _raw_pairing(m.matrix, d, a.coords, b.coords)
-    if verify:
-        for k in range(4):
-            lift_a = list(a.coords)
-            lift_a[k] += d
-            if _raw_pairing(m.matrix, d, tuple(lift_a), b.coords) != value:
-                raise InternalCheckError("pairing depends on the lift of the left argument")
-            lift_b = list(b.coords)
-            lift_b[k] += d
-            if _raw_pairing(m.matrix, d, a.coords, tuple(lift_b)) != value:
-                raise InternalCheckError("pairing depends on the lift of the right argument")
-    return value
+    a = tuple(c % d for c in a)
+    b = tuple(c % d for c in b)
+    if any(sum(a[i] * m.matrix[i][j] for i in range(4)) % d != 0 for j in range(4)):
+        raise ValueError(f"{a} is not in the transposed kernel")
+    if any(sum(m.matrix[i][j] * b[j] for j in range(4)) % d != 0 for i in range(4)):
+        raise ValueError(f"{b} is not in the kernel")
+    return _raw_pairing(m.matrix, d, a, b)
 
 
 def _raw_pairing(matrix, d, a, b) -> int:
@@ -84,8 +70,8 @@ def _raw_pairing(matrix, d, a, b) -> int:
 
 class _Side:
     """One side of the pair: a matrix, whether it is Calabi-Yau, and its
-    symmetry groups, each built on first use from the matrix builder and kept.
-    SL is solved from the matrix; Aut is built only when asked for."""
+    groups SL (solved from the matrix, never enumerating Aut) and J, each
+    built on first use from the matrix builder and kept."""
 
     def __init__(self, build_matrix):
         self._build_matrix = build_matrix
@@ -93,10 +79,6 @@ class _Side:
     @cached_property
     def matrix(self) -> DelsarteMatrix:
         return self._build_matrix()
-
-    @cached_property
-    def aut(self) -> SymmetrySubgroup:
-        return aut_group(self.matrix)
 
     @cached_property
     def sl(self) -> SymmetrySubgroup:
@@ -115,7 +97,7 @@ class Workspace:
     """Every object derived from one input, each built on first use and at most once.
 
     It holds one characteristic and both sides of the pair: `primal` (A) and
-    `transpose` (A^T), each with its matrix, Aut, SL and J; the resolved
+    `transpose` (A^T), each with its matrix, SL and J; the resolved
     group G; the validated `pair` and `mirror` pair; and the dual groups,
     memoized by group. `matrix` is rows (validated on first use) or a built
     DelsarteMatrix; `group` is "J", "SL", generator coordinates, or a
@@ -157,7 +139,7 @@ class Workspace:
             return self.primal.sl
         m = self.primal.matrix
         for g in spec:
-            coords = GroupElement(m.exponent, tuple(g)).coords
+            coords = tuple(x % m.exponent for x in g)
             if not in_sl(m, coords):
                 raise SemanticError(f"generator {list(coords)} is outside the coordinate-sum-zero kernel")
         return subgroup_generated(m.exponent, spec)
@@ -200,7 +182,7 @@ class Workspace:
             self.transpose.matrix  # raises the input error of an invalid A^T
             m = self.primal.matrix
             d, b = m.exponent, m.b_matrix
-            xs = kernel_mod([g.coords for g in group.generators], d)
+            xs = kernel_mod(group.generators, d)
             gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
             dual = _from_coords(d, _closure(d, gens))
             if group.order * dual.order != abs(m.det):

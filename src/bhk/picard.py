@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .arith import euler_phi, minus_one_power_exists, multiplicative_order
 from .delsarte import Characteristic
@@ -19,45 +19,42 @@ from .errors import (
     NonintegralAge,
     ZeroCoordinate,
 )
-from .symmetry import GroupElement, SymmetrySubgroup
+from .symmetry import Coords, SymmetrySubgroup
 
 
-@dataclass(frozen=True, order=True)
-class AgedElement:
-    element: GroupElement
+class AgedElement(NamedTuple):
+    """A group element with every coordinate nonzero, and its age."""
+
+    coords: Coords
     age: int
 
 
-def age(g: GroupElement) -> int:
-    """Sum of the canonical coordinates divided by the modulus.
+def age(d: int, coords: Sequence[int]) -> int:
+    """Sum of the coordinates reduced to [0, d), divided by d.
 
     Defined only for elements with every coordinate nonzero whose coordinate
-    sum is divisible by the modulus; the value then lands in {1, 2, 3}.
+    sum is divisible by d; the value then lands in {1, 2, 3}.
     """
-    d = g.modulus
-    if any(c % d == 0 for c in g.coords):
-        raise ZeroCoordinate(f"{g.coords} has a zero coordinate mod {d}")
-    total = sum(c % d for c in g.coords)
+    reduced = tuple(c % d for c in coords)
+    if 0 in reduced:
+        raise ZeroCoordinate(f"{reduced} has a zero coordinate mod {d}")
+    total = sum(reduced)
     if total % d != 0:
-        raise NonintegralAge(f"coordinate sum {total} of {g.coords} is not divisible by {d}")
+        raise NonintegralAge(f"coordinate sum {total} of {reduced} is not divisible by {d}")
     return total // d
 
 
 def aged_elements(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
-    """Elements of the group with all coordinates nonzero, with their ages.
+    """Elements of the group with all coordinates nonzero, with their ages,
+    in the group's (sorted) element order.
 
     The group must lie in the coordinate-sum-zero part of (Z/d)^4.
     """
     d = group.modulus
     for e in group.elements:
-        if sum(e.coords) % d != 0:
-            raise HNotInMd(f"element {e.coords} has coordinate sum {sum(e.coords) % d} mod {d}")
-    out = [
-        AgedElement(element=e, age=age(e))
-        for e in group.elements
-        if all(c % d != 0 for c in e.coords)
-    ]
-    return tuple(sorted(out, key=lambda a: a.element.coords))
+        if sum(e) % d != 0:
+            raise HNotInMd(f"element {e} has coordinate sum {sum(e) % d} mod {d}")
+    return tuple(AgedElement(e, age(d, e)) for e in group.elements if 0 not in e)
 
 
 def age_one_census(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
@@ -67,10 +64,6 @@ def age_one_census(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
 
 def _units(d: int) -> list[int]:
     return [t for t in range(1, d) if gcd(t, d) == 1]
-
-
-def _age_lookup(aged: tuple[AgedElement, ...]) -> dict:
-    return {a.element.coords: a.age for a in aged}
 
 
 def _scaled(coords, t: int, d: int):
@@ -92,19 +85,19 @@ def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[A
     d = group.modulus
     _check_char(char, d)
     aged = aged_elements(group)
-    lookup = _age_lookup(aged)
+    lookup = dict(aged)
     units = _units(d)
     out = []
     if not char.positive:
         for a in aged:
-            if any(lookup[_scaled(a.element.coords, t, d)] != 2 for t in units):
+            if any(lookup[_scaled(a.coords, t, d)] != 2 for t in units):
                 out.append(a)
         return tuple(out)
     f = multiplicative_order(char.p, d)
     powers = [pow(char.p, j, d) for j in range(f)]
     for a in aged:
         for t in units:
-            total = sum(lookup[_scaled(a.element.coords, t * pj, d)] for pj in powers)
+            total = sum(lookup[_scaled(a.coords, t * pj, d)] for pj in powers)
             if total != 2 * f:
                 out.append(a)
                 break
@@ -126,22 +119,17 @@ def orbit_decomposition(group: SymmetrySubgroup, char: Characteristic) -> OrbitD
     d = group.modulus
     _check_char(char, d)
     aged = aged_elements(group)
-    lookup = _age_lookup(aged)
+    lookup = dict(aged)
     units = _units(d)
     seen = set()
     orbits = []
     for a in aged:
-        if a.element.coords in seen:
+        if a.coords in seen:
             continue
-        coords_orbit = sorted({_scaled(a.element.coords, t, d) for t in units})
+        coords_orbit = sorted({_scaled(a.coords, t, d) for t in units})
         seen.update(coords_orbit)
-        orbits.append(
-            tuple(
-                AgedElement(element=GroupElement(d, c), age=lookup[c])
-                for c in coords_orbit
-            )
-        )
-    orbits.sort(key=lambda orb: orb[0].element.coords)
+        orbits.append(tuple(AgedElement(c, lookup[c]) for c in coords_orbit))
+    orbits.sort()
     suborbits = None
     if char.positive:
         suborbits = tuple(_p_suborbits(orbit, char.p, d, lookup) for orbit in orbits)
@@ -149,7 +137,7 @@ def orbit_decomposition(group: SymmetrySubgroup, char: Characteristic) -> OrbitD
 
 
 def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
-    remaining = {a.element.coords for a in orbit}
+    remaining = {a.coords for a in orbit}
     subs = []
     while remaining:
         start = min(remaining)
@@ -159,9 +147,7 @@ def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
             cycle.append(c)
             c = _scaled(c, p, d)
         remaining.difference_update(cycle)
-        subs.append(
-            tuple(AgedElement(element=GroupElement(d, c), age=lookup[c]) for c in sorted(cycle))
-        )
+        subs.append(tuple(AgedElement(c, lookup[c]) for c in sorted(cycle)))
     return tuple(subs)
 
 
@@ -189,7 +175,7 @@ def transcendental_set_orbits(
             )
             if unbalanced:
                 picked.extend(orbit)
-    result = tuple(sorted(picked, key=lambda a: a.element.coords))
+    result = tuple(sorted(picked))
     if direct is None:
         direct = transcendental_set(group, char)
     if result != direct:

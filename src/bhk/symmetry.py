@@ -1,8 +1,10 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
 the full kernel Aut, its coordinate-sum-zero subgroup SL (from its definition,
 or from a Smith-normal-form solve that never enumerates Aut), the grading
-element j, and enumeration of the groups between J and SL. Every group is
-built by one primitive, the join G + <g> of a subgroup with one element."""
+element j, and enumeration of the groups between J and SL. An element is a
+plain tuple of four coordinates reduced to [0, d), and a group is the sorted
+tuple of its elements. Every group is built by one primitive, the join
+G + <g> of a subgroup with one element."""
 
 from __future__ import annotations
 
@@ -10,48 +12,12 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import AbstractSet, Iterable, Sequence
 
-from .arith import Vector4, kernel_mod
+from .arith import kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
 from .errors import InternalCheckError
 
 Coords = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """An element of (Z/d)^4 with coordinates reduced to [0, d)."""
-
-    modulus: int
-    coords: Coords
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if len(self.coords) != 4:
-            raise ValueError(f"expected 4 coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", tuple(c % self.modulus for c in self.coords))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same(other)
-        return GroupElement(self.modulus, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.modulus, tuple(-c for c in self.coords))
-
-    def scale(self, t: int) -> "GroupElement":
-        return GroupElement(self.modulus, tuple(t * c for c in self.coords))
-
-    def coordinate_sum(self) -> int:
-        return sum(self.coords) % self.modulus
-
-    def _check_same(self, other: "GroupElement"):
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-
-def element_order(g: GroupElement) -> int:
-    """Order of g in (Z/d)^4."""
-    return g.modulus // gcd(g.modulus, *g.coords)
+ZERO: Coords = (0, 0, 0, 0)
 
 
 def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
@@ -76,7 +42,7 @@ def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
 
 def _closure(modulus: int, gens: Iterable[Coords]) -> set[Coords]:
     """Closure of the generators under addition mod the modulus."""
-    group = {(0, 0, 0, 0)}
+    group = {ZERO}
     for g in gens:
         group = _join(modulus, group, g)
     return group
@@ -84,23 +50,25 @@ def _closure(modulus: int, gens: Iterable[Coords]) -> set[Coords]:
 
 @dataclass(frozen=True, eq=False)
 class SymmetrySubgroup:
-    """A subgroup of (Z/d)^4 stored as its full sorted element list.
+    """A subgroup of (Z/d)^4: its elements as a sorted tuple of coordinate
+    tuples reduced to [0, d), and generators in the same form.
 
-    Equality and hashing use the element list only, so two descriptions of the
-    same subgroup compare equal regardless of the generators used.
+    Equality and hashing use the modulus and the elements only, so two
+    descriptions of the same subgroup compare equal regardless of the
+    generators used. A frozenset of the elements is the membership index.
     """
 
     modulus: int
-    elements: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...]
+    elements: tuple[Coords, ...]
+    generators: tuple[Coords, ...]
     order: int
-    _element_set: frozenset = field(init=False, repr=False)
+    _element_set: frozenset[Coords] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(e.coords for e in self.elements))
+        object.__setattr__(self, "_element_set", frozenset(self.elements))
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return g.modulus == self.modulus and g.coords in self._element_set
+    def __contains__(self, g: Coords) -> bool:
+        return g in self._element_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymmetrySubgroup):
@@ -113,13 +81,10 @@ class SymmetrySubgroup:
     def is_subgroup_of(self, other: "SymmetrySubgroup") -> bool:
         return self.modulus == other.modulus and self._element_set <= other._element_set
 
-    def coord_set(self) -> frozenset:
-        return self._element_set
-
 
 def _greedy_generators(modulus: int, coords_sorted: Sequence[Coords]) -> tuple[Coords, ...]:
     gens: list[Coords] = []
-    covered = {(0, 0, 0, 0)}
+    covered = {ZERO}
     for c in coords_sorted:
         if c not in covered:
             gens.append(c)
@@ -128,26 +93,21 @@ def _greedy_generators(modulus: int, coords_sorted: Sequence[Coords]) -> tuple[C
 
 
 def _from_coords(modulus: int, coords: Iterable[Coords], generators=None) -> SymmetrySubgroup:
-    sorted_coords = sorted(set(coords) | {(0, 0, 0, 0)})
+    elements = tuple(sorted(set(coords) | {ZERO}))
     if generators is None:
-        generators = _greedy_generators(modulus, sorted_coords)
-    return SymmetrySubgroup(
-        modulus=modulus,
-        elements=tuple(GroupElement(modulus, c) for c in sorted_coords),
-        generators=tuple(GroupElement(modulus, g) for g in generators),
-        order=len(sorted_coords),
-    )
+        generators = _greedy_generators(modulus, elements)
+    return SymmetrySubgroup(modulus, elements, tuple(generators), len(elements))
 
 
-def subgroup_generated(modulus: int, gens: Iterable[GroupElement | Coords]) -> SymmetrySubgroup:
-    """Subgroup generated by the given elements."""
-    coords = [g.coords if isinstance(g, GroupElement) else tuple(g) for g in gens]
-    for c in coords:
-        if len(c) != 4:
-            raise ValueError(f"generator {c} does not have 4 coordinates")
-    normalized = [tuple(x % modulus for x in c) for c in coords]
-    kept = tuple(c for c in normalized if c != (0, 0, 0, 0))
-    return _from_coords(modulus, _closure(modulus, normalized), generators=kept)
+def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetrySubgroup:
+    """Subgroup generated by the given coordinate sequences, taken mod the modulus."""
+    reduced = []
+    for g in gens:
+        if len(g) != 4:
+            raise ValueError(f"generator {tuple(g)} does not have 4 coordinates")
+        reduced.append(tuple(x % modulus for x in g))
+    kept = tuple(c for c in reduced if c != ZERO)
+    return _from_coords(modulus, _closure(modulus, reduced), generators=kept)
 
 
 def aut_group(m: DelsarteMatrix) -> SymmetrySubgroup:
@@ -159,20 +119,19 @@ def aut_group(m: DelsarteMatrix) -> SymmetrySubgroup:
         raise InternalCheckError(
             f"kernel order {len(elements)} differs from |det| = {abs(m.det)}"
         )
-    kept = tuple(dict.fromkeys(c for c in cols if c != (0, 0, 0, 0)))
+    kept = tuple(dict.fromkeys(c for c in cols if c != ZERO))
     return _from_coords(d, elements, generators=kept)
 
 
 def sl_subgroup(aut: SymmetrySubgroup) -> SymmetrySubgroup:
     """Coordinate-sum-zero subgroup of the kernel."""
-    coords = [e.coords for e in aut.elements if sum(e.coords) % aut.modulus == 0]
-    return _from_coords(aut.modulus, coords)
+    return _from_coords(aut.modulus, [e for e in aut.elements if sum(e) % aut.modulus == 0])
 
 
 def in_sl(m: DelsarteMatrix, coords: Sequence[int]) -> bool:
-    """Whether A g = 0 and the coordinate sum of g is 0, both mod d."""
+    """Whether g has 4 coordinates, A g = 0 and the coordinate sum of g is 0, both mod d."""
     d = m.exponent
-    return sum(coords) % d == 0 and all(
+    return len(coords) == 4 and sum(coords) % d == 0 and all(
         sum(row[j] * coords[j] for j in range(4)) % d == 0 for row in m.matrix
     )
 
@@ -200,14 +159,15 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     return sl
 
 
-def j_element(m: DelsarteMatrix) -> GroupElement:
-    """The grading element (d/h) q; defined for Calabi-Yau matrices."""
+def j_element(m: DelsarteMatrix) -> Coords:
+    """The grading element (d/h) q mod d; defined for Calabi-Yau matrices.
+    Checked to have order h and coordinate sum 0 mod d."""
     if not is_calabi_yau(m):
         raise ValueError("grading element requires a Calabi-Yau matrix")
-    step = m.exponent // m.degree
-    j = GroupElement(m.exponent, tuple(step * qi for qi in m.weights))
-    if element_order(j) != m.degree or j.coordinate_sum() != 0:
-        raise InternalCheckError(f"grading element {j.coords} fails its order or sum check")
+    d, h = m.exponent, m.degree
+    j = tuple(d // h * qi % d for qi in m.weights)
+    if d // gcd(d, *j) != h or sum(j) % d != 0:
+        raise InternalCheckError(f"grading element {j} fails its order or sum check")
     return j
 
 
@@ -226,9 +186,9 @@ def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> l
     if not j_group.is_subgroup_of(sl):
         raise ValueError("J is not contained in SL")
     d = sl.modulus
-    known = {j_group.coord_set()}
+    known = {frozenset(j_group.elements)}
     for e in sl.elements:
-        known.update([frozenset(_join(d, g, e.coords)) for g in known if e.coords not in g])
+        known.update([frozenset(_join(d, g, e)) for g in known if e not in g])
     groups = [_from_coords(d, coords) for coords in known]
-    groups.sort(key=lambda g: (g.order, tuple(e.coords for e in g.elements)))
+    groups.sort(key=lambda g: (g.order, g.elements))
     return groups

@@ -132,9 +132,9 @@ def cy_catalog_small(max_det: int = 300) -> tuple:
 def random_group_between(rng: random.Random, m: DelsarteMatrix, extra: int = 2):
     """A random subgroup between J and SL: close J together with a few SL elements."""
     sl = sl_subgroup(aut_group(m))
-    gens = [j_element(m).coords]
+    gens = [j_element(m)]
     for _ in range(rng.randint(0, extra)):
-        gens.append(rng.choice(sl.elements).coords)
+        gens.append(rng.choice(sl.elements))
     return subgroup_generated(m.exponent, gens)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,21 @@ def test_main_input_error_exit_code(tmp_path, capsys):
     assert err["error"]["category"] == "input"
 
 
+def test_main_picard_at_a_large_prime(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", dict(A_EX_DOC, characteristic=10**16 + 61))
+    start = time.perf_counter()
+    assert cli.main(["picard", path]) == 0
+    assert time.perf_counter() - start < 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["picard"]["rho_primal"], doc["picard"]["rho_mirror"]) == (18, 16)
+
+
+def test_main_characteristic_beyond_the_primality_test(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", dict(A_EX_DOC, characteristic=3317044064679887385961981))
+    assert cli.main(["picard", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "SemanticError"
+
+
 def test_main_inadequate_validate_exits_one(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"matrix": [list(r) for r in CY_NOT_QS_ROWS]})
     assert cli.main(["validate", path]) == 1
@@ -377,6 +393,22 @@ def test_non_utf8_document_is_a_parse_error(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path)]) == 1
     [entry] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert entry["error"]["kind"] == "ParseError"
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    assert cli.main(["picard", str(tmp_path / "deep.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "ParseError"
+
+
+def test_batch_isolates_deeply_nested_document(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    _write(tmp_path, "good.json", A_EX_DOC)
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    entries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [("deep.json", "error"), ("good.json", "ok")]
+    assert entries[0]["error"]["kind"] == "ParseError"
 
 
 def test_batch_missing_directory(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bhk import Characteristic, build_delsarte, is_calabi_yau, transpose
+from bhk.delsarte import is_prime
 from bhk.arith import IDENTITY4, mat_mul
 from bhk.errors import (
     CharDividesDet,
@@ -22,9 +23,26 @@ from conftest import A_EX_ROWS, A_F_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LO
 def test_characteristic_validation():
     assert not Characteristic(0).positive
     assert Characteristic(7).positive
-    for bad in (-1, 1, 4, 6, 9):
+    # The last is the least strong pseudoprime to the bases 2, ..., 41, where
+    # the primality test stops being exact, so it is rejected unanswered.
+    for bad in (-1, 1, 4, 6, 9, 3317044064679887385961981):
         with pytest.raises(ValueError):
             Characteristic(bad)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _is_prime_by_trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_on_large_inputs():
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases 2, ..., 23
+    assert is_prime(10**16 + 61) and is_prime(10**18 + 3)
+    assert Characteristic(10**18 + 3).positive
 
 
 def test_chain_example_golden():

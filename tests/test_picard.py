@@ -8,7 +8,6 @@ import pytest
 import bhk.picard as picard
 from bhk import (
     Characteristic,
-    GroupElement,
     age,
     age_one_census,
     aged_elements,
@@ -47,25 +46,26 @@ def _mirror(m, group_name="J", p=0):
 
 def test_age_goldens(a_ex):
     j = j_element(a_ex)
-    assert age(j) == 1
-    assert age(-j) == 3
-    assert age(GroupElement(4, (1, 1, 3, 3))) == 2
-    assert age(GroupElement(4, (3, 3, 3, 3))) == 3
+    assert age(168, j) == 1
+    assert age(168, [-c for c in j]) == 3
+    assert age(4, (1, 1, 3, 3)) == 2
+    assert age(4, (3, 3, 3, 3)) == 3
+    assert age(4, (-3, 5, 7, -1)) == 2  # coordinates are reduced mod d first
 
 
 def test_age_negation_symmetry(a_ex):
     for e in aged_elements(sl_subgroup(aut_group(a_ex))):
-        assert age(-e.element) == 4 - e.age
+        assert age(a_ex.exponent, [-c for c in e.coords]) == 4 - e.age
 
 
 def test_age_rejects_zero_coordinate():
     with pytest.raises(ZeroCoordinate):
-        age(GroupElement(4, (0, 1, 1, 2)))
+        age(4, (0, 1, 1, 2))
 
 
 def test_age_rejects_nonintegral_sum():
     with pytest.raises(NonintegralAge):
-        age(GroupElement(4, (1, 1, 1, 2)))
+        age(4, (1, 1, 1, 2))
 
 
 def test_aged_element_counts(a_ex, a_f):
@@ -79,21 +79,21 @@ def test_aged_element_counts(a_ex, a_f):
 
 def test_aged_elements_need_zero_sums(a_ex):
     aut = aut_group(a_ex)
-    bad = next(e for e in aut.elements if e.coordinate_sum() != 0)
+    bad = next(e for e in aut.elements if sum(e) % a_ex.exponent != 0)
     with pytest.raises(HNotInMd):
         aged_elements(subgroup_generated(168, [bad]))
 
 
 def test_age_one_census_unique(a_ex, a_f):
     j_census = age_one_census(j_subgroup(a_ex))
-    assert [a.element.coords for a in j_census] == [(48, 72, 24, 24)]
+    assert [a.coords for a in j_census] == [(48, 72, 24, 24)]
     sl_census = age_one_census(sl_subgroup(aut_group(a_ex)))
-    assert [a.element.coords for a in sl_census] == [(48, 72, 24, 24)]
+    assert [a.coords for a in sl_census] == [(48, 72, 24, 24)]
     mt = transpose(a_ex, CHAR0)
     t_census = age_one_census(sl_subgroup(aut_group(mt)))
-    assert [a.element.coords for a in t_census] == [(84, 42, 21, 21)]
+    assert [a.coords for a in t_census] == [(84, 42, 21, 21)]
     f_census = age_one_census(sl_subgroup(aut_group(a_f)))
-    assert [a.element.coords for a in f_census] == [(1, 1, 1, 1)]
+    assert [a.coords for a in f_census] == [(1, 1, 1, 1)]
 
 
 def test_transcendental_set_char0_goldens(a_ex, a_f):
@@ -103,13 +103,13 @@ def test_transcendental_set_char0_goldens(a_ex, a_f):
     assert len(transcendental_set(sl_subgroup(aut_group(mt)), CHAR0)) == 4
     assert len(transcendental_set(j_subgroup(mt), CHAR0)) == 4
     f_set = transcendental_set(sl_subgroup(aut_group(a_f)), CHAR0)
-    assert [a.element.coords for a in f_set] == [(1, 1, 1, 1), (3, 3, 3, 3)]
+    assert [a.coords for a in f_set] == [(1, 1, 1, 1), (3, 3, 3, 3)]
 
 
 def test_transcendental_set_is_unit_multiples_of_grading(a_ex):
     j = j_element(a_ex)
-    expected = sorted(j.scale(n).coords for n in range(1, 7))
-    got = [a.element.coords for a in transcendental_set(j_subgroup(a_ex), CHAR0)]
+    expected = sorted(tuple(n * c % 168 for c in j) for n in range(1, 7))
+    got = [a.coords for a in transcendental_set(j_subgroup(a_ex), CHAR0)]
     assert got == expected
 
 
@@ -158,14 +158,14 @@ def test_orbit_decomposition_partitions(a_ex):
     seen = set()
     for orbit in dec.u_orbits:
         for a in orbit:
-            assert a.element.coords not in seen
-            seen.add(a.element.coords)
-    assert seen == {a.element.coords for a in aged}
+            assert a.coords not in seen
+            seen.add(a.coords)
+    assert seen == {a.coords for a in aged}
     # p-power suborbits partition each orbit and are closed under scaling by p.
     for orbit, subs in zip(dec.u_orbits, dec.p_suborbits):
         assert sum(len(s) for s in subs) == len(orbit)
         for sub in subs:
-            coords = {a.element.coords for a in sub}
+            coords = {a.coords for a in sub}
             for c in coords:
                 assert tuple(5 * x % 168 for x in c) in coords
 
@@ -179,10 +179,10 @@ def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
     """Flipping one age makes the two routes disagree and trips the cross-check."""
     real_age = picard.age
 
-    def corrupted(g):
-        if g.modulus == 4 and g.coords == (1, 1, 3, 3):
+    def corrupted(d, coords):
+        if d == 4 and coords == (1, 1, 3, 3):
             return 3
-        return real_age(g)
+        return real_age(d, coords)
 
     monkeypatch.setattr(picard, "age", corrupted)
     sl = sl_subgroup(aut_group(a_f))

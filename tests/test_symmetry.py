@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhk import (
-    GroupElement,
     aut_group,
-    element_order,
     enumerate_intermediate,
     j_element,
     j_subgroup,
@@ -26,27 +24,6 @@ from bhk.symmetry import _closure
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 
 
-def test_element_normalization():
-    g = GroupElement(7, (8, -1, 0, 14))
-    assert g.coords == (1, 6, 0, 0)
-    assert (-g).coords == (6, 1, 0, 0)
-    assert (g + g).coords == (2, 5, 0, 0)
-    assert g.scale(3).coords == (3, 4, 0, 0)
-    assert g.coordinate_sum() == 0
-    assert element_order(GroupElement(12, (1, 0, 0, 0))) == 12
-    assert element_order(GroupElement(12, (0, 0, 0, 0))) == 1
-    assert element_order(GroupElement(12, (4, 6, 0, 0))) == 6
-
-
-def test_element_validation():
-    with pytest.raises(ValueError):
-        GroupElement(0, (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        GroupElement(5, (1, 2, 3))
-    with pytest.raises(ValueError):
-        GroupElement(5, (1, 1, 0, 0)) + GroupElement(7, (1, 1, 0, 0))
-
-
 def test_aut_orders(a_ex, a_f, loop_m, mixed_m):
     for m, order in ((a_ex, 168), (a_f, 256), (loop_m, 80), (mixed_m, 192)):
         aut = aut_group(m)
@@ -58,7 +35,7 @@ def test_aut_is_kernel(a_ex):
     d = a_ex.exponent
     for e in aut_group(a_ex).elements:
         for i in range(4):
-            assert sum(a_ex.matrix[i][j] * e.coords[j] for j in range(4)) % d == 0
+            assert sum(a_ex.matrix[i][j] * e[j] for j in range(4)) % d == 0
 
 
 def test_aut_matches_brute_force_kernel(a_f, mixed_m):
@@ -71,7 +48,7 @@ def test_aut_matches_brute_force_kernel(a_f, mixed_m):
                 sum(m.matrix[i][j] * c[j] for j in range(4)) % d == 0 for i in range(4)
             )
         }
-        assert aut_group(m).coord_set() == brute
+        assert aut_group(m).elements == tuple(sorted(brute))
 
 
 def test_sl_orders(a_ex, a_f, loop_m, mixed_m):
@@ -79,7 +56,7 @@ def test_sl_orders(a_ex, a_f, loop_m, mixed_m):
         sl = sl_subgroup(aut_group(m))
         assert sl.order == order
         assert sl.is_subgroup_of(aut_group(m))
-        assert all(e.coordinate_sum() == 0 for e in sl.elements)
+        assert all(sum(e) % m.exponent == 0 for e in sl.elements)
 
 
 def _assert_sl_group_matches_definition(m):
@@ -115,14 +92,14 @@ def test_grading_element_goldens(a_ex, a_f, loop_m, mixed_m):
     from bhk import transpose
     from conftest import CHAR0
 
-    assert j_element(a_ex).coords == (48, 72, 24, 24)
-    assert element_order(j_element(a_ex)) == 7
-    assert j_element(a_f).coords == (1, 1, 1, 1)
-    assert j_element(loop_m).coords == (20, 20, 20, 20)
-    assert j_element(mixed_m).coords == (3, 3, 3, 3)
-    jt = j_element(transpose(a_ex, CHAR0))
-    assert jt.coords == (84, 42, 21, 21)
-    assert element_order(jt) == 8
+    assert j_element(a_ex) == (48, 72, 24, 24)
+    assert j_subgroup(a_ex).order == 7
+    assert j_element(a_f) == (1, 1, 1, 1)
+    assert j_element(loop_m) == (20, 20, 20, 20)
+    assert j_element(mixed_m) == (3, 3, 3, 3)
+    mt = transpose(a_ex, CHAR0)
+    assert j_element(mt) == (84, 42, 21, 21)
+    assert j_subgroup(mt).order == 8
 
 
 def test_grading_element_in_sl(a_ex, a_f, loop_m, mixed_m):
@@ -141,16 +118,22 @@ def test_grading_element_needs_calabi_yau():
 def test_subgroup_equality_ignores_generators(a_ex):
     j = j_element(a_ex)
     g1 = subgroup_generated(a_ex.exponent, [j])
-    g2 = subgroup_generated(a_ex.exponent, [j.scale(2), j.scale(3)])
+    g2 = subgroup_generated(a_ex.exponent, [[2 * c for c in j], [3 * c for c in j]])
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1.order == 7
 
 
+def test_subgroup_generated_needs_four_coordinates():
+    with pytest.raises(ValueError, match="4 coordinates"):
+        subgroup_generated(5, [(1, 2, 3)])
+
+
 def test_subgroup_membership_checks_modulus(a_ex):
     sl = sl_subgroup(aut_group(a_ex))
-    assert GroupElement(168, (48, 72, 24, 24)) in sl
-    assert GroupElement(84, (48, 72, 24, 24)) not in sl
+    assert (48, 72, 24, 24) in sl
+    assert (48 + 168, 72, 24, 24) not in sl  # members are reduced mod d
+    assert not subgroup_generated(84, [(48, 72, 24, 24)]).is_subgroup_of(sl)
 
 
 def test_generators_regenerate(a_ex, a_f, loop_m, mixed_m):
@@ -207,22 +190,28 @@ def test_closure_matches_breadth_first_reference(data):
     gens = data.draw(st.lists(element, max_size=5))
     if gens and data.draw(st.booleans()):
         gens[-1] = gens[0]
-    assert _closure(d, gens) == _reference_closure(d, gens)
+    reference = _reference_closure(d, gens)
+    assert _closure(d, gens) == reference
+    group = subgroup_generated(d, gens)
+    assert group.elements == tuple(sorted(reference))
+    assert group.order == len(reference)
+    reduced = [tuple(c % d for c in g) for g in gens]
+    assert group.generators == tuple(g for g in reduced if g != (0, 0, 0, 0))
 
 
 def _lattice_by_joins(j_group, sl):
     """Independent oracle: saturate under joins with single elements, each
     join closed from its generators by breadth-first search."""
     d = sl.modulus
-    start = tuple(g.coords for g in j_group.generators)
+    start = j_group.generators
     known = {frozenset(_reference_closure(d, start)): start}
     frontier = list(known.items())
     while frontier:
         elements, gens = frontier.pop()
         for e in sl.elements:
-            if e.coords in elements:
+            if e in elements:
                 continue
-            joined = gens + (e.coords,)
+            joined = gens + (e,)
             key = frozenset(_reference_closure(d, joined))
             if key not in known:
                 known[key] = joined
@@ -236,7 +225,7 @@ def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
         j = j_subgroup(m)
         sl = sl_subgroup(aut_group(m))
         lattice = enumerate_intermediate(j, sl)
-        assert {g.coord_set() for g in lattice} == _lattice_by_joins(j, sl)
+        assert {frozenset(g.elements) for g in lattice} == _lattice_by_joins(j, sl)
 
 
 def test_intermediate_requires_containment(a_ex, a_f):
