@@ -40,6 +40,11 @@ EXIT_INTERNAL = 2
 
 _ALLOWED_KEYS = {"matrix", "group", "characteristic"}
 
+# Largest N for `scan --primes-up-to N`: the scan tests every integer up to N,
+# and its answer depends only on p mod the two degrees, which the reported
+# supersingular residues already state for every p.
+MAX_PRIMES_UP_TO = 10**6
+
 
 @dataclass(frozen=True)
 class InputSpec:
@@ -205,7 +210,10 @@ def _picard_section(mp: MirrorPair, method: str) -> dict:
     return doc
 
 
-def _scan_section(mp: MirrorPair, primes_up_to: int) -> dict:
+def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
+    if primes_up_to > MAX_PRIMES_UP_TO:
+        raise SemanticError(f"--primes-up-to {primes_up_to} exceeds the limit {MAX_PRIMES_UP_TO}")
+    mp = ws.mirror
     primes = [p for p in range(2, primes_up_to + 1) if is_prime(p)]
     report = prime_scan(mp, primes)
     return {
@@ -261,7 +269,7 @@ _SECTIONS = {
     "mirror": lambda ws, spec, options: _mirror_section(ws),
     "subgroups": lambda ws, spec, options: _subgroups_section(ws),
     "picard": lambda ws, spec, options: _picard_section(ws.mirror, options.get("method", "all")),
-    "scan": lambda ws, spec, options: _scan_section(ws.mirror, options["primes_up_to"]),
+    "scan": lambda ws, spec, options: _scan_section(ws, options["primes_up_to"]),
 }
 
 
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which computation route to use (default: all, cross-checked)",
     )
     commands["scan"].add_argument(
-        "--primes-up-to", type=int, required=True, metavar="N", help="scan primes p <= N"
+        "--primes-up-to", type=int, required=True, metavar="N", help=f"scan primes p <= N (N <= {MAX_PRIMES_UP_TO})"
     )
 
     p = sub.add_parser("batch", help="process every *.json in a directory, NDJSON output")

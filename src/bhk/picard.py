@@ -1,6 +1,12 @@
 """Geometric Picard numbers by three routes: raw set counting, orbit
 decomposition, and the closed-form totient formula. The routes cross-check
-each other; disagreement raises MethodMismatch."""
+each other; disagreement raises MethodMismatch.
+
+Every transcendental set the direct route builds is also compared, element
+for element, with the grading route: the set of unit multiples of the grading
+element that the paper's theorem predicts for every group (`grading_set`).
+It is a set-level check, not a fourth Picard method, so it is not reported
+among the `methods` of a PicardReport."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from .arith import euler_phi, minus_one_power_exists, multiplicative_order
-from .delsarte import Characteristic
+from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair
 from .errors import (
     CharDividesD,
@@ -19,7 +25,7 @@ from .errors import (
     NonintegralAge,
     ZeroCoordinate,
 )
-from .symmetry import Coords, SymmetrySubgroup
+from .symmetry import Coords, SymmetrySubgroup, j_element
 
 
 class AgedElement(NamedTuple):
@@ -76,32 +82,30 @@ def _check_char(char: Characteristic, d: int) -> None:
 
 
 def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
-    """Aged elements that fail the average-age-two test, straight from the definition.
+    """Aged elements that fail the average-age-two test, once per unit orbit.
 
     Characteristic zero keeps a when some unit multiple t a has age != 2.
     Characteristic p keeps a when for some unit t the ages over the p-power
     orbit of t a do not sum to twice the orbit-walk length f = ord(p mod d).
+    The test ranges over every unit t, so its verdict is the same on the whole
+    unit orbit {t a}: it runs on the first element of each orbit met, and the
+    other members take its verdict.
     """
     d = group.modulus
     _check_char(char, d)
     aged = aged_elements(group)
     lookup = dict(aged)
     units = _units(d)
-    out = []
-    if not char.positive:
-        for a in aged:
-            if any(lookup[_scaled(a.coords, t, d)] != 2 for t in units):
-                out.append(a)
-        return tuple(out)
-    f = multiplicative_order(char.p, d)
-    powers = [pow(char.p, j, d) for j in range(f)]
+    powers = [1]
+    if char.positive:
+        powers = [pow(char.p, j, d) for j in range(multiplicative_order(char.p, d))]
+    verdict: dict[Coords, bool] = {}
     for a in aged:
-        for t in units:
-            total = sum(lookup[_scaled(a.coords, t * pj, d)] for pj in powers)
-            if total != 2 * f:
-                out.append(a)
-                break
-    return tuple(out)
+        if a.coords not in verdict:
+            orbit = [_scaled(a.coords, t, d) for t in units]
+            keep = any(sum(lookup[_scaled(c, pj, d)] for pj in powers) != 2 * len(powers) for c in orbit)
+            verdict.update(dict.fromkeys(orbit, keep))
+    return tuple(a for a in aged if verdict[a.coords])
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,21 @@ TranscendentalSets = tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]
 
 
 def transcendental_sets(mp: MirrorPair) -> TranscendentalSets:
-    """(set in the dual group, set in the group) by the direct route."""
+    """(set in the dual group, set in the group) by the direct route, each
+    checked element for element against the grading route: the set of G^T
+    against grading_set(A^T), and the set of G against grading_set(A)."""
     char = mp.primal.char
-    return transcendental_set(mp.mirror.group, char), transcendental_set(mp.primal.group, char)
+    sets = []
+    for side, name in ((mp.mirror, "dual group"), (mp.primal, "group")):
+        direct = transcendental_set(side.group, char)
+        grading = grading_set(side.matrix, char)
+        if tuple(a.coords for a in direct) != grading:
+            raise MethodMismatch(
+                f"in the {name}, the direct route found {len(direct)} elements"
+                f" and the grading route {len(grading)}"
+            )
+        sets.append(direct)
+    return sets[0], sets[1]
 
 
 def picard_by_counting(mp: MirrorPair, sets: TranscendentalSets | None = None) -> tuple[int, int]:
@@ -230,6 +246,23 @@ def picard_closed_form(mp: MirrorPair) -> tuple[int, int]:
     return primal, mirror
 
 
+def grading_set(m: DelsarteMatrix, char: Characteristic) -> tuple[Coords, ...]:
+    """The transcendental set the paper's theorem predicts for every group
+    between J and SL of a Calabi-Yau matrix, as sorted coordinates.
+
+    In characteristic zero it is {k j : gcd(k, h) = 1}, for j the grading
+    element and h the degree; in characteristic p it is empty when some power
+    of p is -1 mod h, and the same set otherwise. Built from j and h alone,
+    enumerating no group.
+    """
+    d, h = m.exponent, m.degree
+    _check_char(char, d)
+    if char.positive and minus_one_power_exists(char.p, h):
+        return ()
+    j = j_element(m)
+    return tuple(sorted(_scaled(j, k, d) for k in range(1, h) if gcd(k, h) == 1))
+
+
 @dataclass(frozen=True)
 class PicardReport:
     rho_primal: int
@@ -242,8 +275,9 @@ class PicardReport:
 def picard_report(mp: MirrorPair) -> PicardReport:
     """Run all three methods, insist they agree, and bound-check the result.
 
-    Each side's transcendental set is computed once: the counting route
-    reads it and the orbit route must reproduce it.
+    Each side's transcendental set is computed once and checked against the
+    grading route (see transcendental_sets): the counting route reads it and
+    the orbit route must reproduce it.
     """
     closed = picard_closed_form(mp)
     sets = transcendental_sets(mp)

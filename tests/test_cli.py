@@ -328,6 +328,20 @@ def test_main_scan(tmp_path, capsys):
     assert len(doc["scan"]["rows"]) == 5
 
 
+def test_scan_rejects_range_above_limit_before_testing_primes(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", A_EX_DOC)
+    n = cli.MAX_PRIMES_UP_TO + 1
+    assert n == 10**6 + 1
+    start = time.perf_counter()
+    assert cli.main(["scan", path, "--primes-up-to", str(n)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "SemanticError"
+    assert err["message"] == f"--primes-up-to {n} exceeds the limit 1000000"
+
+
 # ---------------------------------------------------------------------------
 # batch
 

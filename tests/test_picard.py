@@ -3,6 +3,8 @@ methods, and the prime scan, against frozen independently computed values."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import bhk.picard as picard
@@ -12,6 +14,8 @@ from bhk import (
     age_one_census,
     aged_elements,
     aut_group,
+    enumerate_intermediate,
+    grading_set,
     j_element,
     j_subgroup,
     make_pair,
@@ -22,6 +26,7 @@ from bhk import (
     picard_closed_form,
     picard_report,
     prime_scan,
+    sl_group,
     sl_subgroup,
     subgroup_generated,
     transcendental_set,
@@ -35,7 +40,8 @@ from bhk.errors import (
     NonintegralAge,
     ZeroCoordinate,
 )
-from conftest import CHAR0, primes_below
+from conftest import CHAR0, cy_catalog_small, primes_below
+from oracles import transcendental_set_by_element
 
 
 def _mirror(m, group_name="J", p=0):
@@ -188,6 +194,85 @@ def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
     sl = sl_subgroup(aut_group(a_f))
     with pytest.raises(MethodMismatch):
         transcendental_set_orbits(sl, CHAR0)
+
+
+def test_grading_set_goldens(a_ex):
+    mt = transpose(a_ex, CHAR0)
+    j, jt = j_element(a_ex), j_element(mt)
+    assert grading_set(a_ex, CHAR0) == tuple(sorted(tuple(k * c % 168 for c in j) for k in range(1, 7)))
+    assert grading_set(mt, CHAR0) == tuple(sorted(tuple(k * c % 168 for c in jt) for k in (1, 3, 5, 7)))
+    # 5^3 = -1 mod 7 empties the set of A; no power of 5 is -1 mod 8.
+    assert grading_set(a_ex, Characteristic(5)) == ()
+    assert grading_set(mt, Characteristic(5)) == grading_set(mt, CHAR0)
+    with pytest.raises(CharDividesD):
+        grading_set(a_ex, Characteristic(7))
+
+
+def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
+    """Every group between J and SL of every small-catalog matrix, in each
+    characteristic of {0, 5, 7, 11, 13} not dividing d: the per-orbit direct
+    route equals the per-element definition, and its coordinates are the
+    grading route's set."""
+    cases = 0
+    for m in cy_catalog_small():
+        groups = enumerate_intermediate(j_subgroup(m), sl_group(m))
+        for p in (0, 5, 7, 11, 13):
+            if p and m.exponent % p == 0:
+                continue
+            char = Characteristic(p)
+            expected = grading_set(m, char)
+            for group in groups:
+                got = transcendental_set(group, char)
+                assert got == transcendental_set_by_element(group, char)
+                assert tuple(a.coords for a in got) == expected
+                cases += 1
+    assert cases >= 1900
+
+
+def test_grading_route_catches_a_direct_route_on_p_power_orbits(a_ex, monkeypatch):
+    """The direct route with its verdict shared across, and its test run over,
+    the p-power orbit of an element (just the element in characteristic 0)
+    instead of its unit orbit."""
+    real = picard.transcendental_set
+
+    def on_p_power_orbits(group, char):
+        p = char.p if char.positive else 1
+        with monkeypatch.context() as patch:
+            patch.setattr(picard, "_units", lambda d: sorted({pow(p, k, d) for k in range(d)}))
+            return real(group, char)
+
+    monkeypatch.setattr(picard, "transcendental_set", on_p_power_orbits)
+    for p in (0, 17):  # at p = 11 and 13 the p-power orbits give the same sets here
+        with pytest.raises(MethodMismatch, match="grading route"):
+            picard_report(_mirror(a_ex, "SL", p))
+
+
+def test_direct_route_catches_a_grading_route_missing_a_unit(a_ex, monkeypatch):
+    real = picard.grading_set
+
+    def without_minus_j(m, char):
+        minus_j = tuple(-c % m.exponent for c in j_element(m))
+        return tuple(c for c in real(m, char) if c != minus_j)
+
+    monkeypatch.setattr(picard, "grading_set", without_minus_j)
+    for p in (0, 11):
+        with pytest.raises(MethodMismatch, match="grading route"):
+            picard_report(_mirror(a_ex, "J", p))
+
+
+def test_direct_route_catches_an_orbit_route_with_its_age_one_test_flipped(a_ex, monkeypatch):
+    """The orbit route reads each age-one flag of the decomposition flipped
+    (ages 1 -> 2 and others -> 1), as if its test read age != 1."""
+    real = picard.orbit_decomposition
+
+    def flipped(group, char):
+        dec = real(group, char)
+        orbits = tuple(tuple(a._replace(age=2 if a.age == 1 else 1) for a in o) for o in dec.u_orbits)
+        return dataclasses.replace(dec, u_orbits=orbits)
+
+    monkeypatch.setattr(picard, "orbit_decomposition", flipped)
+    with pytest.raises(MethodMismatch, match="orbit route"):
+        picard_report(_mirror(a_ex, "SL"))
 
 
 def test_picard_char0_goldens(a_ex, a_f, loop_m, mixed_m):

@@ -22,6 +22,7 @@ from bhk import (
 from bhk.errors import InternalCheckError
 from bhk.symmetry import _closure
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
+from oracles import lattice_by_joins, reference_closure
 
 
 def test_aut_orders(a_ex, a_f, loop_m, mixed_m):
@@ -165,22 +166,6 @@ def test_intermediate_lattice_bounds(a_f):
         assert g.is_subgroup_of(sl)
 
 
-def _reference_closure(modulus, gens):
-    """Breadth-first closure of the generators under addition mod the modulus."""
-    gens = [tuple(c % modulus for c in g) for g in gens]
-    zero = (0, 0, 0, 0)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple((a + b) % modulus for a, b in zip(x, g))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_closure_matches_breadth_first_reference(data):
@@ -190,7 +175,7 @@ def test_closure_matches_breadth_first_reference(data):
     gens = data.draw(st.lists(element, max_size=5))
     if gens and data.draw(st.booleans()):
         gens[-1] = gens[0]
-    reference = _reference_closure(d, gens)
+    reference = reference_closure(d, gens)
     assert _closure(d, gens) == reference
     group = subgroup_generated(d, gens)
     assert group.elements == tuple(sorted(reference))
@@ -199,33 +184,13 @@ def test_closure_matches_breadth_first_reference(data):
     assert group.generators == tuple(g for g in reduced if g != (0, 0, 0, 0))
 
 
-def _lattice_by_joins(j_group, sl):
-    """Independent oracle: saturate under joins with single elements, each
-    join closed from its generators by breadth-first search."""
-    d = sl.modulus
-    start = j_group.generators
-    known = {frozenset(_reference_closure(d, start)): start}
-    frontier = list(known.items())
-    while frontier:
-        elements, gens = frontier.pop()
-        for e in sl.elements:
-            if e in elements:
-                continue
-            joined = gens + (e,)
-            key = frozenset(_reference_closure(d, joined))
-            if key not in known:
-                known[key] = joined
-                frontier.append((key, joined))
-    return set(known)
-
-
 def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
     catalog_sides = [side for m in cy_catalog_small() for side in (m, transpose(m, CHAR0))]
     for m in (a_ex, a_f, loop_m, mixed_m, *catalog_sides):
         j = j_subgroup(m)
         sl = sl_subgroup(aut_group(m))
         lattice = enumerate_intermediate(j, sl)
-        assert {frozenset(g.elements) for g in lattice} == _lattice_by_joins(j, sl)
+        assert {frozenset(g.elements) for g in lattice} == lattice_by_joins(j, sl)
 
 
 def test_intermediate_requires_containment(a_ex, a_f):
