@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 from typing import Sequence
@@ -21,14 +21,7 @@ from .errors import (
     ParseError,
     SemanticError,
 )
-from .picard import (
-    picard_by_counting,
-    picard_by_orbits,
-    picard_closed_form,
-    picard_report,
-    prime_scan,
-    transcendental_sets,
-)
+from .picard import picard_closed_form, picard_report, prime_scan
 from .smoothness import AdequacyReport, AtomicDecomposition, atom_parts
 from .symmetry import enumerate_intermediate
 
@@ -188,16 +181,15 @@ def _mirror_section(ws: Workspace) -> dict:
 
 
 def _picard_section(mp: MirrorPair, method: str) -> dict:
-    """One route, or all three cross-checked; the counting routes share each side's set."""
-    if method == "all":
-        report = picard_report(mp)
-        methods, sizes = report.methods, report.set_sizes
-    elif method == "closed":
+    """The closed form alone, or the cross-checked report's entry for one
+    route (every entry for `all`)."""
+    if method == "closed":
         methods, sizes = {"closed_form": picard_closed_form(mp)}, None
     else:
-        sets = transcendental_sets(mp)
-        route = picard_by_counting if method == "kelly" else picard_by_orbits
-        methods, sizes = {method: route(mp, sets)}, (len(sets[0]), len(sets[1]))
+        report = picard_report(mp)
+        methods, sizes = report.methods, report.set_sizes
+        if method != "all":
+            methods = {method: methods[method]}
     rho_primal, rho_mirror = next(iter(methods.values()))  # the routes agree
     doc = {
         "rho_primal": rho_primal,
@@ -220,18 +212,7 @@ def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
         "degree": report.degree,
         "mirror_degree": report.mirror_degree,
         "primes_up_to": primes_up_to,
-        "rows": [
-            {
-                "prime": r.prime,
-                "residue_primal": r.residue_primal,
-                "residue_mirror": r.residue_mirror,
-                "rho_primal": r.rho_primal,
-                "rho_mirror": r.rho_mirror,
-                "supersingular_primal": r.supersingular_primal,
-                "supersingular_mirror": r.supersingular_mirror,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "skipped": [{"prime": p, "reason": reason} for p, reason in report.skipped],
         "supersingular_primal_residues": list(report.supersingular_primal_residues),
         "supersingular_mirror_residues": list(report.supersingular_mirror_residues),
@@ -350,7 +331,8 @@ def _read(path) -> str:
         raise ParseError(str(err)) from err
 
 
-def _run_batch(directory: str, out_path: str | None, fmt: str, quiet: bool) -> int:
+def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
+    """NDJSON, one line per file, whatever `--format` says."""
     base = Path(directory)
     if not base.is_dir():
         print(json.dumps(_error_document(SemanticError(f"not a directory: {directory}")), sort_keys=True), file=sys.stderr)
@@ -392,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("closed", "kelly", "orbit", "all"),
         default="all",
-        help="which computation route to use (default: all, cross-checked)",
+        help="route to report: closed runs the closed form alone, the others every route cross-checked (default: all)",
     )
     commands["scan"].add_argument(
         "--primes-up-to", type=int, required=True, metavar="N", help=f"scan primes p <= N (N <= {MAX_PRIMES_UP_TO})"
@@ -407,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "batch":
-        return _run_batch(args.directory, args.out, args.format, args.quiet)
+        return _run_batch(args.directory, args.out, args.quiet)
     options = {k: v for k, v in vars(args).items() if k in _OPTIONS}
     try:
         doc, status = run_command(args.command, parse_input(_read(args.file)), **options)

@@ -1,12 +1,13 @@
-"""Geometric Picard numbers by three routes: raw set counting, orbit
-decomposition, and the closed-form totient formula. The routes cross-check
-each other; disagreement raises MethodMismatch.
-
-Every transcendental set the direct route builds is also compared, element
-for element, with the grading route: the set of unit multiples of the grading
-element that the paper's theorem predicts for every group (`grading_set`).
-It is a set-level check, not a fourth Picard method, so it is not reported
-among the `methods` of a PicardReport."""
+"""Geometric Picard numbers by three routes: the closed-form totient formula,
+Kelly's formula (counting the direct route's transcendental set), and the
+orbit route. `transcendental_sets` is the one place where set-level routes
+are compared: each side's direct set must equal, element for element, the
+orbit route's set and the grading route's set (the unit multiples of the
+grading element that the paper's theorem predicts for every group,
+`grading_set`). `picard_report` then compares the closed form with 22 minus
+the set sizes. Any disagreement raises MethodMismatch. The grading route is a
+set-level check, not a Picard method, so it is not among the `methods` of a
+PicardReport."""
 
 from __future__ import annotations
 
@@ -113,7 +114,6 @@ class OrbitDecomposition:
     """Unit-multiplication orbits of the aged elements, with the p-power
     suborbits of each orbit when the characteristic is positive."""
 
-    ambient: tuple[AgedElement, ...]
     u_orbits: tuple[tuple[AgedElement, ...], ...]
     p_suborbits: tuple[tuple[tuple[AgedElement, ...], ...], ...] | None
 
@@ -137,7 +137,7 @@ def orbit_decomposition(group: SymmetrySubgroup, char: Characteristic) -> OrbitD
     suborbits = None
     if char.positive:
         suborbits = tuple(_p_suborbits(orbit, char.p, d, lookup) for orbit in orbits)
-    return OrbitDecomposition(ambient=aged, u_orbits=tuple(orbits), p_suborbits=suborbits)
+    return OrbitDecomposition(u_orbits=tuple(orbits), p_suborbits=suborbits)
 
 
 def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
@@ -155,15 +155,12 @@ def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
     return tuple(subs)
 
 
-def transcendental_set_orbits(
-    group: SymmetrySubgroup, char: Characteristic, direct: tuple[AgedElement, ...] | None = None
-) -> tuple[AgedElement, ...]:
-    """The same set via orbits, always cross-checked against the direct route.
+def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
+    """The same set via orbits.
 
     Characteristic zero: a unit orbit contributes when it contains an age-one
     element. Characteristic p: a unit orbit contributes when some p-power
-    suborbit has unequal counts of age-one and age-three elements. `direct` is
-    the set transcendental_set(group, char) when already computed.
+    suborbit has unequal counts of age-one and age-three elements.
     """
     dec = orbit_decomposition(group, char)
     picked = []
@@ -179,54 +176,37 @@ def transcendental_set_orbits(
             )
             if unbalanced:
                 picked.extend(orbit)
-    result = tuple(sorted(picked))
-    if direct is None:
-        direct = transcendental_set(group, char)
-    if result != direct:
-        raise MethodMismatch(
-            f"orbit route found {len(result)} elements, direct route {len(direct)}"
-        )
-    return result
+    return tuple(sorted(picked))
 
 
-TranscendentalSets = tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]
-
-
-def transcendental_sets(mp: MirrorPair) -> TranscendentalSets:
+def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]:
     """(set in the dual group, set in the group) by the direct route, each
-    checked element for element against the grading route: the set of G^T
-    against grading_set(A^T), and the set of G against grading_set(A)."""
+    checked element for element against the grading route (the set of G^T
+    against grading_set(A^T), the set of G against grading_set(A)) and against
+    the orbit route on the same group."""
     char = mp.primal.char
     sets = []
     for side, name in ((mp.mirror, "dual group"), (mp.primal, "group")):
         direct = transcendental_set(side.group, char)
-        grading = grading_set(side.matrix, char)
-        if tuple(a.coords for a in direct) != grading:
-            raise MethodMismatch(
-                f"in the {name}, the direct route found {len(direct)} elements"
-                f" and the grading route {len(grading)}"
-            )
+        coords = tuple(a.coords for a in direct)
+        for route, found in (
+            ("grading", grading_set(side.matrix, char)),
+            ("orbit", tuple(a.coords for a in transcendental_set_orbits(side.group, char))),
+        ):
+            if found != coords:
+                raise MethodMismatch(
+                    f"in the {name}, the direct route found {len(direct)} elements"
+                    f" and the {route} route {len(found)}"
+                )
         sets.append(direct)
     return sets[0], sets[1]
 
 
-def picard_by_counting(mp: MirrorPair, sets: TranscendentalSets | None = None) -> tuple[int, int]:
-    """(rho primal, rho mirror) = 22 minus the defect-set sizes, direct route.
-
-    `sets` is transcendental_sets(mp) when already computed.
-    """
-    dual_set, group_set = transcendental_sets(mp) if sets is None else sets
-    return 22 - len(dual_set), 22 - len(group_set)
-
-
-def picard_by_orbits(mp: MirrorPair, sets: TranscendentalSets | None = None) -> tuple[int, int]:
-    """(rho primal, rho mirror) via the orbit route, each side's set checked
-    against the direct one (`sets`, computed when not given)."""
-    dual_set, group_set = transcendental_sets(mp) if sets is None else sets
-    char = mp.primal.char
-    dual_count = len(transcendental_set_orbits(mp.mirror.group, char, dual_set))
-    group_count = len(transcendental_set_orbits(mp.primal.group, char, group_set))
-    return 22 - dual_count, 22 - group_count
+def _closed_rho(p: int, h: int) -> int:
+    """rho of a side whose transcendental set has phi(h) elements in
+    characteristic zero: 22 (supersingular) when p > 0 and some power of p is
+    -1 mod h, else 22 - phi(h)."""
+    return 22 if p and minus_one_power_exists(p, h) else 22 - euler_phi(h)
 
 
 def picard_closed_form(mp: MirrorPair) -> tuple[int, int]:
@@ -236,14 +216,8 @@ def picard_closed_form(mp: MirrorPair) -> tuple[int, int]:
     characteristic the surface is supersingular (rho = 22) exactly when some
     power of p is -1 mod the relevant degree.
     """
-    h = mp.primal.matrix.degree
-    h_t = mp.mirror.matrix.degree
     p = mp.primal.char.p
-    if p == 0:
-        return 22 - euler_phi(h_t), 22 - euler_phi(h)
-    primal = 22 if minus_one_power_exists(p, h_t) else 22 - euler_phi(h_t)
-    mirror = 22 if minus_one_power_exists(p, h) else 22 - euler_phi(h)
-    return primal, mirror
+    return _closed_rho(p, mp.mirror.matrix.degree), _closed_rho(p, mp.primal.matrix.degree)
 
 
 def grading_set(m: DelsarteMatrix, char: Characteristic) -> tuple[Coords, ...]:
@@ -276,26 +250,21 @@ def picard_report(mp: MirrorPair) -> PicardReport:
     """Run all three methods, insist they agree, and bound-check the result.
 
     Each side's transcendental set is computed once and checked against the
-    grading route (see transcendental_sets): the counting route reads it and
-    the orbit route must reproduce it.
+    orbit and grading routes (see transcendental_sets); Kelly's formula counts
+    it, and so gives the orbit route's count too. The closed form must equal
+    that count.
     """
-    closed = picard_closed_form(mp)
     sets = transcendental_sets(mp)
-    values = {
-        "closed_form": closed,
-        "kelly": picard_by_counting(mp, sets),
-        "orbit": picard_by_orbits(mp, sets),
-    }
-    distinct = set(values.values())
-    if len(distinct) != 1:
+    counted = (22 - len(sets[0]), 22 - len(sets[1]))
+    values = {"closed_form": picard_closed_form(mp), "kelly": counted, "orbit": counted}
+    if values["closed_form"] != counted:
         raise MethodMismatch(f"methods disagree: {values}")
-    rho_primal, rho_mirror = values["kelly"]
-    for rho in (rho_primal, rho_mirror):
+    for rho in counted:
         if not 0 <= rho <= 22:
             raise InternalCheckError(f"rho = {rho} is outside [0, 22]")
     return PicardReport(
-        rho_primal=rho_primal,
-        rho_mirror=rho_mirror,
+        rho_primal=counted[0],
+        rho_mirror=counted[1],
         methods=values,
         set_sizes=(len(sets[0]), len(sets[1])),
         characteristic=mp.primal.char.p,
@@ -347,17 +316,16 @@ def prime_scan(mp: MirrorPair, primes) -> ScanReport:
         if any(q % p == 0 for q in m.weights) or any(q % p == 0 for q in mt.weights):
             skipped.append((p, "divides a weight"))
             continue
-        ss_primal = minus_one_power_exists(p, h_t)
-        ss_mirror = minus_one_power_exists(p, h)
+        rho_primal, rho_mirror = _closed_rho(p, h_t), _closed_rho(p, h)
         rows.append(
             ScanRow(
                 prime=p,
                 residue_primal=p % h_t,
                 residue_mirror=p % h,
-                rho_primal=22 if ss_primal else 22 - euler_phi(h_t),
-                rho_mirror=22 if ss_mirror else 22 - euler_phi(h),
-                supersingular_primal=ss_primal,
-                supersingular_mirror=ss_mirror,
+                rho_primal=rho_primal,
+                rho_mirror=rho_mirror,
+                supersingular_primal=rho_primal == 22,
+                supersingular_mirror=rho_mirror == 22,
             )
         )
     return ScanReport(

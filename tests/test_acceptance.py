@@ -13,6 +13,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhk.cli as cli
 import test_properties
@@ -23,9 +25,6 @@ from bhk import (
     j_subgroup,
     make_pair,
     mirror_pair,
-    picard_by_counting,
-    picard_by_orbits,
-    picard_closed_form,
     picard_report,
     sl_subgroup,
 )
@@ -144,12 +143,25 @@ def test_criterion_3_three_method_agreement():
 
 
 def test_criterion_4_property_suites():
+    """The nine suites run once each, as tests collected from test_properties,
+    where each fails on fewer than SUITE_CASES executed cases; this checks
+    that wiring instead of running them again."""
+
     def body():
-        for fn in test_properties.ALL_SUITES:
-            test_properties.CASE_COUNTS.clear()
-            fn()
-            executed = test_properties.CASE_COUNTS.get(fn.__name__, 0)
-            assert executed >= test_properties.SUITE_CASES, (fn.__name__, executed)
+        suites = test_properties.ALL_SUITES
+        assert len(suites) == 9
+        for fn in suites:
+            assert fn.__name__.startswith("test_") and getattr(test_properties, fn.__name__) is fn
+            assert fn.floor == test_properties.SUITE_CASES >= 500
+
+        @test_properties.floored
+        @settings(max_examples=10, database=None, derandomize=True)
+        @given(st.integers())
+        def short(n):
+            test_properties._count("short")
+
+        with pytest.raises(AssertionError, match="short"):
+            short()
 
     _announce("criterion-4 property suites (9 x >=500 cases)", body)
 
@@ -209,17 +221,16 @@ def test_criterion_5_fermat_quartic_ground_truth():
     def body():
         assert _oracle_fermat_quartic_rho_primal(0) == 20
         a_f = build(A_F_ROWS)
-        mp0 = _mirror(a_f, "J")
-        for method in (picard_by_counting, picard_by_orbits, picard_closed_form):
-            assert method(mp0)[0] == 20
+        for name, (rho_primal, _) in picard_report(_mirror(a_f, "J")).methods.items():
+            assert rho_primal == 20, name
         for p in primes_below(100):
             if p == 2:
                 continue
             truth = _oracle_fermat_quartic_rho_primal(p)
             assert truth == (22 if p % 4 == 3 else 20), p  # classical corroboration
             mp = _mirror(build(A_F_ROWS, p), "J", p)
-            for method in (picard_by_counting, picard_by_orbits, picard_closed_form):
-                assert method(mp)[0] == truth, (p, method.__name__)
+            for name, (rho_primal, _) in picard_report(mp).methods.items():
+                assert rho_primal == truth, (p, name)
 
     _announce("criterion-5 Fermat quartic vs from-scratch oracle", body)
 

@@ -19,6 +19,8 @@ COUNTED = {
     "sl_subgroup": "bhk.symmetry",
     "is_calabi_yau": "bhk.delsarte",
     "transcendental_set": "bhk.picard",
+    "transcendental_set_orbits": "bhk.picard",
+    "grading_set": "bhk.picard",
     "pairing": "bhk.duality",
     "atomic_decomposition": "bhk.smoothness",
 }
@@ -58,7 +60,10 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     assert calls["build_delsarte"] <= 2
     assert calls["aut_group"] == 0
     assert calls["sl_subgroup"] == 0
-    assert calls["transcendental_set"] <= 2
+    # each set-level route once per side
+    assert calls["transcendental_set"] == 2
+    assert calls["transcendental_set_orbits"] == 2
+    assert calls["grading_set"] == 2
     assert calls["pairing"] <= 16
     assert calls["atomic_decomposition"] <= 2
 

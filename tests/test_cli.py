@@ -15,6 +15,7 @@ import pytest
 import bhk.cli as cli
 from bhk.errors import InternalCheckError, ParseError, SemanticError
 from conftest import A_EX_ROWS, A_F_ROWS
+from test_picard import flip_age_one_flags
 from test_smoothness import CY_NOT_QS_ROWS
 
 A_EX_DOC = {"matrix": [list(r) for r in A_EX_ROWS], "group": "J", "characteristic": 0}
@@ -219,6 +220,17 @@ def test_semantic_error_for_non_calabi_yau():
 # main() end to end
 
 
+def test_kelly_method_runs_the_orbit_check(tmp_path, capsys, monkeypatch):
+    flip_age_one_flags(monkeypatch)
+    path = _write(tmp_path, "in.json", dict(A_EX_DOC, group="SL"))
+    assert cli.main(["picard", path, "--method", "kelly"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "MethodMismatch"
+    assert "orbit route" in err["message"]
+
+
 def test_main_picard_golden(tmp_path, capsys):
     path = _write(tmp_path, "in.json", A_EX_DOC)
     assert cli.main(["picard", path]) == 0
@@ -375,6 +387,15 @@ def test_batch_all_good_exits_zero(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [json.loads(l)["status"] for l in lines] == ["ok", "ok"]
+
+
+def test_batch_writes_ndjson_in_either_format(tmp_path, capsys):
+    _write(tmp_path, "one.json", A_EX_DOC)
+    outputs = []
+    for fmt in ("json", "text"):
+        assert cli.main(["--format", fmt, "batch", str(tmp_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_batch_out_file(tmp_path, capsys):

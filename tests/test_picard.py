@@ -21,9 +21,6 @@ from bhk import (
     make_pair,
     mirror_pair,
     orbit_decomposition,
-    picard_by_counting,
-    picard_by_orbits,
-    picard_closed_form,
     picard_report,
     prime_scan,
     sl_group,
@@ -160,7 +157,7 @@ def test_orbit_decomposition_partitions(a_ex):
     sl = sl_subgroup(aut_group(a_ex))
     dec = orbit_decomposition(sl, Characteristic(5))
     aged = aged_elements(sl)
-    assert sum(len(o) for o in dec.u_orbits) == len(aged) == len(dec.ambient)
+    assert sum(len(o) for o in dec.u_orbits) == len(aged)
     seen = set()
     for orbit in dec.u_orbits:
         for a in orbit:
@@ -182,7 +179,7 @@ def test_orbit_decomposition_char0_has_no_suborbits(a_ex):
 
 
 def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
-    """Flipping one age makes the two routes disagree and trips the cross-check."""
+    """Flipping one age makes the routes disagree and trips the cross-check."""
     real_age = picard.age
 
     def corrupted(d, coords):
@@ -191,9 +188,9 @@ def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
         return real_age(d, coords)
 
     monkeypatch.setattr(picard, "age", corrupted)
-    sl = sl_subgroup(aut_group(a_f))
+    mp = _mirror(a_f, "SL")
     with pytest.raises(MethodMismatch):
-        transcendental_set_orbits(sl, CHAR0)
+        picard_report(mp).methods
 
 
 def test_grading_set_goldens(a_ex):
@@ -260,9 +257,9 @@ def test_direct_route_catches_a_grading_route_missing_a_unit(a_ex, monkeypatch):
             picard_report(_mirror(a_ex, "J", p))
 
 
-def test_direct_route_catches_an_orbit_route_with_its_age_one_test_flipped(a_ex, monkeypatch):
-    """The orbit route reads each age-one flag of the decomposition flipped
-    (ages 1 -> 2 and others -> 1), as if its test read age != 1."""
+def flip_age_one_flags(monkeypatch) -> None:
+    """Doctor the orbit route: it reads each age-one flag of the decomposition
+    flipped (ages 1 -> 2 and others -> 1), as if its test read age != 1."""
     real = picard.orbit_decomposition
 
     def flipped(group, char):
@@ -271,6 +268,10 @@ def test_direct_route_catches_an_orbit_route_with_its_age_one_test_flipped(a_ex,
         return dataclasses.replace(dec, u_orbits=orbits)
 
     monkeypatch.setattr(picard, "orbit_decomposition", flipped)
+
+
+def test_direct_route_catches_an_orbit_route_with_its_age_one_test_flipped(a_ex, monkeypatch):
+    flip_age_one_flags(monkeypatch)
     with pytest.raises(MethodMismatch, match="orbit route"):
         picard_report(_mirror(a_ex, "SL"))
 
@@ -284,17 +285,17 @@ def test_picard_char0_goldens(a_ex, a_f, loop_m, mixed_m):
         (loop_m, "J", (20, 20)),
         (mixed_m, "J", (18, 20)),
     ):
-        mp = _mirror(m, name)
-        assert picard_by_counting(mp) == expected
-        assert picard_by_orbits(mp) == expected
-        assert picard_closed_form(mp) == expected
+        methods = picard_report(_mirror(m, name)).methods
+        assert methods["kelly"] == expected
+        assert methods["orbit"] == expected
+        assert methods["closed_form"] == expected
 
 
 def test_picard_positive_characteristic_goldens(a_ex):
     for p, expected in ((5, (18, 22)), (11, (18, 16)), (13, (18, 22)), (47, (22, 22))):
-        mp = _mirror(a_ex, "J", p)
-        assert picard_by_counting(mp) == expected
-        assert picard_closed_form(mp) == expected
+        methods = picard_report(_mirror(a_ex, "J", p)).methods
+        assert methods["kelly"] == expected
+        assert methods["closed_form"] == expected
 
 
 def test_picard_report_golden(a_ex):

@@ -42,13 +42,28 @@ suite_settings = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-# Executed-case tally per suite, so the acceptance gate can check that each
-# invariant really ran on at least SUITE_CASES generated inputs.
+# Executed-case tally per suite, so each suite can check that its invariant
+# really ran on at least SUITE_CASES generated inputs.
 CASE_COUNTS: dict[str, int] = {}
 
 
 def _count(name: str) -> None:
     CASE_COUNTS[name] = CASE_COUNTS.get(name, 0) + 1
+
+
+def floored(suite):
+    """The suite as a test that also fails when it executed fewer than
+    SUITE_CASES cases, as tallied by its own _count calls."""
+
+    def test():
+        CASE_COUNTS[suite.__name__] = 0
+        suite()
+        executed = CASE_COUNTS[suite.__name__]
+        assert executed >= SUITE_CASES, f"{suite.__name__} executed {executed} < {SUITE_CASES} cases"
+
+    test.__name__, test.floor = suite.__name__, SUITE_CASES
+    return test
+
 
 _SMALL = cy_catalog_small()
 _PRIMES = primes_below(100)
@@ -101,6 +116,7 @@ def aged_coords(draw):
     return d, (c[0], c[1], c[2], last)
 
 
+@floored
 @suite_settings
 @given(aged_coords())
 def test_suite_age_range_and_negation(case):
@@ -111,6 +127,7 @@ def test_suite_age_range_and_negation(case):
     assert age(d, [-c for c in g]) == 4 - a
 
 
+@floored
 @suite_settings
 @given(valid_rows())
 def test_suite_kernel_order_is_det(rows):
@@ -119,6 +136,7 @@ def test_suite_kernel_order_is_det(rows):
     assert aut_group(m).order == abs(m.det)
 
 
+@floored
 @suite_settings
 @given(valid_rows())
 def test_suite_divisibility_chain(rows):
@@ -129,6 +147,7 @@ def test_suite_divisibility_chain(rows):
     assert m.exponent**4 % abs(m.det) == 0
 
 
+@floored
 @suite_settings
 @given(cy_pairs())
 def test_suite_double_dual_is_identity(case):
@@ -141,6 +160,7 @@ def test_suite_double_dual_is_identity(case):
     assert back == group
 
 
+@floored
 @suite_settings
 @given(matrices, st.booleans())
 def test_suite_dual_of_j_is_transposed_sl(m, from_sl):
@@ -152,6 +172,7 @@ def test_suite_dual_of_j_is_transposed_sl(m, from_sl):
         assert dual_group(make_pair(m, j_subgroup(m), CHAR0)) == _sl(mt)
 
 
+@floored
 @suite_settings
 @given(matrices, st.data())
 def test_suite_pairing_is_lift_independent(m, data):
@@ -170,6 +191,7 @@ def test_suite_pairing_is_lift_independent(m, data):
     assert pairing(m, lifted_a, lifted_b) == value
 
 
+@floored
 @suite_settings
 @given(cy_pairs())
 def test_suite_transcendental_char0_structure(case):
@@ -184,6 +206,7 @@ def test_suite_transcendental_char0_structure(case):
     assert len(got) == euler_phi(h)
 
 
+@floored
 @suite_settings
 @given(cy_pairs(), st.sampled_from(_PRIMES))
 def test_suite_transcendental_dichotomy(case, p):
@@ -196,6 +219,7 @@ def test_suite_transcendental_dichotomy(case, p):
     assert (s == ()) == minus_one_power_exists(p, m.degree)
 
 
+@floored
 @suite_settings
 @given(cy_pairs())
 def test_suite_exactly_one_age_one(case):
