@@ -4,7 +4,7 @@ floating point anywhere."""
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 Vector4 = tuple[int, int, int, int]
@@ -39,16 +39,6 @@ def mat_mul(a: Matrix4, b: Matrix4) -> Matrix4:
         tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
         for i in range(4)
     )
-
-
-def mat_vec(a: Matrix4, v: Sequence[int]) -> Vector4:
-    """Exact integer matrix-vector product."""
-    return tuple(sum(a[i][k] * v[k] for k in range(4)) for i in range(4))
-
-
-def gcd_lcm(a: int, b: int) -> tuple[int, int]:
-    """Nonnegative gcd and lcm of two integers; (0, 0) for (0, 0)."""
-    return gcd(a, b), lcm(a, b)
 
 
 def euler_phi(n: int) -> int:

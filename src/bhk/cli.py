@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
@@ -22,7 +23,7 @@ from .errors import (
     SemanticError,
 )
 from .picard import picard_closed_form, picard_report, prime_scan
-from .smoothness import AdequacyReport, AtomicDecomposition, atom_parts
+from .smoothness import AdequacyReport, Atom
 from .symmetry import enumerate_intermediate
 
 TOOL_VERSION = "0.1.0"
@@ -121,11 +122,11 @@ def _delsarte_section(m: DelsarteMatrix) -> dict:
     }
 
 
-def _atoms_section(dec: AtomicDecomposition | None):
-    if dec is None:
+def _atoms_section(atoms: tuple[Atom, ...] | None):
+    if atoms is None:
         return None
     out = []
-    for kind, variables, exponents in map(atom_parts, dec.atoms):
+    for kind, variables, exponents in atoms:
         if kind == "fermat":
             out.append({"kind": kind, "variable": variables[0], "exponent": exponents[0]})
         else:
@@ -304,6 +305,12 @@ def _error_status(err: Exception) -> int:
     return EXIT_INTERNAL if isinstance(err, InternalCheckError) else EXIT_INPUT
 
 
+def _report(err: Exception) -> int:
+    """Write the error document to stderr; returns the exit status."""
+    print(json.dumps(_error_document(err), sort_keys=True), file=sys.stderr)
+    return _error_status(err)
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2)
@@ -332,26 +339,27 @@ def _read(path) -> str:
 
 
 def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
-    """NDJSON, one line per file, whatever `--format` says."""
+    """NDJSON, one line per file, whatever `--format` says. The output file is
+    opened before any document runs, so an unwritable one fails first."""
     base = Path(directory)
     if not base.is_dir():
-        print(json.dumps(_error_document(SemanticError(f"not a directory: {directory}")), sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
-    lines = []
+        return _report(SemanticError(f"not a directory: {directory}"))
+    paths = sorted(base.glob("*.json"), key=lambda p: p.name)
+    try:
+        out = open(out_path, "w") if out_path else nullcontext(None if quiet else sys.stdout)
+    except OSError as err:
+        return _report(SemanticError(f"cannot write {out_path}: {err.strerror}"))
     worst = EXIT_OK
-    for path in sorted(base.glob("*.json"), key=lambda p: p.name):
-        try:
-            doc, _ = run_command("picard", parse_input(_read(path)))
-            entry = {"file": path.name, "report": doc, "status": "ok"}
-        except _REPORTED as err:
-            worst = max(worst, _error_status(err))
-            entry = {"file": path.name, "status": "error", **_error_document(err)}
-        lines.append(json.dumps(entry, sort_keys=True))
-    body = "\n".join(lines) + ("\n" if lines else "")
-    if out_path:
-        Path(out_path).write_text(body)
-    elif not quiet:
-        sys.stdout.write(body)
+    with out as sink:
+        for path in paths:
+            try:
+                doc, _ = run_command("picard", parse_input(_read(path)))
+                entry = {"file": path.name, "report": doc, "status": "ok"}
+            except _REPORTED as err:
+                worst = max(worst, _error_status(err))
+                entry = {"file": path.name, "status": "error", **_error_document(err)}
+            if sink is not None:
+                sink.write(json.dumps(entry, sort_keys=True) + "\n")
     return worst
 
 
@@ -394,8 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         doc, status = run_command(args.command, parse_input(_read(args.file)), **options)
     except _REPORTED as err:
-        print(json.dumps(_error_document(err), sort_keys=True), file=sys.stderr)
-        return _error_status(err)
+        return _report(err)
     if not args.quiet:
         print(_render(doc, args.format))
     return status

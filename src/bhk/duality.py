@@ -1,7 +1,7 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
-and construction of the transposed (mirror) pair, all read from one
-Workspace per input; make_pair, dual_group and mirror_pair are thin entry
-points onto it."""
+and construction of the transposed (mirror) pair. A Workspace is the one
+way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)` and
+`.mirror`, each built once per input."""
 
 from __future__ import annotations
 
@@ -115,13 +115,6 @@ class Workspace:
         self.transpose = _Side(lambda: transpose(primal.matrix, char))
         self._duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
 
-    @classmethod
-    def of(cls, pair: BhkPair) -> "Workspace":
-        """A workspace around an already validated pair, which it keeps as is."""
-        ws = cls(pair.matrix, pair.char, pair.group)
-        ws.pair = pair
-        return ws
-
     @cached_property
     def group(self) -> SymmetrySubgroup:
         """G from its description; generators must lie in SL, which is tested
@@ -215,18 +208,3 @@ class Workspace:
             )
         mirror = BhkPair(matrix=mt, group=dual, char=self.char, adequacy=report)
         return MirrorPair(primal=pair, mirror=mirror)
-
-
-def make_pair(m: DelsarteMatrix, group: SymmetrySubgroup, char: Characteristic) -> BhkPair:
-    """Validate J <= G <= SL and attach the adequacy report."""
-    return Workspace(m, char, group).pair
-
-
-def dual_group(pair: BhkPair) -> SymmetrySubgroup:
-    """Annihilator of the group inside the transposed kernel."""
-    return Workspace.of(pair).dual(pair.group)
-
-
-def mirror_pair(pair: BhkPair) -> MirrorPair:
-    """The transposed pair with the dual group; both sides must be adequate."""
-    return Workspace.of(pair).mirror

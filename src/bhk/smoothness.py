@@ -1,58 +1,28 @@
 """Quasi-smoothness via atomic shapes (Fermat, chain, loop), well-formedness,
-and the combined adequacy verdict for a pair."""
+and the combined adequacy verdict for a pair. An atom is one `Atom` tuple
+(kind, variables, exponents), and a decomposition is a tuple of them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import NamedTuple
 
 from .delsarte import Characteristic, DelsarteMatrix
 from .errors import NotInvertiblePotential
 
 
-@dataclass(frozen=True)
-class Fermat:
-    """Single-variable power y^e."""
+class Atom(NamedTuple):
+    """One atomic shape over some of the four variables.
 
-    variable: int
-    exponent: int
+    `kind` is "fermat" (y^e, one variable), "chain" (y_0^{e_0} y_1 + ... +
+    y_k^{e_k}, listed head to tail) or "loop" (y_0^{e_0} y_1 + ... + y_k^{e_k}
+    y_0, listed from the least variable); `exponents` runs along `variables`.
+    """
 
-
-@dataclass(frozen=True)
-class Chain:
-    """y_0^{e_0} y_1 + y_1^{e_1} y_2 + ... + y_k^{e_k}, listed head to tail."""
-
+    kind: str
     variables: tuple[int, ...]
     exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Loop:
-    """y_0^{e_0} y_1 + ... + y_k^{e_k} y_0, cyclic, listed from the least variable."""
-
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
-
-
-Atom = Union[Fermat, Chain, Loop]
-
-
-@dataclass(frozen=True)
-class AtomicDecomposition:
-    """Disjoint atoms covering all four variables."""
-
-    atoms: tuple[Atom, ...]
-
-    def covered_variables(self) -> set[int]:
-        return {v for atom in self.atoms for v in atom_parts(atom)[1]}
-
-
-def atom_parts(atom: Atom) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """(kind, variables, exponents) of an atom; a Fermat atom has one of each."""
-    if isinstance(atom, Fermat):
-        return "fermat", (atom.variable,), (atom.exponent,)
-    return "chain" if isinstance(atom, Chain) else "loop", atom.variables, atom.exponents
 
 
 @dataclass(frozen=True)
@@ -63,7 +33,7 @@ class AdequacyReport:
     char_ok: bool
     verdict: bool
     diagnostics: tuple[str, ...]
-    atoms: AtomicDecomposition | None = None  # the decomposition behind quasi_smooth
+    atoms: tuple[Atom, ...] | None = None  # the decomposition behind quasi_smooth
 
 
 def _row_shape(row) -> tuple[int, int | None] | None:
@@ -99,12 +69,8 @@ def _assemble(succ, exps):
             while succ[path[-1]] is not None:
                 path.append(succ[path[-1]])
                 seen.add(path[-1])
-            if len(path) == 1:
-                atoms.append(Fermat(variable=v, exponent=exps[v]))
-            else:
-                atoms.append(
-                    Chain(variables=tuple(path), exponents=tuple(exps[x] for x in path))
-                )
+            kind = "fermat" if len(path) == 1 else "chain"
+            atoms.append(Atom(kind, tuple(path), tuple(exps[x] for x in path)))
     for v in range(4):
         if v not in seen:
             cycle = [v]
@@ -114,19 +80,13 @@ def _assemble(succ, exps):
                 seen.add(cycle[-1])
             start = cycle.index(min(cycle))
             cycle = cycle[start:] + cycle[:start]
-            atoms.append(
-                Loop(variables=tuple(cycle), exponents=tuple(exps[x] for x in cycle))
-            )
-    atoms.sort(key=_atom_key)
-    return AtomicDecomposition(atoms=tuple(atoms))
+            atoms.append(Atom("loop", tuple(cycle), tuple(exps[x] for x in cycle)))
+    return tuple(sorted(atoms, key=lambda atom: min(atom.variables)))
 
 
-def _atom_key(atom: Atom) -> int:
-    return min(atom_parts(atom)[1])
-
-
-def atomic_decomposition(m: DelsarteMatrix) -> AtomicDecomposition:
-    """Decompose the rows into disjoint Fermat, chain, and loop atoms.
+def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...]:
+    """Decompose the rows into disjoint Fermat, chain, and loop atoms covering
+    all four variables, sorted by least variable.
 
     Each row has at most one own variable, so the rows fix the only candidate
     row-to-variable bijection; raises NotInvertiblePotential when there is
@@ -190,11 +150,11 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
     weight and to the exponent d.
     """
     diagnostics: list[str] = []
-    dec = None
+    atoms = None
     try:
-        dec = atomic_decomposition(m)
+        atoms = atomic_decomposition(m)
         qs = True
-        diagnostics.append(f"atomic shapes: {_describe_atoms(dec)}")
+        diagnostics.append(f"atomic shapes: {_describe_atoms(atoms)}")
     except NotInvertiblePotential as err:
         qs = False
         diagnostics.append(f"not quasi-smooth: {err}")
@@ -234,13 +194,13 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
         char_ok=char_ok,
         verdict=verdict,
         diagnostics=tuple(diagnostics),
-        atoms=dec,
+        atoms=atoms,
     )
 
 
-def _describe_atoms(dec: AtomicDecomposition) -> str:
+def _describe_atoms(atoms: tuple[Atom, ...]) -> str:
     parts = []
-    for kind, variables, exponents in map(atom_parts, dec.atoms):
+    for kind, variables, exponents in atoms:
         body = ",".join(f"x{v}^{e}" for v, e in zip(variables, exponents))
         parts.append(f"{kind}({body})")
     return " + ".join(parts)

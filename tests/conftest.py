@@ -17,7 +17,6 @@ from bhk import (
     is_calabi_yau,
     j_element,
     j_subgroup,
-    make_pair,
     sl_subgroup,
     subgroup_generated,
     transpose,

@@ -20,11 +20,10 @@ import bhk.cli as cli
 import test_properties
 from bhk import (
     Characteristic,
+    Workspace,
     aut_group,
     enumerate_intermediate,
     j_subgroup,
-    make_pair,
-    mirror_pair,
     picard_report,
     sl_subgroup,
 )
@@ -57,7 +56,7 @@ def _group_of(m, name):
 
 
 def _mirror(m, group_name, p=0):
-    return mirror_pair(make_pair(m, _group_of(m, group_name), Characteristic(p)))
+    return Workspace(m, Characteristic(p), _group_of(m, group_name)).mirror
 
 
 def test_criterion_1_golden_chain_example():
@@ -133,7 +132,7 @@ def test_criterion_3_three_method_agreement():
         for m, group in fixtures:
             chars = [0] + [p for p in primes_below(100) if m.exponent % p != 0]
             for p in chars:
-                mp = mirror_pair(make_pair(m, group, Characteristic(p)))
+                mp = Workspace(m, Characteristic(p), group).mirror
                 report = picard_report(mp)  # raises MethodMismatch on disagreement
                 assert len(set(report.methods.values())) == 1
                 cases += 1

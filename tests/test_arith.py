@@ -15,23 +15,14 @@ from bhk.arith import (
     IDENTITY4,
     det_adjugate,
     euler_phi,
-    gcd_lcm,
     kernel_mod,
     mat_mul,
-    mat_vec,
     matrix4,
     minus_one_power_exists,
     multiplicative_order,
     transpose_rows,
 )
 from conftest import A_EX_ROWS, build
-
-
-def test_gcd_lcm_golden():
-    assert gcd_lcm(0, 0) == (0, 0)
-    assert gcd_lcm(4, 6) == (2, 12)
-    assert gcd_lcm(168, 8) == (8, 168)
-    assert gcd_lcm(7, 0) == (7, 0)
 
 
 def test_matrix4_validation():
@@ -51,7 +42,6 @@ def test_transpose_and_products():
     assert at[0] == (2, 0, 0, 0)
     assert transpose_rows(at) == a
     assert mat_mul(a, IDENTITY4) == a
-    assert mat_vec(IDENTITY4, (5, 6, 7, 8)) == (5, 6, 7, 8)
 
 
 def test_euler_phi_golden():

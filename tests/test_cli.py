@@ -409,6 +409,21 @@ def test_batch_out_file(tmp_path, capsys):
     assert json.loads(lines[0])["file"] == "one.json"
 
 
+@pytest.mark.parametrize("target", ["missing/results.ndjson", "."])
+def test_batch_unwritable_out_fails_before_any_document(tmp_path, capsys, monkeypatch, target):
+    """A missing parent directory or a directory at --out is one error document."""
+    _write(tmp_path, "one.json", A_EX_DOC)
+    ran, real = [], cli.run_command
+    monkeypatch.setattr(cli, "run_command", lambda *a, **k: ran.append(a) or real(*a, **k))
+    assert cli.main(["batch", str(tmp_path), "--out", str(tmp_path / target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["category"] == "input"
+    assert err["error"]["message"].startswith("cannot write ")
+    assert ran == []
+
+
 def test_batch_reports_unreadable_entry(tmp_path, capsys):
     """A directory named like a document is one error line; the other files still run."""
     _write(tmp_path, "a_good.json", A_EX_DOC)

@@ -7,17 +7,14 @@ import pytest
 from bhk import (
     Characteristic,
     aut_group,
-    dual_group,
     j_element,
     j_subgroup,
-    make_pair,
-    mirror_pair,
     pairing,
     sl_subgroup,
     subgroup_generated,
     transpose,
 )
-from bhk.duality import BhkPair, Workspace
+from bhk.duality import Workspace
 from bhk.symmetry import enumerate_intermediate
 from bhk.errors import InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError
 from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
@@ -25,34 +22,33 @@ from oracles import dual_by_filter
 from test_smoothness import CY_NOT_QS_ROWS
 
 
-def _pair(m, group_name="J", p=0):
-    char = Characteristic(p)
+def _workspace(m, group_name="J", p=0):
     group = j_subgroup(m) if group_name == "J" else sl_subgroup(aut_group(m))
-    return make_pair(m, group, char)
+    return Workspace(m, Characteristic(p), group)
 
 
 def test_make_pair_rejects_modulus_mismatch(a_ex, a_f):
     with pytest.raises(SemanticError):
-        make_pair(a_ex, j_subgroup(a_f), CHAR0)
+        Workspace(a_ex, CHAR0, j_subgroup(a_f)).pair
 
 
 def test_make_pair_rejects_non_calabi_yau():
     m = build(NONCY_LOOP_ROWS)
     group = subgroup_generated(m.exponent, [(1, 14, 0, 0)])
     with pytest.raises(SemanticError):
-        make_pair(m, group, CHAR0)
+        Workspace(m, CHAR0, group).pair
 
 
 def test_make_pair_rejects_group_without_grading_element(a_ex):
     aut = aut_group(a_ex)
     no_j = next(e for e in aut.elements if sum(e) % a_ex.exponent != 0)
     with pytest.raises(SemanticError):
-        make_pair(a_ex, subgroup_generated(168, [no_j]), CHAR0)
+        Workspace(a_ex, CHAR0, subgroup_generated(168, [no_j])).pair
 
 
 def test_make_pair_rejects_group_outside_sl(a_ex):
     with pytest.raises(SemanticError):
-        make_pair(a_ex, aut_group(a_ex), CHAR0)
+        Workspace(a_ex, CHAR0, aut_group(a_ex)).pair
 
 
 def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
@@ -66,7 +62,7 @@ def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
 
 
 def test_make_pair_attaches_adequacy(a_ex):
-    pair = _pair(a_ex)
+    pair = _workspace(a_ex).pair
     assert pair.adequacy.verdict
     assert pair.group.order == 7
     assert pair.char.p == 0
@@ -108,8 +104,9 @@ def test_dual_group_goldens(a_ex, a_f, loop_m, mixed_m):
         (mixed_m, 48, 12),
     ):
         mt = transpose(m, CHAR0)
-        dual_of_j = dual_group(_pair(m, "J"))
-        dual_of_sl = dual_group(_pair(m, "SL"))
+        ws_j, ws_sl = _workspace(m, "J"), _workspace(m, "SL")
+        dual_of_j = ws_j.dual(ws_j.pair.group)
+        dual_of_sl = ws_sl.dual(ws_sl.pair.group)
         assert dual_of_j.order == j_dual_order
         assert dual_of_sl.order == sl_dual_order
         assert dual_of_j == sl_subgroup(aut_group(mt))
@@ -119,12 +116,12 @@ def test_dual_group_goldens(a_ex, a_f, loop_m, mixed_m):
 def test_dual_order_product_is_det(a_ex, a_f, loop_m, mixed_m):
     for m in (a_ex, a_f, loop_m, mixed_m):
         for name in ("J", "SL"):
-            pair = _pair(m, name)
-            assert pair.group.order * dual_group(pair).order == abs(m.det)
+            ws = _workspace(m, name)
+            assert ws.pair.group.order * ws.dual(ws.pair.group).order == abs(m.det)
 
 
 def test_mirror_pair_golden(a_ex):
-    mp = mirror_pair(_pair(a_ex, "J"))
+    mp = _workspace(a_ex, "J").mirror
     assert mp.primal.matrix.weights == (2, 3, 1, 1)
     assert mp.mirror.matrix.weights == (4, 2, 1, 1)
     assert mp.mirror.matrix.degree == 8
@@ -134,10 +131,11 @@ def test_mirror_pair_golden(a_ex):
 
 def test_mirror_pair_requires_adequate_primal():
     m = build(CY_NOT_QS_ROWS)
-    pair = make_pair(m, j_subgroup(m), CHAR0)
+    ws = Workspace(m, CHAR0, j_subgroup(m))
+    pair = ws.pair
     assert not pair.adequacy.verdict
     with pytest.raises(NotAdequate) as exc:
-        mirror_pair(pair)
+        ws.mirror
     assert exc.value.report is pair.adequacy
     assert not exc.value.report.quasi_smooth
 
@@ -163,15 +161,14 @@ def test_mirror_pair_reports_inadequate_mirror(a_ex, monkeypatch):
         return report
 
     monkeypatch.setattr(duality, "adequacy", doctored)
-    pair = make_pair(a_ex, j_subgroup(a_ex), CHAR0)
     with pytest.raises(MirrorNotAdequate) as exc:
-        mirror_pair(pair)
+        Workspace(a_ex, CHAR0, j_subgroup(a_ex)).mirror
     assert not exc.value.report.well_formed
     assert primal_report.verdict  # the primal side really is adequate
 
 
 def test_mirror_pair_positive_characteristic(a_ex):
-    mp = mirror_pair(_pair(a_ex, "J", p=5))
+    mp = _workspace(a_ex, "J", p=5).mirror
     assert mp.mirror.char.p == 5
     assert mp.mirror.adequacy.verdict
 
@@ -179,11 +176,11 @@ def test_mirror_pair_positive_characteristic(a_ex):
 def test_double_dual_returns_group(a_ex, mixed_m):
     for m in (a_ex, mixed_m):
         for name in ("J", "SL"):
-            pair = _pair(m, name)
-            dual = dual_group(pair)
-            mt = transpose(m, CHAR0)
-            back = dual_group(make_pair(mt, dual, CHAR0))
-            assert back == pair.group
+            ws = _workspace(m, name)
+            dual = ws.dual(ws.pair.group)
+            ws_t = Workspace(transpose(m, CHAR0), CHAR0, dual)
+            back = ws_t.dual(ws_t.pair.group)
+            assert back == ws.pair.group
 
 
 def _assert_duals_match_filter(m):

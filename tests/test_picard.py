@@ -10,6 +10,7 @@ import pytest
 import bhk.picard as picard
 from bhk import (
     Characteristic,
+    Workspace,
     age,
     age_one_census,
     aged_elements,
@@ -18,8 +19,6 @@ from bhk import (
     grading_set,
     j_element,
     j_subgroup,
-    make_pair,
-    mirror_pair,
     orbit_decomposition,
     picard_report,
     prime_scan,
@@ -44,7 +43,7 @@ from oracles import transcendental_set_by_element
 def _mirror(m, group_name="J", p=0):
     char = Characteristic(p)
     group = j_subgroup(m) if group_name == "J" else sl_subgroup(aut_group(m))
-    return mirror_pair(make_pair(m, group, char))
+    return Workspace(m, char, group).mirror
 
 
 def test_age_goldens(a_ex):

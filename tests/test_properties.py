@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from bhk import (
     Characteristic,
+    Workspace,
     age,
     age_one_census,
     aut_group,
-    dual_group,
     j_element,
     j_subgroup,
-    make_pair,
     pairing,
     sl_subgroup,
     subgroup_generated,
@@ -153,10 +152,11 @@ def test_suite_divisibility_chain(rows):
 def test_suite_double_dual_is_identity(case):
     _count("test_suite_double_dual_is_identity")
     m, group = case
-    pair = make_pair(m, group, CHAR0)
-    dual = dual_group(pair)
+    ws = Workspace(m, CHAR0, group)
+    dual = ws.dual(ws.pair.group)
     assert group.order * dual.order == abs(m.det)
-    back = dual_group(make_pair(_transpose(m), dual, CHAR0))
+    ws_t = Workspace(_transpose(m), CHAR0, dual)
+    back = ws_t.dual(ws_t.pair.group)
     assert back == group
 
 
@@ -166,10 +166,8 @@ def test_suite_double_dual_is_identity(case):
 def test_suite_dual_of_j_is_transposed_sl(m, from_sl):
     _count("test_suite_dual_of_j_is_transposed_sl")
     mt = _transpose(m)
-    if from_sl:
-        assert dual_group(make_pair(m, _sl(m), CHAR0)) == j_subgroup(mt)
-    else:
-        assert dual_group(make_pair(m, j_subgroup(m), CHAR0)) == _sl(mt)
+    ws = Workspace(m, CHAR0, _sl(m) if from_sl else j_subgroup(m))
+    assert ws.dual(ws.pair.group) == (j_subgroup(mt) if from_sl else _sl(mt))
 
 
 @floored
@@ -227,7 +225,8 @@ def test_suite_exactly_one_age_one(case):
     m, group = case
     census = age_one_census(group)
     assert [a.coords for a in census] == [j_element(m)]
-    dual = dual_group(make_pair(m, group, CHAR0))
+    ws = Workspace(m, CHAR0, group)
+    dual = ws.dual(ws.pair.group)
     mirror_census = age_one_census(dual)
     assert [a.coords for a in mirror_census] == [j_element(_transpose(m))]
 

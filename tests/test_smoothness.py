@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from bhk import Characteristic, adequacy, atomic_decomposition, quasi_smooth, well_formed
-from bhk.smoothness import Chain, Fermat, Loop
+from bhk import Atom, Characteristic, adequacy, atomic_decomposition, quasi_smooth, well_formed
 from bhk.errors import NotInvertiblePotential
 from conftest import (
     A_EX_ROWS,
@@ -28,38 +27,34 @@ TRIPLE_FAIL_ROWS = ((1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 3, 1), (0, 0, 0, 6))
 
 
 def test_chain_decomposition():
-    dec = atomic_decomposition(build(A_EX_ROWS))
-    assert dec.atoms == (Chain(variables=(0, 1, 2, 3), exponents=(2, 2, 6, 7)),)
-    assert dec.covered_variables() == {0, 1, 2, 3}
+    atoms = atomic_decomposition(build(A_EX_ROWS))
+    assert atoms == (Atom("chain", (0, 1, 2, 3), (2, 2, 6, 7)),)
+    assert {v for atom in atoms for v in atom.variables} == {0, 1, 2, 3}
 
 
 def test_fermat_decomposition():
-    dec = atomic_decomposition(build(A_F_ROWS))
-    assert dec.atoms == tuple(Fermat(variable=v, exponent=4) for v in range(4))
+    atoms = atomic_decomposition(build(A_F_ROWS))
+    assert atoms == tuple(Atom("fermat", (v,), (4,)) for v in range(4))
 
 
 def test_loop_decomposition():
-    dec = atomic_decomposition(build(LOOP_ROWS))
-    assert dec.atoms == (Loop(variables=(0, 1, 2, 3), exponents=(3, 3, 3, 3)),)
-    dec2 = atomic_decomposition(build(NONCY_LOOP_ROWS))
-    assert dec2.atoms == (Loop(variables=(0, 1, 2, 3), exponents=(2, 2, 2, 2)),)
+    assert atomic_decomposition(build(LOOP_ROWS)) == (Atom("loop", (0, 1, 2, 3), (3, 3, 3, 3)),)
+    assert atomic_decomposition(build(NONCY_LOOP_ROWS)) == (Atom("loop", (0, 1, 2, 3), (2, 2, 2, 2)),)
 
 
 def test_mixed_decomposition():
-    dec = atomic_decomposition(build(MIXED_ROWS))
-    assert dec.atoms == (
-        Chain(variables=(0, 1), exponents=(3, 4)),
-        Fermat(variable=2, exponent=4),
-        Fermat(variable=3, exponent=4),
+    assert atomic_decomposition(build(MIXED_ROWS)) == (
+        Atom("chain", (0, 1), (3, 4)),
+        Atom("fermat", (2,), (4,)),
+        Atom("fermat", (3,), (4,)),
     )
 
 
 def test_two_small_loops():
     rows = ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
-    dec = atomic_decomposition(build(rows))
-    assert dec.atoms == (
-        Loop(variables=(0, 1), exponents=(2, 2)),
-        Loop(variables=(2, 3), exponents=(2, 2)),
+    assert atomic_decomposition(build(rows)) == (
+        Atom("loop", (0, 1), (2, 2)),
+        Atom("loop", (2, 3), (2, 2)),
     )
 
 
@@ -74,8 +69,7 @@ def test_decomposition_is_row_order_invariant():
 
 def test_loop_starts_at_least_variable():
     rows = (LOOP_ROWS[2], LOOP_ROWS[0], LOOP_ROWS[3], LOOP_ROWS[1])
-    dec = atomic_decomposition(build(rows))
-    assert dec.atoms[0].variables[0] == 0
+    assert atomic_decomposition(build(rows))[0].variables[0] == 0
 
 
 def test_not_invertible_rejected():
