@@ -227,17 +227,32 @@ def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
 
 
 def _subgroups_section(ws: Workspace) -> dict:
-    entries = []
-    for g in enumerate_intermediate(ws.primal.j, ws.primal.sl):
+    lattice = enumerate_intermediate(ws.primal.j, ws.primal.sl)
+    for g in lattice:
         ws.check(g)
-        entries.append(
-            {
-                "order": g.order,
-                "generators": [list(x) for x in g.generators],
-                "dual_order": ws.dual(g).order,
-            }
-        )
+    duals = [ws.dual(g) for g in lattice]
+    _check_duality(lattice, duals, ws.transpose.matrix.degree)
+    entries = [
+        {"order": g.order, "generators": [list(x) for x in g.generators], "dual_order": dual.order}
+        for g, dual in zip(lattice, duals)
+    ]
     return {"count": len(entries), "groups": entries}
+
+
+def _check_duality(lattice, duals, transpose_degree: int) -> None:
+    """G -> G^T on the lattice [J, SL] (sorted, SL last) is injective and
+    reverses inclusion, and the dual of SL, which is J^T, has the transpose's
+    degree as its order; InternalCheckError otherwise."""
+    if len(set(duals)) != len(duals):
+        raise InternalCheckError("G -> G^T is not injective on the intermediate groups")
+    for g, g_dual in zip(lattice, duals):
+        for h, h_dual in zip(lattice, duals):
+            if h.order % g.order == 0 and g.is_subgroup_of(h) and not h_dual.is_subgroup_of(g_dual):
+                raise InternalCheckError("G -> G^T does not reverse inclusion on the intermediate groups")
+    if duals[-1].order != transpose_degree:
+        raise InternalCheckError(
+            f"the dual of SL has order {duals[-1].order}, the transpose's degree is {transpose_degree}"
+        )
 
 
 # Section name -> its content, from the workspace, the parsed input and the options.

@@ -143,9 +143,9 @@ def _check_construction(m, det, q, h, d, b):
 
 def is_calabi_yau(m: DelsarteMatrix) -> bool:
     """Whether the degree equals the weight sum; cross-checked against the
-    inverse-entry sum, which must agree exactly."""
+    inverse-entry sum being 1, tested exactly as adjugate-entry sum = det."""
     by_weights = m.degree == sum(m.weights)
-    by_inverse = sum(x for row in m.inverse() for x in row) == 1
+    by_inverse = sum(x for row in m.adjugate for x in row) == m.det
     if by_weights != by_inverse:
         raise InternalCheckError("Calabi-Yau criteria disagree")
     return by_weights

@@ -53,11 +53,21 @@ def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
     d = m.exponent
     a = tuple(c % d for c in a)
     b = tuple(c % d for c in b)
-    if any(sum(a[i] * m.matrix[i][j] for i in range(4)) % d != 0 for j in range(4)):
+    if not _in_transposed_kernel(m.matrix, d, a):
         raise ValueError(f"{a} is not in the transposed kernel")
-    if any(sum(m.matrix[i][j] * b[j] for j in range(4)) % d != 0 for i in range(4)):
+    if not _in_kernel(m.matrix, d, b):
         raise ValueError(f"{b} is not in the kernel")
     return _raw_pairing(m.matrix, d, a, b)
+
+
+def _in_transposed_kernel(matrix, d, a) -> bool:
+    """Whether a A = 0 mod d, i.e. a lies in Aut(A^T)."""
+    return all(sum(a[i] * matrix[i][j] for i in range(4)) % d == 0 for j in range(4))
+
+
+def _in_kernel(matrix, d, b) -> bool:
+    """Whether A b = 0 mod d, i.e. b lies in Aut(A)."""
+    return all(sum(matrix[i][j] * b[j] for j in range(4)) % d == 0 for i in range(4))
 
 
 def _raw_pairing(matrix, d, a, b) -> int:
@@ -165,11 +175,12 @@ class Workspace:
         for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
         mod d^2. So G^T is the image under x -> x B mod d of the solutions of
         x . g = 0 mod d over the generators g of G, solved by `kernel_mod`
-        without enumerating Aut(A^T). Cross-checked on every call: |G| |G^T| =
-        |det|, and each generator of G^T pairs to zero with each generator of
-        G (which `pairing` only accepts inside Aut(A^T)); as the pairing is
-        perfect, the two together pin G^T down. A^T is validated first, so an
-        invalid transpose is reported as the input error it is.
+        without enumerating Aut(A^T). Cross-checked on every call: each
+        generator of G^T lies in Aut(A^T) and each generator of G in Aut(A),
+        each tested once; each generator of G^T pairs to zero with each
+        generator of G; and |G| |G^T| = |det|. As the pairing is perfect, these
+        together pin G^T down. A^T is validated first, so an invalid transpose
+        is reported as the input error it is.
         """
         if group not in self._duals:
             self.transpose.matrix  # raises the input error of an invalid A^T
@@ -178,12 +189,16 @@ class Workspace:
             xs = kernel_mod(group.generators, d)
             gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
             dual = _from_coords(d, _closure(d, gens))
+            if not all(_in_transposed_kernel(m.matrix, d, a) for a in dual.generators):
+                raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
+            if not all(_in_kernel(m.matrix, d, g) for g in group.generators):
+                raise InternalCheckError("a group generator is outside the kernel Aut(A)")
+            if any(_raw_pairing(m.matrix, d, a, g) for a in dual.generators for g in group.generators):
+                raise InternalCheckError("a dual generator pairs nontrivially with the group")
             if group.order * dual.order != abs(m.det):
                 raise InternalCheckError(
                     f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {abs(m.det)}"
                 )
-            if any(pairing(m, a, g) != 0 for a in dual.generators for g in group.generators):
-                raise InternalCheckError("a dual generator pairs nontrivially with the group")
             self._duals[group] = dual
         return self._duals[group]
 

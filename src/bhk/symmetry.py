@@ -1,10 +1,11 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
 the full kernel Aut, its coordinate-sum-zero subgroup SL (from its definition,
 or from a Smith-normal-form solve that never enumerates Aut), the grading
-element j, and enumeration of the groups between J and SL. An element is a
-plain tuple of four coordinates reduced to [0, d), and a group is the sorted
-tuple of its elements. Every group is built by one primitive, the join
-G + <g> of a subgroup with one element."""
+element j, and enumeration of the groups between J and SL, by one join per
+cyclic subgroup of SL/J. An element is a plain tuple of four coordinates
+reduced to [0, d), and a group is the sorted tuple of its elements. Every
+group is built by one primitive, the join G + <g> of a subgroup with one
+element."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import AbstractSet, Iterable, Sequence
 
-from .arith import kernel_mod
+from .arith import euler_phi, kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
 from .errors import InternalCheckError
 
@@ -176,19 +177,54 @@ def j_subgroup(m: DelsarteMatrix) -> SymmetrySubgroup:
     return subgroup_generated(m.exponent, [j_element(m)])
 
 
+def _generating_cosets(modulus: int, j_group: SymmetrySubgroup, e: Coords) -> tuple[int, set[Coords]]:
+    """(n, C): n is the order of e mod J, and C the elements that generate
+    J + <e> mod J, i.e. the cosets k e + J with gcd(k, n) = 1."""
+    multiples = [ZERO]
+    k_e = e
+    while k_e not in j_group:
+        multiples.append(k_e)
+        k_e = tuple((a + b) % modulus for a, b in zip(k_e, e))
+    n = len(multiples)
+    cosets = {
+        tuple((a + b) % modulus for a, b in zip(multiples[k], x))
+        for k in range(1, n)
+        if gcd(k, n) == 1
+        for x in j_group.elements
+    }
+    return n, cosets
+
+
 def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> list[SymmetrySubgroup]:
     """All subgroups G with J <= G <= SL, ordered by size then element list.
 
-    Joins each element of SL in turn to every group found so far: after the
-    elements e_1, ..., e_k the groups found are the J + <S> for S a subset of
-    them, so after all of SL they are every G, as G = J + <G>.
+    Joins one representative e per cyclic subgroup J + <e> of SL/J to every
+    group found so far: walking SL in sorted order, each unmarked e is a
+    representative and marks the elements that generate J + <e> mod J (only
+    those: J + <2e> needs its own representative). After representatives
+    r_1, ..., r_k the groups found are the J + <S> for S a subset of them, so
+    after all of them they are every G, as G is the sum of the J + <e> over
+    its elements e, each equal to J + <r> for a representative r in G.
+    Cross-checked on every call: the generator classes partition SL minus J,
+    so |J| + sum over r of |J| phi(n_r) = |SL|.
     """
     if not j_group.is_subgroup_of(sl):
         raise ValueError("J is not contained in SL")
     d = sl.modulus
     known = {frozenset(j_group.elements)}
+    marked = set(j_group.elements)
+    covered = j_group.order
     for e in sl.elements:
+        if e in marked:
+            continue
+        n, cosets = _generating_cosets(d, j_group, e)
+        marked |= cosets
+        covered += j_group.order * euler_phi(n)
         known.update([frozenset(_join(d, g, e)) for g in known if e not in g])
+    if covered != sl.order:
+        raise InternalCheckError(
+            f"generator classes of SL/J cover {covered} elements, |SL| = {sl.order}"
+        )
     groups = [_from_coords(d, coords) for coords in known]
     groups.sort(key=lambda g: (g.order, g.elements))
     return groups

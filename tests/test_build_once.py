@@ -23,6 +23,7 @@ COUNTED = {
     "grading_set": "bhk.picard",
     "pairing": "bhk.duality",
     "atomic_decomposition": "bhk.smoothness",
+    "_join": "bhk.symmetry",
 }
 
 
@@ -75,3 +76,4 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls):
     assert calls["aut_group"] == 0
     assert calls["sl_subgroup"] == 0
     assert calls["is_calabi_yau"] <= 2  # not once per intermediate group
+    assert calls["_join"] <= 200  # one join per cyclic subgroup of SL/J, not per element of SL

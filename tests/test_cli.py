@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bhk.cli as cli
+from bhk.duality import Workspace
 from bhk.errors import InternalCheckError, ParseError, SemanticError
 from conftest import A_EX_ROWS, A_F_ROWS
 from test_picard import flip_age_one_flags
@@ -167,6 +168,28 @@ def test_subgroups_golden():
         (7, 24),
         (21, 8),
     ]
+
+
+def test_subgroups_duality_check_catches_a_repeated_dual(monkeypatch):
+    """A dual-group solve that gives SL the dual of J makes G -> G^T non-injective."""
+    real = Workspace.dual
+    monkeypatch.setattr(Workspace, "dual", lambda ws, g: real(ws, ws.primal.j if g == ws.primal.sl else g))
+    with pytest.raises(InternalCheckError, match="not injective"):
+        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
+
+
+def test_subgroups_duality_check_catches_swapped_duals(monkeypatch):
+    """Giving J the dual of SL and SL the dual of J keeps G -> G^T injective but
+    no longer inclusion-reversing."""
+    real = Workspace.dual
+
+    def swapped(ws, g):
+        j, sl = ws.primal.j, ws.primal.sl
+        return real(ws, sl if g == j else j if g == sl else g)
+
+    monkeypatch.setattr(Workspace, "dual", swapped)
+    with pytest.raises(InternalCheckError, match="reverse inclusion"):
+        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
 
 
 def test_scan_golden_and_forces_characteristic_zero():

@@ -220,3 +220,20 @@ def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
     monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: ())
     with pytest.raises(InternalCheckError, match="differs from"):
         Workspace(a_f, CHAR0).dual(group)
+
+
+@pytest.mark.parametrize("rows", [A_EX_ROWS, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42))])
+def test_dual_checks_each_generator_in_its_kernel(rows):
+    """<(1,0,0,0)> is not in Aut(A): the kernel check names it before the order check runs."""
+    m = build(rows)
+    with pytest.raises(InternalCheckError, match="outside the kernel Aut"):
+        Workspace(m, CHAR0).dual(subgroup_generated(m.exponent, [(1, 0, 0, 0)]))
+
+
+def test_dual_checks_each_dual_generator_in_the_transposed_kernel(a_ex, monkeypatch):
+    import bhk.duality as duality
+
+    real = duality._closure
+    monkeypatch.setattr(duality, "_closure", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
+    with pytest.raises(InternalCheckError, match="outside the transposed kernel"):
+        Workspace(a_ex, CHAR0).dual(j_subgroup(a_ex))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhk import (
@@ -191,6 +191,48 @@ def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
         sl = sl_subgroup(aut_group(m))
         lattice = enumerate_intermediate(j, sl)
         assert {frozenset(g.elements) for g in lattice} == lattice_by_joins(j, sl)
+
+
+def _quotient_case(d):
+    coords = st.tuples(*[st.integers(0, d - 1)] * 4)
+    multiplier = st.one_of(st.just(0), st.integers(0, d - 1))  # 0 often, so J is often smaller than SL
+    return st.tuples(st.just(d), st.lists(st.tuples(coords, multiplier), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 12).flatmap(_quotient_case))
+# SL/J = (Z/2)^3, once with J trivial and once with J of order 2
+@example(case=(2, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0)]))
+@example(case=(2, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0), ((1, 1, 1, 1), 1)]))
+# SL/J = Z/6 x Z/2, once with J trivial and once with J of order 2
+@example(case=(6, [((1, 0, 0, 0), 0), ((0, 3, 0, 0), 0)]))
+@example(case=(12, [((1, 0, 0, 0), 6), ((0, 6, 0, 0), 0)]))
+def test_intermediate_lattice_on_random_quotients(case):
+    """SL from 1-4 random generators, J from multiples k g of them (k = 0
+    drops g), so SL/J ranges over quotients the catalog lacks."""
+    d, drawn = case
+    sl = subgroup_generated(d, [g for g, _ in drawn])
+    assume(sl.order <= 64)
+    j = subgroup_generated(d, [tuple(k * c for c in g) for g, k in drawn])
+    lattice = enumerate_intermediate(j, sl)
+    assert {frozenset(g.elements) for g in lattice} == lattice_by_joins(j, sl)
+    assert [(g.order, g.elements) for g in lattice] == sorted((g.order, g.elements) for g in lattice)
+
+
+def test_partition_check_catches_an_overmarking(a_f, monkeypatch):
+    """Marking all of J + <e>, not just its generators, skips J + <2e>; the
+    generator classes then no longer add up to |SL|."""
+    import bhk.symmetry as symmetry
+
+    real = symmetry._generating_cosets
+
+    def whole_cyclic_group(modulus, j_group, e):
+        n, _ = real(modulus, j_group, e)
+        return n, symmetry._join(modulus, set(j_group.elements), e)
+
+    monkeypatch.setattr(symmetry, "_generating_cosets", whole_cyclic_group)
+    with pytest.raises(InternalCheckError, match="generator classes"):
+        enumerate_intermediate(j_subgroup(a_f), sl_group(a_f))
 
 
 def test_intermediate_requires_containment(a_ex, a_f):
