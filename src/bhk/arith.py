@@ -1,6 +1,6 @@
-"""Exact integer primitives: totients, multiplicative orders, 4x4
-determinants and adjugates, and solutions of linear congruences mod d. No
-floating point anywhere."""
+"""Exact integer primitives: 4x4 matrix coercion and transposition,
+determinants and adjugates, totients, multiplicative orders, and solutions of
+linear congruences mod d. Integers only: no rationals, no floating point."""
 
 from __future__ import annotations
 
@@ -31,14 +31,6 @@ def matrix4(rows: Sequence[Sequence[int]]) -> Matrix4:
 def transpose_rows(a: Matrix4) -> Matrix4:
     """Transpose of a 4x4 tuple matrix."""
     return tuple(zip(*a))
-
-
-def mat_mul(a: Matrix4, b: Matrix4) -> Matrix4:
-    """Exact integer matrix product."""
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
 
 
 def euler_phi(n: int) -> int:
@@ -101,14 +93,12 @@ def _minor3(a: Matrix4, skip_row: int, skip_col: int) -> int:
 
 
 def det_adjugate(a: Matrix4) -> tuple[int, Matrix4]:
-    """Determinant and adjugate by cofactor expansion, verified via A adj = det I."""
+    """Determinant and adjugate by cofactor expansion. The identity
+    A adj = adj A = det I is checked where the adjugate is used, in
+    `build_delsarte`, as A B = B A = d I for B = d adj / det."""
     cof = [[(-1) ** (i + j) * _minor3(a, i, j) for j in range(4)] for i in range(4)]
     det = sum(a[0][j] * cof[0][j] for j in range(4))
-    adj = tuple(tuple(cof[j][i] for j in range(4)) for i in range(4))
-    scaled = tuple(tuple(det * IDENTITY4[i][j] for j in range(4)) for i in range(4))
-    if mat_mul(a, adj) != scaled or mat_mul(adj, a) != scaled:
-        raise AssertionError("adjugate identity A adj = adj A = det I failed")
-    return det, adj
+    return det, tuple(tuple(cof[j][i] for j in range(4)) for i in range(4))
 
 
 def kernel_mod(rows: Sequence[Sequence[int]], d: int) -> tuple[Vector4, ...]:

@@ -4,7 +4,6 @@ and the integral matrix B = d A^(-1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -81,13 +80,6 @@ class DelsarteMatrix:
     exponent: int
     b_matrix: Matrix4
 
-    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse, reconstructed from the cached adjugate."""
-        return tuple(
-            tuple(Fraction(self.adjugate[i][j], self.det) for j in range(4))
-            for i in range(4)
-        )
-
 
 def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> DelsarteMatrix:
     """Validate a candidate exponent matrix and compute its derived data.
@@ -109,12 +101,14 @@ def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> Delsa
     if char.positive and det % char.p == 0:
         raise CharDividesDet(f"characteristic {char.p} divides det = {det}")
 
-    w = [Fraction(sum(adj[i]), det) for i in range(4)]
-    for i, wi in enumerate(w):
-        if wi <= 0:
-            raise NonpositiveWeight(f"weight {i} is {wi}, expected positive")
-    h = lcm(*[wi.denominator for wi in w])
-    q = tuple(int(wi * h) for wi in w)
+    # A^(-1) (1,1,1,1) = r / det for r the row sums of adj, so q = r h / det
+    # with h the least common denominator |det| / gcd(det, r).
+    r = [sum(row) for row in adj]
+    for i, ri in enumerate(r):
+        if ri * det <= 0:
+            raise NonpositiveWeight(f"weight {i} is {'zero' if ri == 0 else 'negative'}, expected positive")
+    h = abs(det) // gcd(det, *r)
+    q = tuple(ri * h // det for ri in r)
     if gcd(*q) != 1:
         raise InternalCheckError(f"weight normalization failed: q = {q}")
 
@@ -127,9 +121,10 @@ def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> Delsa
 
 
 def _check_construction(m, det, q, h, d, b):
-    """Construction-time assertions: A q = h 1, A B = B A = d I, h | d | |det| | d^4."""
-    if any(sum(m[i][j] * q[j] for j in range(4)) != h for i in range(4)):
-        raise InternalCheckError("A q = h (1,1,1,1) failed")
+    """Construction-time assertions: A B = B A = d I, A q = h 1, h | d | |det| | d^4.
+
+    As B = d adj / det, the first is the adjugate identity A adj = adj A = det I,
+    checked here and nowhere else."""
     for i in range(4):
         for j in range(4):
             ab = sum(m[i][k] * b[k][j] for k in range(4))
@@ -137,6 +132,8 @@ def _check_construction(m, det, q, h, d, b):
             want = d if i == j else 0
             if ab != want or ba != want:
                 raise InternalCheckError("A B = B A = d I failed")
+    if any(sum(m[i][j] * q[j] for j in range(4)) != h for i in range(4)):
+        raise InternalCheckError("A q = h (1,1,1,1) failed")
     if d % h != 0 or abs(det) % d != 0 or d**4 % abs(det) != 0:
         raise InternalCheckError(f"divisibility chain h | d | |det| | d^4 failed: {h}, {d}, {det}")
 

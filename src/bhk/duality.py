@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .arith import kernel_mod
+from .arith import kernel_mod, transpose_rows
 from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
 from .errors import (
     InternalCheckError,
@@ -22,6 +22,7 @@ from .symmetry import (
     SymmetrySubgroup,
     _closure,
     _from_coords,
+    in_kernel,
     in_sl,
     j_subgroup,
     sl_group,
@@ -53,21 +54,11 @@ def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
     d = m.exponent
     a = tuple(c % d for c in a)
     b = tuple(c % d for c in b)
-    if not _in_transposed_kernel(m.matrix, d, a):
+    if not in_kernel(transpose_rows(m.matrix), d, a):
         raise ValueError(f"{a} is not in the transposed kernel")
-    if not _in_kernel(m.matrix, d, b):
+    if not in_kernel(m.matrix, d, b):
         raise ValueError(f"{b} is not in the kernel")
     return _raw_pairing(m.matrix, d, a, b)
-
-
-def _in_transposed_kernel(matrix, d, a) -> bool:
-    """Whether a A = 0 mod d, i.e. a lies in Aut(A^T)."""
-    return all(sum(a[i] * matrix[i][j] for i in range(4)) % d == 0 for j in range(4))
-
-
-def _in_kernel(matrix, d, b) -> bool:
-    """Whether A b = 0 mod d, i.e. b lies in Aut(A)."""
-    return all(sum(matrix[i][j] * b[j] for j in range(4)) % d == 0 for i in range(4))
 
 
 def _raw_pairing(matrix, d, a, b) -> int:
@@ -189,9 +180,9 @@ class Workspace:
             xs = kernel_mod(group.generators, d)
             gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
             dual = _from_coords(d, _closure(d, gens))
-            if not all(_in_transposed_kernel(m.matrix, d, a) for a in dual.generators):
+            if not all(in_kernel(transpose_rows(m.matrix), d, a) for a in dual.generators):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
-            if not all(_in_kernel(m.matrix, d, g) for g in group.generators):
+            if not all(in_kernel(m.matrix, d, g) for g in group.generators):
                 raise InternalCheckError("a group generator is outside the kernel Aut(A)")
             if any(_raw_pairing(m.matrix, d, a, g) for a in dual.generators for g in group.generators):
                 raise InternalCheckError("a dual generator pairs nontrivially with the group")

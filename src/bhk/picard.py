@@ -7,7 +7,10 @@ grading element that the paper's theorem predicts for every group,
 `grading_set`). `picard_report` then compares the closed form with 22 minus
 the set sizes. Any disagreement raises MethodMismatch. The grading route is a
 set-level check, not a Picard method, so it is not among the `methods` of a
-PicardReport."""
+PicardReport. The direct and orbit routes each build the same partition of
+the aged elements into unit orbits, `_unit_orbits`, and run their own test on
+each orbit; the grading route, built from j and h alone, shares no code with
+that partition and would catch a fault in it."""
 
 from __future__ import annotations
 
@@ -64,11 +67,6 @@ def aged_elements(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
     return tuple(AgedElement(e, age(d, e)) for e in group.elements if 0 not in e)
 
 
-def age_one_census(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
-    """The age-one elements among the aged elements of the group."""
-    return tuple(a for a in aged_elements(group) if a.age == 1)
-
-
 def _units(d: int) -> list[int]:
     return [t for t in range(1, d) if gcd(t, d) == 1]
 
@@ -82,6 +80,21 @@ def _check_char(char: Characteristic, d: int) -> None:
         raise CharDividesD(f"characteristic {char.p} divides the exponent {d}")
 
 
+def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[set[Coords]]]:
+    """The aged elements as a coordinates -> age table in the group's element
+    order, and their partition into unit orbits {t a : gcd(t, d) = 1}."""
+    d = group.modulus
+    ages = dict(aged_elements(group))
+    units = _units(d)
+    orbits: list[set[Coords]] = []
+    seen: set[Coords] = set()
+    for a in ages:
+        if a not in seen:
+            orbits.append({_scaled(a, t, d) for t in units})
+            seen |= orbits[-1]
+    return ages, orbits
+
+
 def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
     """Aged elements that fail the average-age-two test, once per unit orbit.
 
@@ -89,94 +102,49 @@ def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[A
     Characteristic p keeps a when for some unit t the ages over the p-power
     orbit of t a do not sum to twice the orbit-walk length f = ord(p mod d).
     The test ranges over every unit t, so its verdict is the same on the whole
-    unit orbit {t a}: it runs on the first element of each orbit met, and the
-    other members take its verdict.
+    unit orbit {t a}, which it keeps or drops as one.
     """
     d = group.modulus
     _check_char(char, d)
-    aged = aged_elements(group)
-    lookup = dict(aged)
-    units = _units(d)
     powers = [1]
     if char.positive:
         powers = [pow(char.p, j, d) for j in range(multiplicative_order(char.p, d))]
-    verdict: dict[Coords, bool] = {}
-    for a in aged:
-        if a.coords not in verdict:
-            orbit = [_scaled(a.coords, t, d) for t in units]
-            keep = any(sum(lookup[_scaled(c, pj, d)] for pj in powers) != 2 * len(powers) for c in orbit)
-            verdict.update(dict.fromkeys(orbit, keep))
-    return tuple(a for a in aged if verdict[a.coords])
+    ages, orbits = _unit_orbits(group)
+    kept: set[Coords] = set()
+    for orbit in orbits:
+        if any(sum(ages[_scaled(c, pj, d)] for pj in powers) != 2 * len(powers) for c in orbit):
+            kept |= orbit
+    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Unit-multiplication orbits of the aged elements, with the p-power
-    suborbits of each orbit when the characteristic is positive."""
-
-    u_orbits: tuple[tuple[AgedElement, ...], ...]
-    p_suborbits: tuple[tuple[tuple[AgedElement, ...], ...], ...] | None
-
-
-def orbit_decomposition(group: SymmetrySubgroup, char: Characteristic) -> OrbitDecomposition:
-    """Partition the aged elements into unit orbits (and p-power suborbits)."""
-    d = group.modulus
-    _check_char(char, d)
-    aged = aged_elements(group)
-    lookup = dict(aged)
-    units = _units(d)
-    seen = set()
-    orbits = []
-    for a in aged:
-        if a.coords in seen:
-            continue
-        coords_orbit = sorted({_scaled(a.coords, t, d) for t in units})
-        seen.update(coords_orbit)
-        orbits.append(tuple(AgedElement(c, lookup[c]) for c in coords_orbit))
-    orbits.sort()
-    suborbits = None
-    if char.positive:
-        suborbits = tuple(_p_suborbits(orbit, char.p, d, lookup) for orbit in orbits)
-    return OrbitDecomposition(u_orbits=tuple(orbits), p_suborbits=suborbits)
-
-
-def _p_suborbits(orbit, p: int, d: int, lookup) -> tuple:
-    remaining = {a.coords for a in orbit}
-    subs = []
-    while remaining:
-        start = min(remaining)
-        cycle = []
-        c = start
-        while c not in cycle:
-            cycle.append(c)
-            c = _scaled(c, p, d)
-        remaining.difference_update(cycle)
-        subs.append(tuple(AgedElement(c, lookup[c]) for c in sorted(cycle)))
-    return tuple(subs)
+def _orbit_contributes(orbit: set[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
+    """The orbit route's test on one unit orbit. Characteristic zero: the
+    orbit holds an age-one element. Characteristic p: some p-power suborbit
+    {p^k c} has unequal counts of age-one and age-three elements."""
+    if not char.positive:
+        return any(ages[c] == 1 for c in orbit)
+    rest = set(orbit)
+    while rest:
+        suborbit = [rest.pop()]
+        c = _scaled(suborbit[0], char.p, d)
+        while c != suborbit[0]:
+            suborbit.append(c)
+            c = _scaled(c, char.p, d)
+        rest.difference_update(suborbit)
+        sub_ages = [ages[c] for c in suborbit]
+        if sub_ages.count(1) != sub_ages.count(3):
+            return True
+    return False
 
 
 def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
-    """The same set via orbits.
-
-    Characteristic zero: a unit orbit contributes when it contains an age-one
-    element. Characteristic p: a unit orbit contributes when some p-power
-    suborbit has unequal counts of age-one and age-three elements.
-    """
-    dec = orbit_decomposition(group, char)
-    picked = []
-    if not char.positive:
-        for orbit in dec.u_orbits:
-            if any(a.age == 1 for a in orbit):
-                picked.extend(orbit)
-    else:
-        for orbit, subs in zip(dec.u_orbits, dec.p_suborbits):
-            unbalanced = any(
-                sum(1 for a in sub if a.age == 1) != sum(1 for a in sub if a.age == 3)
-                for sub in subs
-            )
-            if unbalanced:
-                picked.extend(orbit)
-    return tuple(sorted(picked))
+    """The same set via orbits: the union of the unit orbits that pass
+    `_orbit_contributes`, sorted."""
+    d = group.modulus
+    _check_char(char, d)
+    ages, orbits = _unit_orbits(group)
+    picked = sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit)
+    return tuple(AgedElement(c, ages[c]) for c in picked)
 
 
 def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]:

@@ -103,15 +103,6 @@ def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...]:
     )
 
 
-def quasi_smooth(m: DelsarteMatrix) -> bool:
-    """Whether the rows decompose into atomic shapes."""
-    try:
-        atomic_decomposition(m)
-        return True
-    except NotInvertiblePotential:
-        return False
-
-
 def _triple_gcds_ok(q) -> bool:
     idx = range(4)
     return all(
@@ -135,12 +126,6 @@ def _pair_supports_ok(m: DelsarteMatrix) -> bool:
                 if not covered:
                     return False
     return True
-
-
-def well_formed(m: DelsarteMatrix) -> bool:
-    """Combinatorial well-formedness: triple gcds of weights are one, and every
-    weight pair with a common factor is supported by a coordinate-line row."""
-    return _triple_gcds_ok(m.weights) and _pair_supports_ok(m)
 
 
 def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:

@@ -1,11 +1,11 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
-the full kernel Aut, its coordinate-sum-zero subgroup SL (from its definition,
-or from a Smith-normal-form solve that never enumerates Aut), the grading
-element j, and enumeration of the groups between J and SL, by one join per
-cyclic subgroup of SL/J. An element is a plain tuple of four coordinates
-reduced to [0, d), and a group is the sorted tuple of its elements. Every
-group is built by one primitive, the join G + <g> of a subgroup with one
-element."""
+membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
+SL itself from a Smith-normal-form solve that never enumerates Aut, the
+grading element j, and enumeration of the groups between J and SL, by one
+join per cyclic subgroup of SL/J. An element is a plain tuple of four
+coordinates reduced to [0, d), and a group is the sorted tuple of its
+elements. Every group is built by one primitive, the join G + <g> of a
+subgroup with one element."""
 
 from __future__ import annotations
 
@@ -111,34 +111,19 @@ def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetryS
     return _from_coords(modulus, _closure(modulus, reduced), generators=kept)
 
 
-def aut_group(m: DelsarteMatrix) -> SymmetrySubgroup:
-    """The kernel {a : A a = 0 mod d}, generated by the columns of B = d A^(-1)."""
-    d = m.exponent
-    cols = [tuple(m.b_matrix[i][j] % d for i in range(4)) for j in range(4)]
-    elements = _closure(d, cols)
-    if len(elements) != abs(m.det):
-        raise InternalCheckError(
-            f"kernel order {len(elements)} differs from |det| = {abs(m.det)}"
-        )
-    kept = tuple(dict.fromkeys(c for c in cols if c != ZERO))
-    return _from_coords(d, elements, generators=kept)
-
-
-def sl_subgroup(aut: SymmetrySubgroup) -> SymmetrySubgroup:
-    """Coordinate-sum-zero subgroup of the kernel."""
-    return _from_coords(aut.modulus, [e for e in aut.elements if sum(e) % aut.modulus == 0])
+def in_kernel(rows: Sequence[Sequence[int]], d: int, coords: Sequence[int]) -> bool:
+    """Whether r . g = 0 mod d for every row r: g lies in Aut(A) when the rows
+    are those of A, and in Aut(A^T) when they are its columns."""
+    return all(sum(r[j] * coords[j] for j in range(4)) % d == 0 for r in rows)
 
 
 def in_sl(m: DelsarteMatrix, coords: Sequence[int]) -> bool:
     """Whether g has 4 coordinates, A g = 0 and the coordinate sum of g is 0, both mod d."""
-    d = m.exponent
-    return len(coords) == 4 and sum(coords) % d == 0 and all(
-        sum(row[j] * coords[j] for j in range(4)) % d == 0 for row in m.matrix
-    )
+    return len(coords) == 4 and sum(coords) % m.exponent == 0 and in_kernel(m.matrix, m.exponent, coords)
 
 
 def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
-    """SL(A), equal to sl_subgroup(aut_group(m)) but without enumerating Aut.
+    """SL(A), the coordinate-sum-zero part of Aut(A), without enumerating Aut.
 
     Every point of Aut is B x mod d for some x in (Z/d)^4, with coordinate
     sum s . x, where s holds the column sums of B. So SL is the image under

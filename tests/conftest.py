@@ -17,11 +17,10 @@ from bhk import (
     is_calabi_yau,
     j_element,
     j_subgroup,
-    sl_subgroup,
     subgroup_generated,
     transpose,
 )
-from bhk.symmetry import aut_group
+from oracles import aut_group, sl_subgroup
 
 CHAR0 = Characteristic(0)
 

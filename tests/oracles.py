@@ -9,9 +9,10 @@ every element, kept small enough for the small catalog.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from bhk import AgedElement, Characteristic, aged_elements, multiplicative_order
+from bhk import AgedElement, Characteristic, SymmetrySubgroup, aged_elements, multiplicative_order
 from bhk.errors import CharDividesD
 
 ZERO = (0, 0, 0, 0)
@@ -42,6 +43,32 @@ def greedy_generators(modulus, elements) -> tuple:
             gens.append(c)
             covered = reference_closure(modulus, gens)
     return tuple(gens)
+
+
+def aut_group(m) -> SymmetrySubgroup:
+    """The kernel Aut(A) = {a : A a = 0 mod d}, closed from the columns of
+    B = d A^(-1), which it reports as its generators."""
+    d = m.exponent
+    cols = [tuple(m.b_matrix[i][j] % d for i in range(4)) for j in range(4)]
+    elements = tuple(sorted(reference_closure(d, cols)))
+    return SymmetrySubgroup(d, elements, tuple(dict.fromkeys(c for c in cols if c != ZERO)), len(elements))
+
+
+def sl_subgroup(aut) -> SymmetrySubgroup:
+    """The coordinate-sum-zero subgroup SL of a kernel, by filtering its elements."""
+    d = aut.modulus
+    elements = tuple(e for e in aut.elements if sum(e) % d == 0)
+    return SymmetrySubgroup(d, elements, greedy_generators(d, elements), len(elements))
+
+
+def mat_mul(a, b) -> tuple:
+    """Exact integer matrix product of two 4x4 matrices."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4))
+
+
+def inverse(m) -> tuple:
+    """The exact inverse A^(-1) = adj / det, as Fractions."""
+    return tuple(tuple(Fraction(m.adjugate[i][j], m.det) for j in range(4)) for i in range(4))
 
 
 def dual_by_filter(m, mt, generators) -> tuple[tuple, tuple]:

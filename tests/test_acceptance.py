@@ -21,11 +21,9 @@ import test_properties
 from bhk import (
     Characteristic,
     Workspace,
-    aut_group,
     enumerate_intermediate,
     j_subgroup,
     picard_report,
-    sl_subgroup,
 )
 from conftest import (
     A_EX_ROWS,
@@ -36,6 +34,7 @@ from conftest import (
     build,
     primes_below,
 )
+from oracles import aut_group, sl_subgroup
 
 
 def _announce(name: str, body, budget: float | None = None) -> None:

@@ -1,9 +1,12 @@
-"""The public API: every exported name resolves, and README's quick start
-runs and prints the values its comments show."""
+"""The public API: every exported name resolves, every exported function has
+a reader, and README's quick start runs and prints the values its comments
+show."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -16,6 +19,31 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_exported_name_resolves():
     missing = [name for name in bhk.__all__ if not hasattr(bhk, name)]
     assert missing == []
+
+
+def _called_names(path: Path) -> set[str]:
+    """Names called in a module, as `f(...)` or `x.f(...)`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {f.id if isinstance(f, ast.Name) else f.attr for f in funcs if isinstance(f, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_function_has_a_reader():
+    """Each function in `bhk.__all__` is called from a `bhk` module other than
+    its own, or shown in README as code (`name` or `name(...)`); otherwise
+    nothing reads it and it should not be exported."""
+    calls = {path.stem: _called_names(path) for path in Path(bhk.__file__).parent.glob("*.py")}
+    readme = README.read_text(encoding="utf-8")
+    unread = []
+    for name in bhk.__all__:
+        fn = getattr(bhk, name)
+        if not inspect.isfunction(fn):
+            continue
+        home = fn.__module__.rsplit(".", 1)[-1]
+        if not any(name in called for module, called in calls.items() if module != home):
+            if not re.search(rf"`{name}[`(]", readme):
+                unread.append(name)
+    assert unread == []
 
 
 def _quick_start() -> str:

@@ -1,6 +1,8 @@
 """Each derived object is built once per input. One CLI run is counted by
 wrapping the stage functions at every binding inside the `bhk` package, so
-calls made through a module's own import of a function are counted too."""
+calls made through a module's own import of a function are counted too. The
+size of every group join is recorded as well: no command enumerates Aut, so
+no join may reach |det| elements."""
 
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ import bhk.cli as cli
 # Stage function -> the module that defines it.
 COUNTED = {
     "build_delsarte": "bhk.delsarte",
-    "aut_group": "bhk.symmetry",
-    "sl_subgroup": "bhk.symmetry",
     "is_calabi_yau": "bhk.delsarte",
     "transcendental_set": "bhk.picard",
     "transcendental_set_orbits": "bhk.picard",
@@ -30,13 +30,17 @@ COUNTED = {
 def _counting(counts: Counter, name: str, fn):
     def wrapper(*args, **kwargs):
         counts[name] += 1
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        if name == "_join":
+            counts["largest join"] = max(counts["largest join"], len(result))
+        return result
 
     return wrapper
 
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
+    """Calls per counted function, plus the element count of the largest join."""
     counts: Counter = Counter()
     for name, home in COUNTED.items():
         original = getattr(sys.modules[home], name)
@@ -59,8 +63,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     doc = {"matrix": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 42]], "group": "SL"}
     _run(tmp_path, capsys, "picard", doc)
     assert calls["build_delsarte"] <= 2
-    assert calls["aut_group"] == 0
-    assert calls["sl_subgroup"] == 0
+    assert 0 < calls["largest join"] < 1764  # |det|: Aut is never enumerated
     # each set-level route once per side
     assert calls["transcendental_set"] == 2
     assert calls["transcendental_set_orbits"] == 2
@@ -73,7 +76,6 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls):
     doc = {"matrix": [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], "group": "SL", "characteristic": 5}
     _run(tmp_path, capsys, "subgroups", doc)
     assert calls["build_delsarte"] <= 2
-    assert calls["aut_group"] == 0
-    assert calls["sl_subgroup"] == 0
+    assert 0 < calls["largest join"] < 256  # |det|: Aut is never enumerated
     assert calls["is_calabi_yau"] <= 2  # not once per intermediate group
     assert calls["_join"] <= 200  # one join per cyclic subgroup of SL/J, not per element of SL

@@ -3,21 +3,27 @@ integral scaled inverse, against values frozen from independent computations."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
+import bhk.cli as cli
+import bhk.delsarte as delsarte
+
 from bhk import Characteristic, build_delsarte, is_calabi_yau, transpose
 from bhk.delsarte import is_prime
-from bhk.arith import IDENTITY4, mat_mul
+from bhk.arith import IDENTITY4
 from bhk.errors import (
     CharDividesDet,
+    InternalCheckError,
     NegativeEntry,
     NonpositiveWeight,
     RowWithoutZero,
     SingularMatrix,
 )
 from conftest import A_EX_ROWS, A_F_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build
+from oracles import inverse, mat_mul
 
 
 def test_characteristic_validation():
@@ -52,7 +58,7 @@ def test_chain_example_golden():
     assert m.degree == 7
     assert m.exponent == 168
     assert m.b_matrix[0] == (84, -42, 7, -1)
-    assert m.inverse()[0] == (
+    assert inverse(m)[0] == (
         Fraction(1, 2),
         Fraction(-1, 4),
         Fraction(1, 24),
@@ -109,6 +115,26 @@ def test_b_matrix_identity():
         scaled = tuple(tuple(d if i == j else 0 for j in range(4)) for i in range(4))
         assert mat_mul(m.matrix, m.b_matrix) == scaled
         assert mat_mul(m.b_matrix, m.matrix) == scaled
+
+
+def test_identity_check_catches_a_wrong_adjugate_entry(tmp_path, capsys, monkeypatch):
+    """One adjugate entry off by one still gives positive, coprime weights
+    (49, 72, 24, 24) on the chain example, so A B = B A = d I, the only
+    check of the adjugate, is what must catch it: as an internal error,
+    exit status 2 on the command line."""
+    real = delsarte.det_adjugate
+
+    def off_by_one(a):
+        det, adj = real(a)
+        return det, ((adj[0][0] + 1, *adj[0][1:]), *adj[1:])
+
+    monkeypatch.setattr(delsarte, "det_adjugate", off_by_one)
+    with pytest.raises(InternalCheckError, match="A B = B A = d I"):
+        build(A_EX_ROWS)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": A_EX_ROWS}))
+    assert cli.main(["picard", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "InternalCheckError"
 
 
 def test_divisibility_chain_goldens():

@@ -6,11 +6,9 @@ import pytest
 
 from bhk import (
     Characteristic,
-    aut_group,
     j_element,
     j_subgroup,
     pairing,
-    sl_subgroup,
     subgroup_generated,
     transpose,
 )
@@ -18,7 +16,7 @@ from bhk.duality import Workspace
 from bhk.symmetry import enumerate_intermediate
 from bhk.errors import InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError
 from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
-from oracles import dual_by_filter
+from oracles import aut_group, dual_by_filter, sl_subgroup
 from test_smoothness import CY_NOT_QS_ROWS
 
 

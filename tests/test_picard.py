@@ -3,8 +3,6 @@ methods, and the prime scan, against frozen independently computed values."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import bhk.picard as picard
@@ -12,18 +10,14 @@ from bhk import (
     Characteristic,
     Workspace,
     age,
-    age_one_census,
     aged_elements,
-    aut_group,
     enumerate_intermediate,
     grading_set,
     j_element,
     j_subgroup,
-    orbit_decomposition,
     picard_report,
     prime_scan,
     sl_group,
-    sl_subgroup,
     subgroup_generated,
     transcendental_set,
     transcendental_set_orbits,
@@ -37,7 +31,7 @@ from bhk.errors import (
     ZeroCoordinate,
 )
 from conftest import CHAR0, cy_catalog_small, primes_below
-from oracles import transcendental_set_by_element
+from oracles import aut_group, sl_subgroup, transcendental_set_by_element
 
 
 def _mirror(m, group_name="J", p=0):
@@ -87,15 +81,14 @@ def test_aged_elements_need_zero_sums(a_ex):
 
 
 def test_age_one_census_unique(a_ex, a_f):
-    j_census = age_one_census(j_subgroup(a_ex))
-    assert [a.coords for a in j_census] == [(48, 72, 24, 24)]
-    sl_census = age_one_census(sl_subgroup(aut_group(a_ex)))
-    assert [a.coords for a in sl_census] == [(48, 72, 24, 24)]
+    def census(group):
+        return [a.coords for a in aged_elements(group) if a.age == 1]
+
+    assert census(j_subgroup(a_ex)) == [(48, 72, 24, 24)]
+    assert census(sl_subgroup(aut_group(a_ex))) == [(48, 72, 24, 24)]
     mt = transpose(a_ex, CHAR0)
-    t_census = age_one_census(sl_subgroup(aut_group(mt)))
-    assert [a.coords for a in t_census] == [(84, 42, 21, 21)]
-    f_census = age_one_census(sl_subgroup(aut_group(a_f)))
-    assert [a.coords for a in f_census] == [(1, 1, 1, 1)]
+    assert census(sl_subgroup(aut_group(mt))) == [(84, 42, 21, 21)]
+    assert census(sl_subgroup(aut_group(a_f))) == [(1, 1, 1, 1)]
 
 
 def test_transcendental_set_char0_goldens(a_ex, a_f):
@@ -153,28 +146,19 @@ def test_orbit_route_agrees(a_ex, a_f, loop_m, mixed_m):
 
 
 def test_orbit_decomposition_partitions(a_ex):
+    """The unit orbits both set-level routes build partition the aged
+    elements, each orbit closed under every unit multiple; the age table
+    follows the group's element order."""
     sl = sl_subgroup(aut_group(a_ex))
-    dec = orbit_decomposition(sl, Characteristic(5))
+    ages, orbits = picard._unit_orbits(sl)
     aged = aged_elements(sl)
-    assert sum(len(o) for o in dec.u_orbits) == len(aged)
-    seen = set()
-    for orbit in dec.u_orbits:
-        for a in orbit:
-            assert a.coords not in seen
-            seen.add(a.coords)
-    assert seen == {a.coords for a in aged}
-    # p-power suborbits partition each orbit and are closed under scaling by p.
-    for orbit, subs in zip(dec.u_orbits, dec.p_suborbits):
-        assert sum(len(s) for s in subs) == len(orbit)
-        for sub in subs:
-            coords = {a.coords for a in sub}
-            for c in coords:
-                assert tuple(5 * x % 168 for x in c) in coords
-
-
-def test_orbit_decomposition_char0_has_no_suborbits(a_ex):
-    dec = orbit_decomposition(j_subgroup(a_ex), CHAR0)
-    assert dec.p_suborbits is None
+    assert list(ages.items()) == [tuple(a) for a in aged]
+    assert sum(len(o) for o in orbits) == len(aged)
+    assert set().union(*orbits) == set(ages)
+    units = [t for t in range(1, 168) if t % 2 and t % 3 and t % 7]
+    for orbit in orbits:
+        for c in orbit:
+            assert {tuple(t * x % 168 for x in c) for t in units} == orbit
 
 
 def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
@@ -257,22 +241,30 @@ def test_direct_route_catches_a_grading_route_missing_a_unit(a_ex, monkeypatch):
 
 
 def flip_age_one_flags(monkeypatch) -> None:
-    """Doctor the orbit route: it reads each age-one flag of the decomposition
-    flipped (ages 1 -> 2 and others -> 1), as if its test read age != 1."""
-    real = picard.orbit_decomposition
+    """Doctor the orbit route's own per-orbit test, not the unit-orbit
+    partition it shares with the direct route: the test reads each age-one
+    flag flipped (ages 1 -> 2 and others -> 1), as if it read age != 1."""
+    real = picard._orbit_contributes
 
-    def flipped(group, char):
-        dec = real(group, char)
-        orbits = tuple(tuple(a._replace(age=2 if a.age == 1 else 1) for a in o) for o in dec.u_orbits)
-        return dataclasses.replace(dec, u_orbits=orbits)
+    def flipped(orbit, ages, char, d):
+        return real(orbit, {c: 2 if a == 1 else 1 for c, a in ages.items()}, char, d)
 
-    monkeypatch.setattr(picard, "orbit_decomposition", flipped)
+    monkeypatch.setattr(picard, "_orbit_contributes", flipped)
 
 
 def test_direct_route_catches_an_orbit_route_with_its_age_one_test_flipped(a_ex, monkeypatch):
     flip_age_one_flags(monkeypatch)
     with pytest.raises(MethodMismatch, match="orbit route"):
         picard_report(_mirror(a_ex, "SL"))
+
+
+def test_closed_form_is_checked_against_the_set_sizes(a_ex, monkeypatch):
+    """A closed form that miscounts phi(h) by one disagrees with 22 minus the
+    sizes of the cross-checked transcendental sets."""
+    real = picard.euler_phi
+    monkeypatch.setattr(picard, "euler_phi", lambda n: real(n) - 1)
+    with pytest.raises(MethodMismatch, match="methods disagree"):
+        picard_report(_mirror(a_ex, "J"))
 
 
 def test_picard_char0_goldens(a_ex, a_f, loop_m, mixed_m):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bhk import Atom, Characteristic, adequacy, atomic_decomposition, quasi_smooth, well_formed
+from bhk import Atom, Characteristic, adequacy, atomic_decomposition
 from bhk.errors import NotInvertiblePotential
 from conftest import (
     A_EX_ROWS,
@@ -74,7 +74,7 @@ def test_loop_starts_at_least_variable():
 
 def test_not_invertible_rejected():
     m = build(CY_NOT_QS_ROWS)
-    assert not quasi_smooth(m)
+    assert not adequacy(m, None, CHAR0).quasi_smooth
     with pytest.raises(NotInvertiblePotential):
         atomic_decomposition(m)
 
@@ -82,16 +82,19 @@ def test_not_invertible_rejected():
 def test_exponent_one_pair_never_matches():
     # x0 * x1 with both exponents one is ambiguous and rejected.
     rows = ((1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 6, 1), (0, 0, 0, 7))
-    assert not quasi_smooth(build(rows))
+    assert not adequacy(build(rows), None, CHAR0).quasi_smooth
 
 
 def test_well_formed_goldens():
-    assert well_formed(build(A_EX_ROWS))
-    assert well_formed(build(A_F_ROWS))
-    assert well_formed(build(LOOP_ROWS))
-    assert well_formed(build(MIXED_ROWS))
-    assert not well_formed(build(WF_FAIL_LOOP_ROWS))
-    assert not well_formed(build(TRIPLE_FAIL_ROWS))
+    for rows, expected in (
+        (A_EX_ROWS, True),
+        (A_F_ROWS, True),
+        (LOOP_ROWS, True),
+        (MIXED_ROWS, True),
+        (WF_FAIL_LOOP_ROWS, False),
+        (TRIPLE_FAIL_ROWS, False),
+    ):
+        assert adequacy(build(rows), None, CHAR0).well_formed is expected
 
 
 def test_adequacy_report_flags():

@@ -10,19 +10,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhk import (
-    aut_group,
     enumerate_intermediate,
     j_element,
     j_subgroup,
     sl_group,
-    sl_subgroup,
     subgroup_generated,
     transpose,
 )
 from bhk.errors import InternalCheckError
 from bhk.symmetry import _closure
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
-from oracles import lattice_by_joins, reference_closure
+from oracles import aut_group, lattice_by_joins, reference_closure, sl_subgroup
 
 
 def test_aut_orders(a_ex, a_f, loop_m, mixed_m):
