@@ -88,6 +88,11 @@ def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> Delsa
     determinant, characteristic coprime to the determinant, positive weights.
     """
     m = matrix4(rows)
+    _check_rows(m)
+    return _derive(m, *det_adjugate(m), char)
+
+
+def _check_rows(m: Matrix4) -> None:
     for i in range(4):
         for j in range(4):
             if m[i][j] < 0:
@@ -95,7 +100,10 @@ def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> Delsa
     for i in range(4):
         if all(v != 0 for v in m[i]):
             raise RowWithoutZero(f"row {i} = {m[i]} has no zero entry")
-    det, adj = det_adjugate(m)
+
+
+def _derive(m: Matrix4, det: int, adj: Matrix4, char: Characteristic) -> DelsarteMatrix:
+    """The derived data of checked rows from their determinant and adjugate."""
     if det == 0:
         raise SingularMatrix("determinant is zero")
     if char.positive and det % char.p == 0:
@@ -149,5 +157,10 @@ def is_calabi_yau(m: DelsarteMatrix) -> bool:
 
 
 def transpose(m: DelsarteMatrix, char: Characteristic) -> DelsarteMatrix:
-    """The transposed matrix, validated from scratch; errors propagate."""
-    return build_delsarte(transpose_rows(m.matrix), char)
+    """The transposed matrix A^T, validated as `build_delsarte` validates rows;
+    errors propagate. Its determinant and adjugate are det(A) and adj(A)^T,
+    taken from A instead of a second cofactor expansion: the identity check
+    A^T B^T = B^T A^T = d I in `_check_construction` catches a wrong one."""
+    mt = transpose_rows(m.matrix)
+    _check_rows(mt)
+    return _derive(mt, m.det, transpose_rows(m.adjugate), char)

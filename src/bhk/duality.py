@@ -22,6 +22,8 @@ from .symmetry import (
     SymmetrySubgroup,
     _closure,
     _from_coords,
+    check_order,
+    check_sl_order,
     in_kernel,
     in_sl,
     j_subgroup,
@@ -118,11 +120,13 @@ class Workspace:
 
     @cached_property
     def group(self) -> SymmetrySubgroup:
-        """G from its description; generators must lie in SL, which is tested
-        on each generator before any group beyond J is built."""
+        """G from its description. |SL| is bounded first, as J, SL and G all
+        lie in SL; generators must lie in SL, which is tested on each
+        generator before any group beyond J is built."""
         spec = self._group_spec
         if isinstance(spec, SymmetrySubgroup):
             return spec
+        check_sl_order(self.primal.matrix)
         try:
             jg = self.primal.j
         except ValueError as err:
@@ -177,6 +181,7 @@ class Workspace:
             self.transpose.matrix  # raises the input error of an invalid A^T
             m = self.primal.matrix
             d, b = m.exponent, m.b_matrix
+            check_order(abs(m.det) // group.order, "the dual group")
             xs = kernel_mod(group.generators, d)
             gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
             dual = _from_coords(d, _closure(d, gens))

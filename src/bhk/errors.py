@@ -52,6 +52,10 @@ class NonintegralAge(InputError):
     """Coordinate sum of an age candidate is not divisible by the modulus."""
 
 
+class TooLarge(InputError):
+    """A group the input asks for is larger than any command enumerates."""
+
+
 class NotAdequate(InputError):
     """The pair fails its adequacy check."""
 

@@ -7,10 +7,11 @@ grading element that the paper's theorem predicts for every group,
 `grading_set`). `picard_report` then compares the closed form with 22 minus
 the set sizes. Any disagreement raises MethodMismatch. The grading route is a
 set-level check, not a Picard method, so it is not among the `methods` of a
-PicardReport. The direct and orbit routes each build the same partition of
-the aged elements into unit orbits, `_unit_orbits`, and run their own test on
-each orbit; the grading route, built from j and h alone, shares no code with
-that partition and would catch a fault in it."""
+PicardReport. The direct and orbit routes read one partition of the aged
+elements into unit orbits, `_unit_orbits`, built once per side, and run their
+own test on each orbit. A fault in that partition would move both routes'
+sets alike, so they could still agree with each other; the grading route,
+built from j and h alone, shares no code with the partition and catches it."""
 
 from __future__ import annotations
 
@@ -67,10 +68,6 @@ def aged_elements(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
     return tuple(AgedElement(e, age(d, e)) for e in group.elements if 0 not in e)
 
 
-def _units(d: int) -> list[int]:
-    return [t for t in range(1, d) if gcd(t, d) == 1]
-
-
 def _scaled(coords, t: int, d: int):
     return tuple(t * c % d for c in coords)
 
@@ -80,23 +77,68 @@ def _check_char(char: Characteristic, d: int) -> None:
         raise CharDividesD(f"characteristic {char.p} divides the exponent {d}")
 
 
-def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[set[Coords]]]:
+def _p_powers(char: Characteristic, d: int) -> list[int]:
+    """p^j mod d for j below f = ord(p mod d), or [1] in characteristic zero;
+    CharDividesD, before any order is taken, when p divides d."""
+    _check_char(char, d)
+    if not char.positive:
+        return [1]
+    return [pow(char.p, j, d) for j in range(multiplicative_order(char.p, d))]
+
+
+def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[Coords]]]:
     """The aged elements as a coordinates -> age table in the group's element
-    order, and their partition into unit orbits {t a : gcd(t, d) = 1}."""
+    order, and their partition into unit orbits {t a : gcd(t, d) = 1}. The
+    orbit of a of order n lists t a for t over the units mod n, onto which the
+    units mod d reduce, so each of its elements appears once."""
     d = group.modulus
     ages = dict(aged_elements(group))
-    units = _units(d)
-    orbits: list[set[Coords]] = []
+    units: dict[int, list[int]] = {}
+    orbits: list[list[Coords]] = []
     seen: set[Coords] = set()
     for a in ages:
-        if a not in seen:
-            orbits.append({_scaled(a, t, d) for t in units})
-            seen |= orbits[-1]
+        if a in seen:
+            continue
+        n = d // gcd(d, *a)
+        if n not in units:
+            units[n] = [t for t in range(1, n) if gcd(t, n) == 1]
+        a0, a1, a2, a3 = a
+        orbit = [(t * a0 % d, t * a1 % d, t * a2 % d, t * a3 % d) for t in units[n]]
+        orbits.append(orbit)
+        seen.update(orbit)
     return ages, orbits
 
 
+def _direct_contributes(orbit: list[Coords], ages: Mapping[Coords, int], powers: Sequence[int], d: int) -> bool:
+    """The direct route's test on one unit orbit: for some element c, the ages
+    of p^j c over the powers p^j do not sum to twice their number. That sum is
+    the same for every element of a coset c <p>, so one element per coset is
+    tested."""
+    if len(powers) == 1:
+        return any(ages[c] != 2 for c in orbit)
+    rest = set(orbit)
+    while rest:
+        c0, c1, c2, c3 = rest.pop()
+        coset = [(pj * c0 % d, pj * c1 % d, pj * c2 % d, pj * c3 % d) for pj in powers]
+        if sum(ages[c] for c in coset) != 2 * len(powers):
+            return True
+        rest.difference_update(coset)
+    return False
+
+
+def _direct_route(
+    ages: Mapping[Coords, int], orbits: list[list[Coords]], powers: Sequence[int], d: int
+) -> tuple[AgedElement, ...]:
+    """The aged elements, in table order, of the orbits that pass `_direct_contributes`."""
+    kept: set[Coords] = set()
+    for orbit in orbits:
+        if _direct_contributes(orbit, ages, powers, d):
+            kept.update(orbit)
+    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
+
+
 def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
-    """Aged elements that fail the average-age-two test, once per unit orbit.
+    """Aged elements that fail the average-age-two test, decided once per unit orbit.
 
     Characteristic zero keeps a when some unit multiple t a has age != 2.
     Characteristic p keeps a when for some unit t the ages over the p-power
@@ -104,20 +146,11 @@ def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[A
     The test ranges over every unit t, so its verdict is the same on the whole
     unit orbit {t a}, which it keeps or drops as one.
     """
-    d = group.modulus
-    _check_char(char, d)
-    powers = [1]
-    if char.positive:
-        powers = [pow(char.p, j, d) for j in range(multiplicative_order(char.p, d))]
-    ages, orbits = _unit_orbits(group)
-    kept: set[Coords] = set()
-    for orbit in orbits:
-        if any(sum(ages[_scaled(c, pj, d)] for pj in powers) != 2 * len(powers) for c in orbit):
-            kept |= orbit
-    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
+    powers = _p_powers(char, group.modulus)
+    return _direct_route(*_unit_orbits(group), powers, group.modulus)
 
 
-def _orbit_contributes(orbit: set[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
+def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
     """The orbit route's test on one unit orbit. Characteristic zero: the
     orbit holds an age-one element. Characteristic p: some p-power suborbit
     {p^k c} has unequal counts of age-one and age-three elements."""
@@ -137,29 +170,38 @@ def _orbit_contributes(orbit: set[Coords], ages: Mapping[Coords, int], char: Cha
     return False
 
 
+def _orbit_route(
+    ages: Mapping[Coords, int], orbits: list[list[Coords]], char: Characteristic, d: int
+) -> tuple[Coords, ...]:
+    """The elements, sorted, of the orbits that pass `_orbit_contributes`."""
+    return tuple(sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit))
+
+
 def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
     """The same set via orbits: the union of the unit orbits that pass
     `_orbit_contributes`, sorted."""
-    d = group.modulus
-    _check_char(char, d)
+    _check_char(char, group.modulus)
     ages, orbits = _unit_orbits(group)
-    picked = sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit)
-    return tuple(AgedElement(c, ages[c]) for c in picked)
+    return tuple(AgedElement(c, ages[c]) for c in _orbit_route(ages, orbits, char, group.modulus))
 
 
 def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]:
     """(set in the dual group, set in the group) by the direct route, each
     checked element for element against the grading route (the set of G^T
     against grading_set(A^T), the set of G against grading_set(A)) and against
-    the orbit route on the same group."""
+    the orbit route on the same group. Both routes on a group read one unit-orbit
+    partition, built once per side."""
     char = mp.primal.char
     sets = []
     for side, name in ((mp.mirror, "dual group"), (mp.primal, "group")):
-        direct = transcendental_set(side.group, char)
+        d = side.group.modulus
+        powers = _p_powers(char, d)
+        ages, orbits = _unit_orbits(side.group)
+        direct = _direct_route(ages, orbits, powers, d)
         coords = tuple(a.coords for a in direct)
         for route, found in (
             ("grading", grading_set(side.matrix, char)),
-            ("orbit", tuple(a.coords for a in transcendental_set_orbits(side.group, char))),
+            ("orbit", _orbit_route(ages, orbits, char, d)),
         ):
             if found != coords:
                 raise MethodMismatch(

@@ -15,30 +15,39 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .arith import euler_phi, kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
-from .errors import InternalCheckError
+from .errors import InternalCheckError, TooLarge
 
 Coords = tuple[int, int, int, int]
 ZERO: Coords = (0, 0, 0, 0)
 
+# The most elements of a group any command enumerates. The largest SL of an
+# invertible K3 matrix has 72 elements, so only inputs outside that family,
+# such as ones that are not quasi-smooth, come near it.
+MAX_GROUP_ORDER = 10_000
+
+
+def check_order(order: int, name: str) -> None:
+    """TooLarge when a group about to be enumerated has more than
+    MAX_GROUP_ORDER elements."""
+    if order > MAX_GROUP_ORDER:
+        raise TooLarge(f"{name} has {order} elements, more than the limit {MAX_GROUP_ORDER}")
+
 
 def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
     """G + <g> for a subgroup G: the union of the cosets G + k g for k = 0, 1,
-    ... up to the first k with k g in G."""
-    step = tuple(c % modulus for c in g)
+    ..., each stepped from the one before by adding g, up to the first k with
+    k g in G, which is when the coset's first element x + k g lies in G."""
+    g0, g1, g2, g3 = (c % modulus for c in g)
     out = set(group)
-    shift = step
-    while shift not in group:
-        out.update(
-            (
-                (x[0] + shift[0]) % modulus,
-                (x[1] + shift[1]) % modulus,
-                (x[2] + shift[2]) % modulus,
-                (x[3] + shift[3]) % modulus,
-            )
-            for x in group
-        )
-        shift = tuple((a + b) % modulus for a, b in zip(shift, step))
-    return out
+    coset = list(group)
+    while True:
+        coset = [
+            ((x0 + g0) % modulus, (x1 + g1) % modulus, (x2 + g2) % modulus, (x3 + g3) % modulus)
+            for x0, x1, x2, x3 in coset
+        ]
+        if coset[0] in group:
+            return out
+        out.update(coset)
 
 
 def _closure(modulus: int, gens: Iterable[Coords]) -> set[Coords]:
@@ -122,22 +131,35 @@ def in_sl(m: DelsarteMatrix, coords: Sequence[int]) -> bool:
     return len(coords) == 4 and sum(coords) % m.exponent == 0 and in_kernel(m.matrix, m.exponent, coords)
 
 
+def check_sl_order(m: DelsarteMatrix) -> tuple[list[int], int]:
+    """(s, n): s holds the column sums of B, so that the point B x of Aut has
+    coordinate sum s . x, and n = d / gcd(d, s) is the number of values s . x
+    takes on Aut, so |SL| = |det| / n. Raises TooLarge when that order exceeds
+    MAX_GROUP_ORDER. Every group between J and SL lies in SL, so this bounds
+    each of them before any is enumerated."""
+    d, b = m.exponent, m.b_matrix
+    s = [sum(b[i][j] for i in range(4)) for j in range(4)]
+    index = d // gcd(d, *s)
+    check_order(abs(m.det) // index, "SL")
+    return s, index
+
+
 def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     """SL(A), the coordinate-sum-zero part of Aut(A), without enumerating Aut.
 
     Every point of Aut is B x mod d for some x in (Z/d)^4, with coordinate
     sum s . x, where s holds the column sums of B. So SL is the image under
     x -> B x mod d of the solutions of s . x = 0 mod d, which `kernel_mod`
-    solves. Cross-checked on every call: each generator lies in SL, and
+    solves. Its order is bounded before it is built (`check_sl_order`), and
+    cross-checked on every call: each generator lies in SL, and
     |SL| d / gcd(d, s) = |det|, since s . x takes d / gcd(d, s) values on Aut.
     """
     d, b = m.exponent, m.b_matrix
-    s = [sum(b[i][j] for i in range(4)) for j in range(4)]
+    s, index = check_sl_order(m)
     gens = [tuple(sum(b[i][j] * x[j] for j in range(4)) % d for i in range(4)) for x in kernel_mod([s], d)]
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
     sl = _from_coords(d, _closure(d, gens))
-    index = d // gcd(d, *s)
     if sl.order * index != abs(m.det):
         raise InternalCheckError(
             f"|SL| d / gcd(d, s) = {sl.order} * {index} differs from |det| = {abs(m.det)}"

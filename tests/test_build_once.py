@@ -2,7 +2,9 @@
 wrapping the stage functions at every binding inside the `bhk` package, so
 calls made through a module's own import of a function are counted too. The
 size of every group join is recorded as well: no command enumerates Aut, so
-no join may reach |det| elements."""
+no join may reach |det| elements. The transpose takes its determinant and
+adjugate from A, and the direct and orbit routes read one unit-orbit
+partition per group, so each of those is built once per side."""
 
 from __future__ import annotations
 
@@ -18,8 +20,10 @@ import bhk.cli as cli
 COUNTED = {
     "build_delsarte": "bhk.delsarte",
     "is_calabi_yau": "bhk.delsarte",
-    "transcendental_set": "bhk.picard",
-    "transcendental_set_orbits": "bhk.picard",
+    "det_adjugate": "bhk.arith",
+    "aged_elements": "bhk.picard",
+    "_direct_route": "bhk.picard",
+    "_orbit_route": "bhk.picard",
     "grading_set": "bhk.picard",
     "pairing": "bhk.duality",
     "atomic_decomposition": "bhk.smoothness",
@@ -62,12 +66,15 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     # J = SL on this matrix, so the pair has a single dual group.
     doc = {"matrix": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 42]], "group": "SL"}
     _run(tmp_path, capsys, "picard", doc)
-    assert calls["build_delsarte"] <= 2
+    assert calls["build_delsarte"] == 1
+    assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
     assert 0 < calls["largest join"] < 1764  # |det|: Aut is never enumerated
-    # each set-level route once per side
-    assert calls["transcendental_set"] == 2
-    assert calls["transcendental_set_orbits"] == 2
+    # each set-level route once per side, the direct and orbit routes from one
+    # table of aged elements per side
+    assert calls["_direct_route"] == 2
+    assert calls["_orbit_route"] == 2
     assert calls["grading_set"] == 2
+    assert calls["aged_elements"] == 2
     assert calls["pairing"] <= 16
     assert calls["atomic_decomposition"] <= 2
 

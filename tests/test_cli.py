@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import bhk.cli as cli
+from bhk.delsarte import Characteristic
 from bhk.duality import Workspace
-from bhk.errors import InternalCheckError, ParseError, SemanticError
+from bhk.errors import InternalCheckError, ParseError, SemanticError, TooLarge
 from conftest import A_EX_ROWS, A_F_ROWS
 from test_picard import flip_age_one_flags
 from test_smoothness import CY_NOT_QS_ROWS
@@ -375,6 +376,25 @@ def test_scan_rejects_range_above_limit_before_testing_primes(tmp_path, capsys):
     err = json.loads(captured.err)["error"]
     assert err["kind"] == "SemanticError"
     assert err["message"] == f"--primes-up-to {n} exceeds the limit 1000000"
+
+
+@pytest.mark.parametrize("n", [480, 5000])
+def test_oversized_sl_is_rejected_before_any_group_is_built(tmp_path, capsys, n):
+    """Rows (n,0,0,0), (0,n,0,0), (0,0,n,0), (3,0,0,1) are Calabi-Yau with
+    |SL| = n^2 and |J| = n. SL is bounded from |det| and the column sums of
+    B before J, SL or a user group is enumerated, so every command rejects
+    them as TooLarge at once, whatever n is."""
+    rows = [[n, 0, 0, 0], [0, n, 0, 0], [0, 0, n, 0], [3, 0, 0, 1]]
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"SL has {n * n} elements"):
+        Workspace(rows, Characteristic(0)).pair
+    assert time.perf_counter() - start < 0.010
+    for group in ("J", "SL", {"generators": [[1, n - 1, 0, 0]]}):
+        path = _write(tmp_path, "in.json", {"matrix": rows, "group": group})
+        for command in ("validate", "analyze", "mirror", "subgroups", "picard"):
+            assert cli.main([command, path]) == 1
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert (err["kind"], err["category"]) == ("TooLarge", "input")
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,18 @@ integral scaled inverse, against values frozen from independent computations."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import bhk.cli as cli
 import bhk.delsarte as delsarte
+import bhk.duality as duality
 
 from bhk import Characteristic, build_delsarte, is_calabi_yau, transpose
 from bhk.delsarte import is_prime
-from bhk.arith import IDENTITY4
+from bhk.arith import IDENTITY4, transpose_rows
 from bhk.errors import (
     CharDividesDet,
     InternalCheckError,
@@ -131,6 +133,25 @@ def test_identity_check_catches_a_wrong_adjugate_entry(tmp_path, capsys, monkeyp
     monkeypatch.setattr(delsarte, "det_adjugate", off_by_one)
     with pytest.raises(InternalCheckError, match="A B = B A = d I"):
         build(A_EX_ROWS)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": A_EX_ROWS}))
+    assert cli.main(["picard", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "InternalCheckError"
+
+
+def test_identity_check_catches_a_transpose_given_the_untransposed_adjugate(tmp_path, capsys, monkeypatch):
+    """`transpose` takes adj(A^T) = adj(A)^T from A instead of expanding A^T
+    again. Handed adj(A) itself on the chain example, whose adjugate is not
+    symmetric, it must fail A^T B^T = B^T A^T = d I: as an internal error,
+    exit status 2 on the command line."""
+    real = delsarte.transpose
+
+    def untransposed_adjugate(m, char):
+        return real(replace(m, adjugate=transpose_rows(m.adjugate)), char)
+
+    with pytest.raises(InternalCheckError, match="A B = B A = d I"):
+        untransposed_adjugate(build(A_EX_ROWS), CHAR0)
+    monkeypatch.setattr(duality, "transpose", untransposed_adjugate)
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"matrix": A_EX_ROWS}))
     assert cli.main(["picard", str(path)]) == 2

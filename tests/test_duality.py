@@ -14,7 +14,7 @@ from bhk import (
 )
 from bhk.duality import Workspace
 from bhk.symmetry import enumerate_intermediate
-from bhk.errors import InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError
+from bhk.errors import InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError, TooLarge
 from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
 from oracles import aut_group, dual_by_filter, sl_subgroup
 from test_smoothness import CY_NOT_QS_ROWS
@@ -203,6 +203,19 @@ def test_dual_of_trivial_and_full_groups(a_ex):
     trivial = subgroup_generated(a_ex.exponent, [])
     assert ws.dual(trivial) == aut_group(ws.transpose.matrix)
     assert ws.dual(aut_group(ws.primal.matrix)).order == 1
+
+
+def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
+    """|G^T| = |det| / |G| is known before the dual is solved for, and a dual
+    above the enumeration limit is rejected without building it."""
+    import bhk.duality as duality
+    import bhk.symmetry as symmetry
+
+    monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", 100)
+    monkeypatch.setattr(duality, "_closure", None)  # never reached
+    trivial = subgroup_generated(a_ex.exponent, [])
+    with pytest.raises(TooLarge, match="the dual group has 168 elements"):
+        Workspace(a_ex, CHAR0).dual(trivial)
 
 
 def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):

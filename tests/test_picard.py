@@ -146,9 +146,9 @@ def test_orbit_route_agrees(a_ex, a_f, loop_m, mixed_m):
 
 
 def test_orbit_decomposition_partitions(a_ex):
-    """The unit orbits both set-level routes build partition the aged
-    elements, each orbit closed under every unit multiple; the age table
-    follows the group's element order."""
+    """The unit orbits both group routes read partition the aged elements,
+    each listing its elements once and equal to the set of unit multiples mod
+    d of each of them; the age table follows the group's element order."""
     sl = sl_subgroup(aut_group(a_ex))
     ages, orbits = picard._unit_orbits(sl)
     aged = aged_elements(sl)
@@ -157,8 +157,9 @@ def test_orbit_decomposition_partitions(a_ex):
     assert set().union(*orbits) == set(ages)
     units = [t for t in range(1, 168) if t % 2 and t % 3 and t % 7]
     for orbit in orbits:
+        assert len(set(orbit)) == len(orbit)
         for c in orbit:
-            assert {tuple(t * x % 168 for x in c) for t in units} == orbit
+            assert {tuple(t * x % 168 for x in c) for t in units} == set(orbit)
 
 
 def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
@@ -210,21 +211,46 @@ def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
 
 
 def test_grading_route_catches_a_direct_route_on_p_power_orbits(a_ex, monkeypatch):
-    """The direct route with its verdict shared across, and its test run over,
-    the p-power orbit of an element (just the element in characteristic 0)
-    instead of its unit orbit."""
-    real = picard.transcendental_set
+    """The unit-orbit partition the direct and orbit routes share, corrupted
+    into p-power orbits {p^k a} (single elements in characteristic 0): both
+    routes then decide per p-power orbit and agree with each other, so the
+    grading route, built from j and h alone, is what must catch it."""
+    real = picard._unit_orbits
 
-    def on_p_power_orbits(group, char):
-        p = char.p if char.positive else 1
-        with monkeypatch.context() as patch:
-            patch.setattr(picard, "_units", lambda d: sorted({pow(p, k, d) for k in range(d)}))
-            return real(group, char)
+    def p_power_orbits(p):
+        def partition(group):
+            ages, _ = real(group)
+            d, orbits, seen = group.modulus, [], set()
+            for a in ages:
+                if a not in seen:
+                    orbits.append(sorted({tuple(pow(p, k, d) * c % d for c in a) for k in range(d)}))
+                    seen.update(orbits[-1])
+            return ages, orbits
 
-    monkeypatch.setattr(picard, "transcendental_set", on_p_power_orbits)
+        return partition
+
     for p in (0, 17):  # at p = 11 and 13 the p-power orbits give the same sets here
+        monkeypatch.setattr(picard, "_unit_orbits", p_power_orbits(p or 1))
         with pytest.raises(MethodMismatch, match="grading route"):
             picard_report(_mirror(a_ex, "SL", p))
+
+
+def test_grading_route_catches_a_direct_route_testing_one_element_per_orbit(a_ex, monkeypatch):
+    """The direct route may test one element per coset c <p> of a unit orbit,
+    where its p-power age sum is constant, but not one per orbit: run on each
+    orbit's first element (and its p-power coset) alone, it keeps too few
+    orbits, and the grading route catches it. In characteristic p that needs
+    an orbit with a coset whose age sum is 2 f, as at p = 11 on the rows
+    below."""
+    real = picard._direct_contributes
+
+    def first_element_only(orbit, ages, powers, d):
+        return real(orbit[:1], ages, powers, d)
+
+    monkeypatch.setattr(picard, "_direct_contributes", first_element_only)
+    for rows, p in ((a_ex.matrix, 0), ([[2, 0, 0, 0], [0, 6, 1, 0], [0, 0, 5, 1], [0, 0, 0, 5]], 11)):
+        with pytest.raises(MethodMismatch, match="grading route"):
+            picard_report(Workspace(rows, Characteristic(p), "SL").mirror)
 
 
 def test_direct_route_catches_a_grading_route_missing_a_unit(a_ex, monkeypatch):

@@ -17,7 +17,7 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from bhk.errors import InternalCheckError
+from bhk.errors import InternalCheckError, TooLarge
 from bhk.symmetry import _closure
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 from oracles import aut_group, lattice_by_joins, reference_closure, sl_subgroup
@@ -85,6 +85,17 @@ def test_sl_group_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
     monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: (*real(rows, d), (1, 0, 0, 0)))
     with pytest.raises(InternalCheckError, match="outside"):
         sl_group(a_f)
+
+
+def test_sl_group_is_bounded_before_it_is_built(monkeypatch):
+    """|SL| = |det| gcd(d, s) / d is checked against the limit before the
+    solve: 480^2 elements here, on rows that are Calabi-Yau but not
+    quasi-smooth."""
+    import bhk.symmetry as symmetry
+
+    monkeypatch.setattr(symmetry, "kernel_mod", None)  # never reached
+    with pytest.raises(TooLarge, match="SL has 230400 elements"):
+        sl_group(build([[480, 0, 0, 0], [0, 480, 0, 0], [0, 0, 480, 0], [3, 0, 0, 1]]))
 
 
 def test_grading_element_goldens(a_ex, a_f, loop_m, mixed_m):
