@@ -82,23 +82,55 @@ def minus_one_power_exists(p: int, m: int) -> bool:
     return False
 
 
-def _minor3(a: Matrix4, skip_row: int, skip_col: int) -> int:
-    r = [a[i] for i in range(4) if i != skip_row]
-    m = [[r[i][j] for j in range(4) if j != skip_col] for i in range(3)]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def det_adjugate(a: Matrix4) -> tuple[int, Matrix4]:
-    """Determinant and adjugate by cofactor expansion. The identity
-    A adj = adj A = det I is checked where the adjugate is used, in
-    `build_delsarte`, as A B = B A = d I for B = d adj / det."""
-    cof = [[(-1) ** (i + j) * _minor3(a, i, j) for j in range(4)] for i in range(4)]
-    det = sum(a[0][j] * cof[0][j] for j in range(4))
-    return det, tuple(tuple(cof[j][i] for j in range(4)) for i in range(4))
+    """Determinant and adjugate by Laplace expansion along rows 0-1: each is a
+    signed sum of products of a 2x2 minor s of rows 0-1 with the complementary
+    2x2 minor c of rows 2-3, or of one entry with such a minor, so twelve
+    minors give all of it, in integers. The identity A adj = adj A = det I is
+    checked where the adjugate is used, in `build_delsarte`, as A B = B A = d I
+    for B = d adj / det."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    # s_jk and c_jk: the minors of rows 0-1 and of rows 2-3 on columns j, k.
+    s01 = a00 * a11 - a10 * a01
+    s02 = a00 * a12 - a10 * a02
+    s03 = a00 * a13 - a10 * a03
+    s12 = a01 * a12 - a11 * a02
+    s13 = a01 * a13 - a11 * a03
+    s23 = a02 * a13 - a12 * a03
+    c01 = a20 * a31 - a30 * a21
+    c02 = a20 * a32 - a30 * a22
+    c03 = a20 * a33 - a30 * a23
+    c12 = a21 * a32 - a31 * a22
+    c13 = a21 * a33 - a31 * a23
+    c23 = a22 * a33 - a32 * a23
+    det = s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
+    adj = (
+        (
+            a11 * c23 - a12 * c13 + a13 * c12,
+            -a01 * c23 + a02 * c13 - a03 * c12,
+            a31 * s23 - a32 * s13 + a33 * s12,
+            -a21 * s23 + a22 * s13 - a23 * s12,
+        ),
+        (
+            -a10 * c23 + a12 * c03 - a13 * c02,
+            a00 * c23 - a02 * c03 + a03 * c02,
+            -a30 * s23 + a32 * s03 - a33 * s02,
+            a20 * s23 - a22 * s03 + a23 * s02,
+        ),
+        (
+            a10 * c13 - a11 * c03 + a13 * c01,
+            -a00 * c13 + a01 * c03 - a03 * c01,
+            a30 * s13 - a31 * s03 + a33 * s01,
+            -a20 * s13 + a21 * s03 - a23 * s01,
+        ),
+        (
+            -a10 * c12 + a11 * c02 - a12 * c01,
+            a00 * c12 - a01 * c02 + a02 * c01,
+            -a30 * s12 + a31 * s02 - a32 * s01,
+            a20 * s12 - a21 * s02 + a22 * s01,
+        ),
+    )
+    return det, adj
 
 
 def kernel_mod(rows: Sequence[Sequence[int]], d: int) -> tuple[Vector4, ...]:

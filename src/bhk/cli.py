@@ -10,6 +10,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -327,9 +328,51 @@ def _report(err: Exception) -> int:
 
 
 def _render(doc: dict, fmt: str) -> str:
+    """The report as text. The json format is the text of
+    `json.dumps(doc, sort_keys=True, indent=2)`, written by `_indented`
+    instead: with `indent` set, `json.dumps` leaves CPython's C encoder for
+    its pure-Python one, which cost more than any single stage of a small
+    report."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return _indented(doc, "\n")
     return "\n".join(_flatten(doc))
+
+
+def _indented(value, newline: str) -> str:
+    """JSON text of a value, keys sorted, each level indented two spaces more
+    than `newline`, the line break plus the enclosing indentation. Only the
+    types the sections produce are written: dicts with str keys, lists, str,
+    int, bool and None; any other type raises TypeError, as in `json.dumps`.
+    Strings go through the same escaping function `json.dumps` uses."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_indented(value[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = [_indented(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _flatten(value, prefix: str = "") -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .arith import Matrix4, Vector4, det_adjugate, matrix4, transpose_rows
@@ -133,14 +134,15 @@ def _check_construction(m, det, q, h, d, b):
 
     As B = d adj / det, the first is the adjugate identity A adj = adj A = det I,
     checked here and nowhere else."""
+    m_cols, b_cols = transpose_rows(m), transpose_rows(b)
     for i in range(4):
         for j in range(4):
-            ab = sum(m[i][k] * b[k][j] for k in range(4))
-            ba = sum(b[i][k] * m[k][j] for k in range(4))
+            ab = sum(map(mul, m[i], b_cols[j]))
+            ba = sum(map(mul, b[i], m_cols[j]))
             want = d if i == j else 0
             if ab != want or ba != want:
                 raise InternalCheckError("A B = B A = d I failed")
-    if any(sum(m[i][j] * q[j] for j in range(4)) != h for i in range(4)):
+    if any(sum(map(mul, row, q)) != h for row in m):
         raise InternalCheckError("A q = h (1,1,1,1) failed")
     if d % h != 0 or abs(det) % d != 0 or d**4 % abs(det) != 0:
         raise InternalCheckError(f"divisibility chain h | d | |det| | d^4 failed: {h}, {d}, {det}")

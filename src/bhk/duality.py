@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .arith import kernel_mod, transpose_rows
@@ -183,13 +184,19 @@ class Workspace:
             d, b = m.exponent, m.b_matrix
             check_order(abs(m.det) // group.order, "the dual group")
             xs = kernel_mod(group.generators, d)
-            gens = [tuple(sum(x[i] * b[i][j] for i in range(4)) % d for j in range(4)) for x in xs]
+            b_cols = transpose_rows(b)
+            gens = [tuple(sum(map(mul, x, col)) % d for col in b_cols) for x in xs]
             dual = _from_coords(d, _closure(d, gens))
-            if not all(in_kernel(transpose_rows(m.matrix), d, a) for a in dual.generators):
+            columns = transpose_rows(m.matrix)
+            if not all(in_kernel(columns, d, a) for a in dual.generators):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
-            if not all(in_kernel(m.matrix, d, g) for g in group.generators):
+            # A g for each generator g of G: g is in Aut(A) when every entry is
+            # 0 mod d, and a in G^T pairs with g to a . (A g) mod d^2.
+            images = [tuple(sum(map(mul, row, g)) for row in m.matrix) for g in group.generators]
+            if any(v % d for ag in images for v in ag):
                 raise InternalCheckError("a group generator is outside the kernel Aut(A)")
-            if any(_raw_pairing(m.matrix, d, a, g) for a in dual.generators for g in group.generators):
+            d2 = d * d
+            if any(sum(map(mul, a, ag)) % d2 for a in dual.generators for ag in images):
                 raise InternalCheckError("a dual generator pairs nontrivially with the group")
             if group.order * dual.order != abs(m.det):
                 raise InternalCheckError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 from typing import AbstractSet, Iterable, Sequence
 
 from .arith import euler_phi, kernel_mod
@@ -123,7 +124,11 @@ def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetryS
 def in_kernel(rows: Sequence[Sequence[int]], d: int, coords: Sequence[int]) -> bool:
     """Whether r . g = 0 mod d for every row r: g lies in Aut(A) when the rows
     are those of A, and in Aut(A^T) when they are its columns."""
-    return all(sum(r[j] * coords[j] for j in range(4)) % d == 0 for r in rows)
+    c0, c1, c2, c3 = coords
+    for r0, r1, r2, r3 in rows:
+        if (r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3) % d:
+            return False
+    return True
 
 
 def in_sl(m: DelsarteMatrix, coords: Sequence[int]) -> bool:
@@ -156,7 +161,7 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     """
     d, b = m.exponent, m.b_matrix
     s, index = check_sl_order(m)
-    gens = [tuple(sum(b[i][j] * x[j] for j in range(4)) % d for i in range(4)) for x in kernel_mod([s], d)]
+    gens = [tuple(sum(map(mul, row, x)) % d for row in b) for x in kernel_mod([s], d)]
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
     sl = _from_coords(d, _closure(d, gens))

@@ -66,6 +66,24 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4))
 
 
+def _minor3(a, skip_row: int, skip_col: int) -> int:
+    r = [a[i] for i in range(4) if i != skip_row]
+    m = [[r[i][j] for j in range(4) if j != skip_col] for i in range(3)]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def cofactor_det_adjugate(a) -> tuple:
+    """(det, adj) of a 4x4 integer matrix by cofactor expansion: adj is the
+    transpose of the cofactor matrix, det the expansion along row 0."""
+    cof = [[(-1) ** (i + j) * _minor3(a, i, j) for j in range(4)] for i in range(4)]
+    det = sum(a[0][j] * cof[0][j] for j in range(4))
+    return det, tuple(tuple(cof[j][i] for j in range(4)) for i in range(4))
+
+
 def inverse(m) -> tuple:
     """The exact inverse A^(-1) = adj / det, as Fractions."""
     return tuple(tuple(Fraction(m.adjugate[i][j], m.det) for j in range(4)) for i in range(4))

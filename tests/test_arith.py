@@ -22,7 +22,7 @@ from bhk.arith import (
     transpose_rows,
 )
 from conftest import A_EX_ROWS, build
-from oracles import inverse, mat_mul
+from oracles import cofactor_det_adjugate, inverse, mat_mul
 
 
 def test_matrix4_validation():
@@ -149,6 +149,28 @@ def test_det_matches_permutation_expansion():
         a = _random_matrix(rng)
         det, _ = det_adjugate(a)
         assert det == perm_det(a)
+
+
+_big = st.integers(min_value=-(10**6), max_value=10**6)
+_matrices = st.tuples(*[st.tuples(_big, _big, _big, _big)] * 4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_matrices, shape=st.sampled_from(["as drawn", "repeated row", "zero column", "row combination"]))
+def test_det_adjugate_matches_cofactor_expansion(a, shape):
+    """The complementary-minor formula against cofactor expansion, singular
+    matrices included: a repeated row, a zero column, a row that is a
+    combination of two others."""
+    if shape == "repeated row":
+        a = (a[0], a[1], a[2], a[1])
+    elif shape == "zero column":
+        a = tuple((r[0], r[1], 0, r[3]) for r in a)
+    elif shape == "row combination":
+        a = (a[0], a[1], a[2], tuple(x - 2 * y for x, y in zip(a[0], a[2])))
+    det, adj = det_adjugate(a)
+    assert (det, adj) == cofactor_det_adjugate(a)
+    if shape != "as drawn":
+        assert det == 0
 
 
 def test_delsarte_inverse_exact():
