@@ -363,10 +363,7 @@ def _indented(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in value):
-            items = map(str, value)
-        else:
-            items = [_indented(x, inner) for x in value]
+        items = [_indented(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if value is None:
         return "null"

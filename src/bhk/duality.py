@@ -61,15 +61,17 @@ def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
         raise ValueError(f"{a} is not in the transposed kernel")
     if not in_kernel(m.matrix, d, b):
         raise ValueError(f"{b} is not in the kernel")
-    return _raw_pairing(m.matrix, d, a, b)
+    return _raw_pairing(d, a, _image(m.matrix, b))
 
 
-def _raw_pairing(matrix, d, a, b) -> int:
-    total = 0
-    for i in range(4):
-        for j in range(4):
-            total += a[i] * matrix[i][j] * b[j]
-    return total % (d * d)
+def _image(matrix, b) -> tuple[int, ...]:
+    """A b, the column that any a pairs with as a . (A b)."""
+    return tuple(sum(map(mul, row, b)) for row in matrix)
+
+
+def _raw_pairing(d: int, a, image) -> int:
+    """a A b mod d^2, given image = A b from `_image`."""
+    return sum(map(mul, a, image)) % (d * d)
 
 
 class _Side:
@@ -190,13 +192,10 @@ class Workspace:
             columns = transpose_rows(m.matrix)
             if not all(in_kernel(columns, d, a) for a in dual.generators):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
-            # A g for each generator g of G: g is in Aut(A) when every entry is
-            # 0 mod d, and a in G^T pairs with g to a . (A g) mod d^2.
-            images = [tuple(sum(map(mul, row, g)) for row in m.matrix) for g in group.generators]
-            if any(v % d for ag in images for v in ag):
+            if not all(in_kernel(m.matrix, d, g) for g in group.generators):
                 raise InternalCheckError("a group generator is outside the kernel Aut(A)")
-            d2 = d * d
-            if any(sum(map(mul, a, ag)) % d2 for a in dual.generators for ag in images):
+            images = [_image(m.matrix, g) for g in group.generators]
+            if any(_raw_pairing(d, a, ag) for a in dual.generators for ag in images):
                 raise InternalCheckError("a dual generator pairs nontrivially with the group")
             if group.order * dual.order != abs(m.det):
                 raise InternalCheckError(
