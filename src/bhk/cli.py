@@ -248,7 +248,7 @@ def _check_duality(lattice, duals, transpose_degree: int) -> None:
         raise InternalCheckError("G -> G^T is not injective on the intermediate groups")
     for g, g_dual in zip(lattice, duals):
         for h, h_dual in zip(lattice, duals):
-            if h.order % g.order == 0 and g.is_subgroup_of(h) and not h_dual.is_subgroup_of(g_dual):
+            if h.order % g.order == 0 and g <= h and not h_dual <= g_dual:
                 raise InternalCheckError("G -> G^T does not reverse inclusion on the intermediate groups")
     if duals[-1].order != transpose_degree:
         raise InternalCheckError(

@@ -21,8 +21,7 @@ from .errors import (
 from .smoothness import AdequacyReport, adequacy
 from .symmetry import (
     SymmetrySubgroup,
-    _closure,
-    _from_coords,
+    _span,
     check_order,
     check_sl_order,
     in_kernel,
@@ -154,9 +153,9 @@ class Workspace:
             )
         if not self.primal.calabi_yau:
             raise SemanticError(f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}")
-        if not self.primal.j.is_subgroup_of(group):
+        if not self.primal.j <= group:
             raise SemanticError("group does not contain the grading element")
-        if not group.is_subgroup_of(self.primal.sl):
+        if not group <= self.primal.sl:
             raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
 
     @cached_property
@@ -188,7 +187,7 @@ class Workspace:
             xs = kernel_mod(group.generators, d)
             b_cols = transpose_rows(b)
             gens = [tuple(sum(map(mul, x, col)) % d for col in b_cols) for x in xs]
-            dual = _from_coords(d, _closure(d, gens))
+            dual = SymmetrySubgroup(d, _span(d, gens)[0])
             columns = transpose_rows(m.matrix)
             if not all(in_kernel(columns, d, a) for a in dual.generators):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
@@ -215,7 +214,7 @@ class Workspace:
             )
         mt = self.transpose.matrix
         dual = self.dual(pair.group)
-        if not self.transpose.j.is_subgroup_of(dual) or not dual.is_subgroup_of(self.transpose.sl):
+        if not self.transpose.j <= dual <= self.transpose.sl:
             raise InternalCheckError("dual group escaped the J..SL window of the transpose")
         report = adequacy(mt, dual, self.char)
         if not report.verdict:

@@ -3,13 +3,13 @@ membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
 SL itself from a Smith-normal-form solve that never enumerates Aut, the
 grading element j, and enumeration of the groups between J and SL, by one
 join per cyclic subgroup of SL/J. An element is a plain tuple of four
-coordinates reduced to [0, d), and a group is the sorted tuple of its
+coordinates reduced to [0, d), and a group is the frozenset of its
 elements. Every group is built by one primitive, the join G + <g> of a
 subgroup with one element."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import AbstractSet, Iterable, Sequence
@@ -35,10 +35,11 @@ def check_order(order: int, name: str) -> None:
 
 
 def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
-    """G + <g> for a subgroup G: the union of the cosets G + k g for k = 0, 1,
-    ..., each stepped from the one before by adding g, up to the first k with
-    k g in G, which is when the coset's first element x + k g lies in G."""
-    g0, g1, g2, g3 = (c % modulus for c in g)
+    """G + <g> for a subgroup G and a reduced g: the union of the cosets
+    G + k g for k = 0, 1, ..., each stepped from the one before by adding g,
+    up to the first k with k g in G, which is when the coset's first element
+    x + k g lies in G."""
+    g0, g1, g2, g3 = g
     out = set(group)
     coset = list(group)
     while True:
@@ -51,63 +52,49 @@ def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
         out.update(coset)
 
 
-def _closure(modulus: int, gens: Iterable[Coords]) -> set[Coords]:
-    """Closure of the generators under addition mod the modulus."""
+def _span(modulus: int, gens: Iterable[Coords]) -> tuple[set[Coords], tuple[Coords, ...]]:
+    """(G, U): G is the subgroup generated by the reduced generators, and U
+    those of them that enlarged it, as each is joined to the group of those
+    before it unless it already lies in it. Over a group's sorted elements U
+    is the greedy walk that picks its reported generators."""
     group = {ZERO}
+    used = []
     for g in gens:
-        group = _join(modulus, group, g)
-    return group
+        if g not in group:
+            used.append(g)
+            group = _join(modulus, group, g)
+    return group, tuple(used)
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetrySubgroup:
-    """A subgroup of (Z/d)^4: its elements as a sorted tuple of coordinate
-    tuples reduced to [0, d), and generators in the same form.
+class SymmetrySubgroup(frozenset):
+    """A subgroup of (Z/d)^4: the frozenset of its elements, coordinate
+    tuples reduced to [0, d), with its modulus.
 
-    Equality and hashing use the modulus and the elements only, so two
-    descriptions of the same subgroup compare equal regardless of the
-    generators used. A frozenset of the elements is the membership index.
+    Equality, hashing, membership and inclusion (`<=`) are the set's, so two
+    descriptions of the same subgroup compare equal regardless of their
+    generators, and of their modulus. `elements` (sorted) and `generators`
+    (the given ones, or else the greedy walk over `elements`) are computed
+    when first read.
     """
 
-    modulus: int
-    elements: tuple[Coords, ...]
-    generators: tuple[Coords, ...]
-    order: int
-    _element_set: frozenset[Coords] = field(init=False, repr=False)
+    def __new__(cls, modulus: int, elements: Iterable[Coords], generators: Iterable[Coords] | None = None):
+        group = super().__new__(cls, elements)
+        group.modulus = modulus
+        if generators is not None:
+            group.generators = tuple(generators)
+        return group
 
-    def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
+    @property
+    def order(self) -> int:
+        return len(self)
 
-    def __contains__(self, g: Coords) -> bool:
-        return g in self._element_set
+    @cached_property
+    def elements(self) -> tuple[Coords, ...]:
+        return tuple(sorted(self))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetrySubgroup):
-            return NotImplemented
-        return self.modulus == other.modulus and self._element_set == other._element_set
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self._element_set))
-
-    def is_subgroup_of(self, other: "SymmetrySubgroup") -> bool:
-        return self.modulus == other.modulus and self._element_set <= other._element_set
-
-
-def _greedy_generators(modulus: int, coords_sorted: Sequence[Coords]) -> tuple[Coords, ...]:
-    gens: list[Coords] = []
-    covered = {ZERO}
-    for c in coords_sorted:
-        if c not in covered:
-            gens.append(c)
-            covered = _join(modulus, covered, c)
-    return tuple(gens)
-
-
-def _from_coords(modulus: int, coords: Iterable[Coords], generators=None) -> SymmetrySubgroup:
-    elements = tuple(sorted(set(coords) | {ZERO}))
-    if generators is None:
-        generators = _greedy_generators(modulus, elements)
-    return SymmetrySubgroup(modulus, elements, tuple(generators), len(elements))
+    @cached_property
+    def generators(self) -> tuple[Coords, ...]:
+        return _span(self.modulus, self.elements)[1]
 
 
 def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetrySubgroup:
@@ -118,7 +105,7 @@ def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetryS
             raise ValueError(f"generator {tuple(g)} does not have 4 coordinates")
         reduced.append(tuple(x % modulus for x in g))
     kept = tuple(c for c in reduced if c != ZERO)
-    return _from_coords(modulus, _closure(modulus, reduced), generators=kept)
+    return SymmetrySubgroup(modulus, _span(modulus, reduced)[0], kept)
 
 
 def in_kernel(rows: Sequence[Sequence[int]], d: int, coords: Sequence[int]) -> bool:
@@ -164,7 +151,7 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     gens = [tuple(sum(map(mul, row, x)) % d for row in b) for x in kernel_mod([s], d)]
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
-    sl = _from_coords(d, _closure(d, gens))
+    sl = SymmetrySubgroup(d, _span(d, gens)[0])
     if sl.order * index != abs(m.det):
         raise InternalCheckError(
             f"|SL| d / gcd(d, s) = {sl.order} * {index} differs from |det| = {abs(m.det)}"
@@ -202,7 +189,7 @@ def _generating_cosets(modulus: int, j_group: SymmetrySubgroup, e: Coords) -> tu
         tuple((a + b) % modulus for a, b in zip(multiples[k], x))
         for k in range(1, n)
         if gcd(k, n) == 1
-        for x in j_group.elements
+        for x in j_group
     }
     return n, cosets
 
@@ -220,11 +207,11 @@ def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> l
     Cross-checked on every call: the generator classes partition SL minus J,
     so |J| + sum over r of |J| phi(n_r) = |SL|.
     """
-    if not j_group.is_subgroup_of(sl):
+    if not j_group <= sl:
         raise ValueError("J is not contained in SL")
     d = sl.modulus
-    known = {frozenset(j_group.elements)}
-    marked = set(j_group.elements)
+    known = {SymmetrySubgroup(d, j_group)}  # its generators are the greedy walk's, like every G's
+    marked = set(j_group)
     covered = j_group.order
     for e in sl.elements:
         if e in marked:
@@ -232,11 +219,9 @@ def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> l
         n, cosets = _generating_cosets(d, j_group, e)
         marked |= cosets
         covered += j_group.order * euler_phi(n)
-        known.update([frozenset(_join(d, g, e)) for g in known if e not in g])
+        known.update([SymmetrySubgroup(d, _join(d, g, e)) for g in known if e not in g])
     if covered != sl.order:
         raise InternalCheckError(
             f"generator classes of SL/J cover {covered} elements, |SL| = {sl.order}"
         )
-    groups = [_from_coords(d, coords) for coords in known]
-    groups.sort(key=lambda g: (g.order, g.elements))
-    return groups
+    return sorted(known, key=lambda g: (g.order, g.elements))

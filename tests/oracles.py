@@ -51,14 +51,14 @@ def aut_group(m) -> SymmetrySubgroup:
     d = m.exponent
     cols = [tuple(m.b_matrix[i][j] % d for i in range(4)) for j in range(4)]
     elements = tuple(sorted(reference_closure(d, cols)))
-    return SymmetrySubgroup(d, elements, tuple(dict.fromkeys(c for c in cols if c != ZERO)), len(elements))
+    return SymmetrySubgroup(d, elements, tuple(dict.fromkeys(c for c in cols if c != ZERO)))
 
 
 def sl_subgroup(aut) -> SymmetrySubgroup:
     """The coordinate-sum-zero subgroup SL of a kernel, by filtering its elements."""
     d = aut.modulus
     elements = tuple(e for e in aut.elements if sum(e) % d == 0)
-    return SymmetrySubgroup(d, elements, greedy_generators(d, elements), len(elements))
+    return SymmetrySubgroup(d, elements, greedy_generators(d, elements))
 
 
 def mat_mul(a, b) -> tuple:

@@ -212,7 +212,7 @@ def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
     import bhk.symmetry as symmetry
 
     monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", 100)
-    monkeypatch.setattr(duality, "_closure", None)  # never reached
+    monkeypatch.setattr(duality, "_span", None)  # never reached
     trivial = subgroup_generated(a_ex.exponent, [])
     with pytest.raises(TooLarge, match="the dual group has 168 elements"):
         Workspace(a_ex, CHAR0).dual(trivial)
@@ -244,7 +244,7 @@ def test_dual_checks_each_generator_in_its_kernel(rows):
 def test_dual_checks_each_dual_generator_in_the_transposed_kernel(a_ex, monkeypatch):
     import bhk.duality as duality
 
-    real = duality._closure
-    monkeypatch.setattr(duality, "_closure", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
+    real = duality._span
+    monkeypatch.setattr(duality, "_span", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
     with pytest.raises(InternalCheckError, match="outside the transposed kernel"):
         Workspace(a_ex, CHAR0).dual(j_subgroup(a_ex))

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhk import (
+    Workspace,
     enumerate_intermediate,
     j_element,
     j_subgroup,
@@ -17,10 +18,10 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from bhk.errors import InternalCheckError, TooLarge
-from bhk.symmetry import _closure
+from bhk.errors import InternalCheckError, SemanticError, TooLarge
+from bhk.symmetry import _span
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
-from oracles import aut_group, lattice_by_joins, reference_closure, sl_subgroup
+from oracles import aut_group, greedy_generators, lattice_by_joins, reference_closure, sl_subgroup
 
 
 def test_aut_orders(a_ex, a_f, loop_m, mixed_m):
@@ -54,7 +55,7 @@ def test_sl_orders(a_ex, a_f, loop_m, mixed_m):
     for m, order in ((a_ex, 21), (a_f, 64), (loop_m, 20), (mixed_m, 16)):
         sl = sl_subgroup(aut_group(m))
         assert sl.order == order
-        assert sl.is_subgroup_of(aut_group(m))
+        assert sl <= aut_group(m)
         assert all(sum(e) % m.exponent == 0 for e in sl.elements)
 
 
@@ -117,7 +118,7 @@ def test_grading_element_in_sl(a_ex, a_f, loop_m, mixed_m):
         sl = sl_subgroup(aut_group(m))
         assert j_element(m) in sl
         assert j_subgroup(m).order == m.degree
-        assert j_subgroup(m).is_subgroup_of(sl)
+        assert j_subgroup(m) <= sl
 
 
 def test_grading_element_needs_calabi_yau():
@@ -143,7 +144,9 @@ def test_subgroup_membership_checks_modulus(a_ex):
     sl = sl_subgroup(aut_group(a_ex))
     assert (48, 72, 24, 24) in sl
     assert (48 + 168, 72, 24, 24) not in sl  # members are reduced mod d
-    assert not subgroup_generated(84, [(48, 72, 24, 24)]).is_subgroup_of(sl)
+    # a group compares as its element set, so the workspace checks the modulus
+    with pytest.raises(SemanticError, match="group modulus 84 does not match the exponent 168"):
+        Workspace(A_EX_ROWS, CHAR0, subgroup_generated(84, [(48, 72, 24, 24)])).pair
 
 
 def test_generators_regenerate(a_ex, a_f, loop_m, mixed_m):
@@ -171,8 +174,7 @@ def test_intermediate_lattice_bounds(a_f):
     assert lattice[0] == j
     assert lattice[-1] == sl
     for g in lattice:
-        assert j.is_subgroup_of(g)
-        assert g.is_subgroup_of(sl)
+        assert j <= g <= sl
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,11 +187,15 @@ def test_closure_matches_breadth_first_reference(data):
     if gens and data.draw(st.booleans()):
         gens[-1] = gens[0]
     reference = reference_closure(d, gens)
-    assert _closure(d, gens) == reference
+    reduced = [tuple(c % d for c in g) for g in gens]
+    spanned, used = _span(d, reduced)
+    assert spanned == reference
+    assert reference_closure(d, used) == reference
+    assert all(u not in reference_closure(d, used[:i]) for i, u in enumerate(used))
+    assert _span(d, sorted(reference))[1] == greedy_generators(d, reference)
     group = subgroup_generated(d, gens)
     assert group.elements == tuple(sorted(reference))
     assert group.order == len(reference)
-    reduced = [tuple(c % d for c in g) for g in gens]
     assert group.generators == tuple(g for g in reduced if g != (0, 0, 0, 0))
 
 
