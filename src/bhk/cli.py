@@ -8,11 +8,10 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import Matrix4, matrix4
 from .delsarte import Characteristic, DelsarteMatrix, is_prime
@@ -41,8 +40,7 @@ _ALLOWED_KEYS = {"matrix", "group", "characteristic"}
 MAX_PRIMES_UP_TO = 10**6
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(NamedTuple):
     """Parsed input document: matrix rows, group selector, characteristic."""
 
     matrix: Matrix4
@@ -214,7 +212,7 @@ def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
         "degree": report.degree,
         "mirror_degree": report.mirror_degree,
         "primes_up_to": primes_up_to,
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [r._asdict() for r in report.rows],
         "skipped": [{"prime": p, "reason": reason} for p, reason in report.skipped],
         "supersingular_primal_residues": list(report.supersingular_primal_residues),
         "supersingular_mirror_residues": list(report.supersingular_mirror_residues),
@@ -271,8 +269,7 @@ _SECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     help: str
     sections: tuple[str, ...]
     characteristic: int | None = None  # overrides the document's

@@ -3,10 +3,9 @@ and the integral matrix B = d A^(-1)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import Matrix4, Vector4, det_adjugate, matrix4, transpose_rows
 from .errors import (
@@ -50,23 +49,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """Base field characteristic: zero or a prime below _PRIME_TEST_BOUND."""
-
+class _CharacteristicFields(NamedTuple):
     p: int = 0
 
-    def __post_init__(self):
-        if self.p != 0 and not is_prime(self.p):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
+
+class Characteristic(_CharacteristicFields):
+    """Base field characteristic: zero or a prime below _PRIME_TEST_BOUND."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int = 0):
+        if p != 0 and not is_prime(p):
+            raise ValueError(f"characteristic must be 0 or prime, got {p}")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it; checked like a new one
+        return cls(*iterable)
 
     @property
     def positive(self) -> bool:
         return self.p > 0
 
 
-@dataclass(frozen=True)
-class DelsarteMatrix:
+class DelsarteMatrix(NamedTuple):
     """A validated matrix of exponents together with its cached derived data.
 
     weights q and degree h satisfy A q = h (1,1,1,1) with gcd(q) = 1; the

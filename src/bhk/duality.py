@@ -5,10 +5,9 @@ way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import kernel_mod, transpose_rows
 from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
@@ -32,8 +31,7 @@ from .symmetry import (
 )
 
 
-@dataclass(frozen=True)
-class BhkPair:
+class BhkPair(NamedTuple):
     """A validated (matrix, group) pair at a fixed characteristic."""
 
     matrix: DelsarteMatrix
@@ -42,8 +40,7 @@ class BhkPair:
     adequacy: AdequacyReport
 
 
-@dataclass(frozen=True)
-class MirrorPair:
+class MirrorPair(NamedTuple):
     primal: BhkPair
     mirror: BhkPair
 
@@ -172,12 +169,12 @@ class Workspace:
         for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
         mod d^2. So G^T is the image under x -> x B mod d of the solutions of
         x . g = 0 mod d over the generators g of G, solved by `kernel_mod`
-        without enumerating Aut(A^T). Cross-checked on every call: each
-        generator of G^T lies in Aut(A^T) and each generator of G in Aut(A),
-        each tested once; each generator of G^T pairs to zero with each
-        generator of G; and |G| |G^T| = |det|. As the pairing is perfect, these
-        together pin G^T down. A^T is validated first, so an invalid transpose
-        is reported as the input error it is.
+        without enumerating Aut(A^T). Cross-checked on every call, on the
+        solutions that enlarged G^T as it was spanned, which generate it: each
+        lies in Aut(A^T) and each generator of G in Aut(A), each tested once;
+        each pairs to zero with each generator of G; and |G| |G^T| = |det|. As
+        the pairing is perfect, these together pin G^T down. A^T is validated
+        first, so an invalid transpose is reported as the input error it is.
         """
         if group not in self._duals:
             self.transpose.matrix  # raises the input error of an invalid A^T
@@ -187,14 +184,15 @@ class Workspace:
             xs = kernel_mod(group.generators, d)
             b_cols = transpose_rows(b)
             gens = [tuple(sum(map(mul, x, col)) % d for col in b_cols) for x in xs]
-            dual = SymmetrySubgroup(d, _span(d, gens)[0])
+            elements, used = _span(d, gens)
+            dual = SymmetrySubgroup(d, elements)
             columns = transpose_rows(m.matrix)
-            if not all(in_kernel(columns, d, a) for a in dual.generators):
+            if not all(in_kernel(columns, d, a) for a in used):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
             if not all(in_kernel(m.matrix, d, g) for g in group.generators):
                 raise InternalCheckError("a group generator is outside the kernel Aut(A)")
             images = [_image(m.matrix, g) for g in group.generators]
-            if any(_raw_pairing(d, a, ag) for a in dual.generators for ag in images):
+            if any(_raw_pairing(d, a, ag) for a in used for ag in images):
                 raise InternalCheckError("a dual generator pairs nontrivially with the group")
             if group.order * dual.order != abs(m.det):
                 raise InternalCheckError(

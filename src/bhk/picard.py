@@ -15,7 +15,6 @@ built from j and h alone, shares no code with the partition and catches it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
@@ -247,8 +246,7 @@ def grading_set(m: DelsarteMatrix, char: Characteristic) -> tuple[Coords, ...]:
     return tuple(sorted(_scaled(j, k, d) for k in range(1, h) if gcd(k, h) == 1))
 
 
-@dataclass(frozen=True)
-class PicardReport:
+class PicardReport(NamedTuple):
     rho_primal: int
     rho_mirror: int
     methods: Mapping[str, tuple[int, int]]
@@ -281,8 +279,7 @@ def picard_report(mp: MirrorPair) -> PicardReport:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     prime: int
     residue_primal: int
     residue_mirror: int
@@ -292,8 +289,7 @@ class ScanRow:
     supersingular_mirror: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     degree: int
     mirror_degree: int
     rows: tuple[ScanRow, ...]

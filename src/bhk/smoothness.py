@@ -4,7 +4,6 @@ and the combined adequacy verdict for a pair. An atom is one `Atom` tuple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -25,8 +24,7 @@ class Atom(NamedTuple):
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     quasi_smooth: bool
     well_formed: bool
     weight_triple_gcd_ok: bool

@@ -16,6 +16,7 @@ import bhk.cli as cli
 from bhk.delsarte import Characteristic
 from bhk.duality import Workspace
 from bhk.errors import InternalCheckError, ParseError, SemanticError, TooLarge
+from bhk.picard import picard_report, prime_scan
 from conftest import A_EX_ROWS, A_F_ROWS
 from test_picard import flip_age_one_flags
 from test_smoothness import CY_NOT_QS_ROWS
@@ -527,3 +528,48 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every command pays for `import bhk.cli` once; `dataclasses`, and the
+    `inspect` it imports, cost more than the rest of that import together."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import bhk.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    # -I -S: no environment, no site-packages, so nothing but bhk imports anything
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _records():
+    ws = Workspace(A_EX_ROWS, Characteristic(0))
+    mp = ws.mirror
+    scan = prime_scan(mp, [5])
+    return {
+        "Characteristic": ws.char,
+        "DelsarteMatrix": ws.primal.matrix,
+        "AdequacyReport": ws.pair.adequacy,
+        "BhkPair": ws.pair,
+        "MirrorPair": mp,
+        "PicardReport": picard_report(mp),
+        "ScanRow": scan.rows[0],
+        "ScanReport": scan,
+        "InputSpec": cli.parse_input(json.dumps(A_EX_DOC)),
+        "_Command": cli._COMMANDS["picard"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_are_immutable(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

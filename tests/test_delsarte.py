@@ -4,7 +4,6 @@ integral scaled inverse, against values frozen from independent computations."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +35,8 @@ def test_characteristic_validation():
     for bad in (-1, 1, 4, 6, 9, 3317044064679887385961981):
         with pytest.raises(ValueError):
             Characteristic(bad)
+        with pytest.raises(ValueError):
+            Characteristic(7)._replace(p=bad)
 
 
 def _is_prime_by_trial_division(n):
@@ -147,7 +148,7 @@ def test_identity_check_catches_a_transpose_given_the_untransposed_adjugate(tmp_
     real = delsarte.transpose
 
     def untransposed_adjugate(m, char):
-        return real(replace(m, adjugate=transpose_rows(m.adjugate)), char)
+        return real(m._replace(adjugate=transpose_rows(m.adjugate)), char)
 
     with pytest.raises(InternalCheckError, match="A B = B A = d I"):
         untransposed_adjugate(build(A_EX_ROWS), CHAR0)
