@@ -24,7 +24,6 @@ from .errors import (
 )
 from .picard import picard_closed_form, picard_report, prime_scan
 from .smoothness import AdequacyReport, Atom
-from .symmetry import enumerate_intermediate
 
 TOOL_VERSION = "0.1.0"
 
@@ -161,6 +160,10 @@ def _mirror_section(ws: Workspace) -> dict:
     mt, slt, jt = ws.transpose.matrix, ws.transpose.sl, ws.transpose.j
     dual_of_j = ws.dual(ws.primal.j)
     dual_of_sl = ws.dual(ws.primal.sl)
+    if dual_of_j != slt:
+        raise InternalCheckError("the dual of J differs from SL of the transpose")
+    if dual_of_sl != jt:
+        raise InternalCheckError("the dual of SL differs from J of the transpose")
     return {
         "weights": list(mt.weights),
         "degree": mt.degree,
@@ -174,8 +177,8 @@ def _mirror_section(ws: Workspace) -> dict:
         },
         "dual_of_j_order": dual_of_j.order,
         "dual_of_sl_order": dual_of_sl.order,
-        "dual_of_j_equals_mirror_sl": dual_of_j == slt,
-        "dual_of_sl_equals_mirror_j": dual_of_sl == jt,
+        "dual_of_j_equals_mirror_sl": True,  # checked above
+        "dual_of_sl_equals_mirror_j": True,
         "adequacy": _adequacy_section(mp.mirror.adequacy),
     }
 
@@ -226,31 +229,31 @@ def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
 
 
 def _subgroups_section(ws: Workspace) -> dict:
-    lattice = enumerate_intermediate(ws.primal.j, ws.primal.sl)
-    for g in lattice:
-        ws.check(g)
-    duals = [ws.dual(g) for g in lattice]
-    _check_duality(lattice, duals, ws.transpose.matrix.degree)
+    lattice = ws.lattice
+    _check_duality(lattice, ws.transpose.j)
     entries = [
         {"order": g.order, "generators": [list(x) for x in g.generators], "dual_order": dual.order}
-        for g, dual in zip(lattice, duals)
+        for g, dual in lattice
     ]
     return {"count": len(entries), "groups": entries}
 
 
-def _check_duality(lattice, duals, transpose_degree: int) -> None:
-    """G -> G^T on the lattice [J, SL] (sorted, SL last) is injective and
-    reverses inclusion, and the dual of SL, which is J^T, has the transpose's
-    degree as its order; InternalCheckError otherwise."""
+def _check_duality(lattice, transpose_j) -> None:
+    """G -> G^T on the lattice [J, SL] ((G, G^T) pairs sorted by order, SL
+    last) is injective and reverses inclusion, and the dual of SL is J of
+    the transpose; InternalCheckError otherwise. A group lies only in groups
+    after it."""
+    duals = [dual for _, dual in lattice]
     if len(set(duals)) != len(duals):
         raise InternalCheckError("G -> G^T is not injective on the intermediate groups")
-    for g, g_dual in zip(lattice, duals):
-        for h, h_dual in zip(lattice, duals):
-            if h.order % g.order == 0 and g <= h and not h_dual <= g_dual:
+    for i, (g, g_dual) in enumerate(lattice):
+        for h, h_dual in lattice[i + 1 :]:
+            if g <= h and not h_dual <= g_dual:
                 raise InternalCheckError("G -> G^T does not reverse inclusion on the intermediate groups")
-    if duals[-1].order != transpose_degree:
+    if duals[-1] != transpose_j:
         raise InternalCheckError(
-            f"the dual of SL has order {duals[-1].order}, the transpose's degree is {transpose_degree}"
+            f"the dual of SL, of order {duals[-1].order}, differs from J of the transpose, "
+            f"of order {transpose_j.order}"
         )
 
 

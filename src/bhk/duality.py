@@ -1,7 +1,7 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
 and construction of the transposed (mirror) pair. A Workspace is the one
-way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)` and
-`.mirror`, each built once per input."""
+way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)`, `.mirror`
+and `.lattice`, each built once per input."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arith import kernel_mod, transpose_rows
-from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, transpose
+from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, transpose
 from .errors import (
     InternalCheckError,
     MirrorNotAdequate,
@@ -23,6 +23,7 @@ from .symmetry import (
     _span,
     check_order,
     check_sl_order,
+    enumerate_intermediate,
     in_kernel,
     in_sl,
     j_subgroup,
@@ -70,10 +71,16 @@ def _raw_pairing(d: int, a, image) -> int:
     return sum(map(mul, a, image)) % (d * d)
 
 
+def _annihilator(d: int, group: SymmetrySubgroup, image) -> SymmetrySubgroup:
+    """The elements a of a subgroup of Aut(A^T) with a A e = 0 mod d^2, given
+    image = A e: for the dual H^T of H, the dual of H + <e>."""
+    return SymmetrySubgroup(d, [a for a in group if not _raw_pairing(d, a, image)])
+
+
 class _Side:
-    """One side of the pair: a matrix, whether it is Calabi-Yau, and its
-    groups SL (solved from the matrix, never enumerating Aut) and J, each
-    built on first use from the matrix builder and kept."""
+    """One side of the pair: a matrix and its groups SL (solved from the
+    matrix, never enumerating Aut) and J, each built on first use from the
+    matrix builder and kept."""
 
     def __init__(self, build_matrix):
         self._build_matrix = build_matrix
@@ -85,10 +92,6 @@ class _Side:
     @cached_property
     def sl(self) -> SymmetrySubgroup:
         return sl_group(self.matrix)
-
-    @cached_property
-    def calabi_yau(self) -> bool:
-        return is_calabi_yau(self.matrix)
 
     @cached_property
     def j(self) -> SymmetrySubgroup:
@@ -148,9 +151,12 @@ class Workspace:
             raise SemanticError(
                 f"group modulus {group.modulus} does not match the exponent {m.exponent}"
             )
-        if not self.primal.calabi_yau:
-            raise SemanticError(f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}")
-        if not self.primal.j <= group:
+        try:
+            j = self.primal.j  # defined exactly on Calabi-Yau matrices
+        except ValueError:
+            message = f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}"
+            raise SemanticError(message) from None
+        if not j <= group:
             raise SemanticError("group does not contain the grading element")
         if not group <= self.primal.sl:
             raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
@@ -200,6 +206,37 @@ class Workspace:
                 )
             self._duals[group] = dual
         return self._duals[group]
+
+    @cached_property
+    def lattice(self) -> list[tuple[SymmetrySubgroup, SymmetrySubgroup]]:
+        """(G, G^T) for every G with J <= G <= SL, in the order of
+        `enumerate_intermediate`, which starts with J.
+
+        A^T is validated first, so an invalid transpose is reported before
+        the lattice is enumerated. The dual of J is the one `dual` solve,
+        with all of its checks. Every other G is H + <e> for the pair (H, e)
+        it `covers`, with H before it, and its dual is derived from H^T: the
+        part of H^T that pairs to zero with e. Cross-checked on
+        every call: J <= G <= SL (`check`), and |G| |G^T| = |det| for each
+        derived dual, which a dual missing the pairing test with e would fail.
+        """
+        self.transpose.matrix  # raises the input error of an invalid A^T
+        m = self.primal.matrix
+        d, det = m.exponent, abs(m.det)
+        duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
+        for group in enumerate_intermediate(self.primal.j, self.primal.sl):
+            self.check(group)
+            if group.covers is None:
+                dual = self.dual(group)
+            else:
+                h, e = group.covers
+                dual = _annihilator(d, duals[h], _image(m.matrix, e))
+                if group.order * dual.order != det:
+                    raise InternalCheckError(
+                        f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {det}"
+                    )
+            duals[group] = dual
+        return list(duals.items())
 
     @cached_property
     def mirror(self) -> MirrorPair:

@@ -2,14 +2,15 @@
 membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
 SL itself from a Smith-normal-form solve that never enumerates Aut, the
 grading element j, and enumeration of the groups between J and SL, by one
-join per cyclic subgroup of SL/J. An element is a plain tuple of four
-coordinates reduced to [0, d), and a group is the frozenset of its
-elements. Every group is built by one primitive, the join G + <g> of a
-subgroup with one element."""
+join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
+tuple of four coordinates reduced to [0, d), and a group is the frozenset
+of its elements. Every group is built by one primitive, the join G + <g> of
+a subgroup with one element, on elements or on the cosets of J."""
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import AbstractSet, Iterable, Sequence
@@ -74,8 +75,11 @@ class SymmetrySubgroup(frozenset):
     descriptions of the same subgroup compare equal regardless of their
     generators, and of their modulus. `elements` (sorted) and `generators`
     (the given ones, or else the greedy walk over `elements`) are computed
-    when first read.
+    when first read. `covers` is None, except on the groups of
+    `enumerate_intermediate`.
     """
+
+    covers: tuple[SymmetrySubgroup, Coords] | None = None
 
     def __new__(cls, modulus: int, elements: Iterable[Coords], generators: Iterable[Coords] | None = None):
         group = super().__new__(cls, elements)
@@ -176,52 +180,100 @@ def j_subgroup(m: DelsarteMatrix) -> SymmetrySubgroup:
     return subgroup_generated(m.exponent, [j_element(m)])
 
 
-def _generating_cosets(modulus: int, j_group: SymmetrySubgroup, e: Coords) -> tuple[int, set[Coords]]:
-    """(n, C): n is the order of e mod J, and C the elements that generate
-    J + <e> mod J, i.e. the cosets k e + J with gcd(k, n) = 1."""
-    multiples = [ZERO]
-    k_e = e
-    while k_e not in j_group:
-        multiples.append(k_e)
-        k_e = tuple((a + b) % modulus for a, b in zip(k_e, e))
+def _cosets(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[Coords]]]:
+    """(index, cosets): the cosets x + J of J in SL, in the order of their
+    least elements x, each listed from x, and the position in that list of
+    each element's coset. J itself, the coset of 0, comes first."""
+    d = sl.modulus
+    index: dict[Coords, int] = {}
+    cosets = []
+    for x0, x1, x2, x3 in sl.elements:
+        if (x0, x1, x2, x3) not in index:
+            coset = [
+                ((x0 + j0) % d, (x1 + j1) % d, (x2 + j2) % d, (x3 + j3) % d) for j0, j1, j2, j3 in j_group.elements
+            ]
+            index.update(dict.fromkeys(coset, len(cosets)))
+            cosets.append(coset)
+    return index, cosets
+
+
+def _generator_classes(row: Sequence[int]) -> tuple[int, list[int]]:
+    """(n, C) for the coset q + J whose addition maps coset i to coset
+    row[i]: n is its order in SL/J, and C the cosets k q + J with
+    gcd(k, n) = 1, those that generate the same cyclic subgroup of SL/J."""
+    multiples = [0]
+    k_q = row[0]
+    while k_q:
+        multiples.append(k_q)
+        k_q = row[k_q]
     n = len(multiples)
-    cosets = {
-        tuple((a + b) % modulus for a, b in zip(multiples[k], x))
-        for k in range(1, n)
-        if gcd(k, n) == 1
-        for x in j_group
-    }
-    return n, cosets
+    return n, [c for k, c in enumerate(multiples) if gcd(k, n) == 1]
+
+
+def _join_cosets(row: Sequence[int], group: frozenset[int]) -> frozenset[int]:
+    """H + <q> for a subgroup H of SL/J, given as its coset positions, and
+    the coset q + J whose addition is `row`: `_join` on cosets, each step
+    one lookup per coset."""
+    out = set(group)
+    coset = list(group)
+    while True:
+        coset = [row[c] for c in coset]
+        if coset[0] in group:
+            return frozenset(out)
+        out.update(coset)
 
 
 def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> list[SymmetrySubgroup]:
     """All subgroups G with J <= G <= SL, ordered by size then element list.
 
-    Joins one representative e per cyclic subgroup J + <e> of SL/J to every
-    group found so far: walking SL in sorted order, each unmarked e is a
-    representative and marks the elements that generate J + <e> mod J (only
-    those: J + <2e> needs its own representative). After representatives
-    r_1, ..., r_k the groups found are the J + <S> for S a subset of them, so
-    after all of them they are every G, as G is the sum of the J + <e> over
-    its elements e, each equal to J + <r> for a representative r in G.
-    Cross-checked on every call: the generator classes partition SL minus J,
-    so |J| + sum over r of |J| phi(n_r) = |SL|.
+    SL is split into the cosets of J once, and the walk runs on SL/J, each
+    coset by its position. It joins one representative q per cyclic
+    subgroup J + <q> to every group found so far, adding q by one
+    precomputed row, coset -> coset + q. Walking the cosets in order of
+    their least elements, each unmarked coset's least element q is a
+    representative, and marks the cosets that generate J + <q> mod J (only
+    those: J + <2q> needs its own representative). After representatives
+    q_1, ..., q_k the groups found are the J + <S> for S a subset of them,
+    so after all of them they are every G, as G is the sum of the J + <e>
+    over its elements e, each equal to J + <q> for a representative q in G.
+    Each group is lifted to its elements once, as the union of its cosets.
+    Each G but J has `covers`, a pair (H, q) with G = H + <q>, where H is
+    a largest group returned below G and q the least element of G outside
+    it. Nothing lies strictly between H and G, so G/H has prime order and
+    any such q generates it.
+
+    Cross-checked on every call: the cosets have |J| elements each and
+    cover SL, and the generator classes partition SL/J minus J, so
+    1 + sum over q of phi(n_q) is the number of cosets.
     """
     if not j_group <= sl:
         raise ValueError("J is not contained in SL")
     d = sl.modulus
-    known = {SymmetrySubgroup(d, j_group)}  # its generators are the greedy walk's, like every G's
-    marked = set(j_group)
-    covered = j_group.order
-    for e in sl.elements:
-        if e in marked:
-            continue
-        n, cosets = _generating_cosets(d, j_group, e)
-        marked |= cosets
-        covered += j_group.order * euler_phi(n)
-        known.update([SymmetrySubgroup(d, _join(d, g, e)) for g in known if e not in g])
-    if covered != sl.order:
+    index, cosets = _cosets(j_group, sl)
+    if len(cosets) * j_group.order != sl.order:
         raise InternalCheckError(
-            f"generator classes of SL/J cover {covered} elements, |SL| = {sl.order}"
+            f"{len(cosets)} cosets of J of {j_group.order} elements each, |SL| = {sl.order}"
         )
-    return sorted(known, key=lambda g: (g.order, g.elements))
+    reps = [coset[0] for coset in cosets]
+    found = {frozenset([0])}
+    marked = {0}
+    covered = 1
+    for i, q in enumerate(reps):
+        if i in marked:
+            continue
+        q0, q1, q2, q3 = q
+        row = [index[(x0 + q0) % d, (x1 + q1) % d, (x2 + q2) % d, (x3 + q3) % d] for x0, x1, x2, x3 in reps]
+        n, generating = _generator_classes(row)
+        marked.update(generating)
+        covered += euler_phi(n)
+        for group in list(found):
+            if i not in group:
+                found.add(_join_cosets(row, group))
+    if covered != len(cosets):
+        raise InternalCheckError(f"generator classes of SL/J cover {covered} of its {len(cosets)} cosets")
+    lifted = {key: SymmetrySubgroup(d, chain.from_iterable(cosets[i] for i in key)) for key in found}
+    by_size = sorted(found, key=len)
+    for k, key in enumerate(by_size[1:], 1):
+        below = max((h for h in by_size[:k] if h < key), key=len)
+        lifted[key].covers = (lifted[below], reps[min(key - below)])
+    return sorted(lifted.values(), key=lambda g: (g.order, g.elements))

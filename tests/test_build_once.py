@@ -82,13 +82,21 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     assert calls["atomic_decomposition"] <= 2
 
 
-def test_subgroups_builds_each_side_once(tmp_path, capsys, calls):
+def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, monkeypatch):
+    import bhk.duality as duality
+
+    real = duality.kernel_mod
+    solves = []
+    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: solves.append(rows) or real(rows, d))
     doc = {"matrix": [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], "group": "SL", "characteristic": 5}
     _run(tmp_path, capsys, "subgroups", doc)
     assert calls["build_delsarte"] <= 2
     assert 0 < calls["largest join"] < 256  # |det|: Aut is never enumerated
     assert calls["is_calabi_yau"] <= 2  # not once per intermediate group
-    # one join per cyclic subgroup of SL/J, not per element of SL; dual groups
-    # are walked for generators only where they are printed
-    assert calls["_join"] <= 122
-    assert calls["_raw_pairing"] == 77
+    # the lattice is walked on the cosets of J, so element joins only build
+    # SL, J, J^T, the dual of J and the printed generators
+    assert calls["_join"] <= 46
+    # the dual of J is the one solve; each of the other 14 duals is the part
+    # of a largest smaller group's dual that pairs to zero with one element
+    assert solves == [((1, 1, 1, 1),)]  # over the generator of J
+    assert calls["_raw_pairing"] == 475

@@ -16,6 +16,7 @@ import bhk.cli as cli
 from bhk.delsarte import Characteristic
 from bhk.duality import Workspace
 from bhk.errors import InternalCheckError, ParseError, SemanticError, TooLarge
+from bhk.symmetry import SymmetrySubgroup
 from bhk.picard import picard_report, prime_scan
 from conftest import A_EX_ROWS, A_F_ROWS
 from test_picard import flip_age_one_flags
@@ -172,10 +173,20 @@ def test_subgroups_golden():
     ]
 
 
+def _doctor_lattice(monkeypatch, doctor) -> None:
+    """Replace `Workspace.lattice` by doctor(ws, lattice) over the real one."""
+    real = Workspace.lattice.func
+    monkeypatch.setattr(Workspace, "lattice", property(lambda ws: doctor(ws, real(ws))))
+
+
 def test_subgroups_duality_check_catches_a_repeated_dual(monkeypatch):
-    """A dual-group solve that gives SL the dual of J makes G -> G^T non-injective."""
-    real = Workspace.dual
-    monkeypatch.setattr(Workspace, "dual", lambda ws, g: real(ws, ws.primal.j if g == ws.primal.sl else g))
+    """A lattice that gives SL the dual of J makes G -> G^T non-injective."""
+
+    def repeated(ws, lattice):
+        j_dual = lattice[0][1]
+        return [(g, j_dual if g == ws.primal.sl else dual) for g, dual in lattice]
+
+    _doctor_lattice(monkeypatch, repeated)
     with pytest.raises(InternalCheckError, match="not injective"):
         cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
 
@@ -183,15 +194,59 @@ def test_subgroups_duality_check_catches_a_repeated_dual(monkeypatch):
 def test_subgroups_duality_check_catches_swapped_duals(monkeypatch):
     """Giving J the dual of SL and SL the dual of J keeps G -> G^T injective but
     no longer inclusion-reversing."""
+
+    def swapped(ws, lattice):
+        duals = dict(lattice)
+        j, sl = ws.primal.j, ws.primal.sl
+        return [(g, duals[sl] if g == j else duals[j] if g == sl else dual) for g, dual in lattice]
+
+    _doctor_lattice(monkeypatch, swapped)
+    with pytest.raises(InternalCheckError, match="reverse inclusion"):
+        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
+
+
+def test_subgroups_duality_check_requires_the_dual_of_sl_to_be_j_of_the_transpose(monkeypatch):
+    """Negating the second coordinate is an automorphism of Aut(A^T) = (Z/4)^4
+    for the Fermat quartic. Applied to every dual it keeps their orders, and
+    G -> G^T injective and inclusion-reversing, but moves J^T = <(1,1,1,1)>
+    to <(1,3,1,1)>; only the comparison with J of the transpose catches it."""
+
+    def negated(ws, lattice):
+        d = ws.primal.matrix.exponent
+
+        def negate(group):
+            return SymmetrySubgroup(d, [(a0, -a1 % d, a2, a3) for a0, a1, a2, a3 in group])
+
+        return [(g, negate(dual)) for g, dual in lattice]
+
+    _doctor_lattice(monkeypatch, negated)
+    with pytest.raises(InternalCheckError, match="differs from J of the transpose"):
+        cli.run_command("subgroups", cli.parse_input(json.dumps({"matrix": [list(r) for r in A_F_ROWS]})))
+
+
+@pytest.mark.parametrize(
+    "doctored, message",
+    [
+        ("J", "the dual of J differs from SL of the transpose"),
+        ("SL", "the dual of SL differs from J of the transpose"),
+    ],
+)
+def test_mirror_section_checks_its_printed_equalities(monkeypatch, doctored, message):
+    """A dual solve that hands J the dual of SL, or SL the dual of J, turns
+    one printed equality false, which is an internal error, not a report."""
     real = Workspace.dual
 
     def swapped(ws, g):
         j, sl = ws.primal.j, ws.primal.sl
-        return real(ws, sl if g == j else j if g == sl else g)
+        if doctored == "J" and g == j:
+            return real(ws, sl)
+        if doctored == "SL" and g == sl:
+            return real(ws, j)
+        return real(ws, g)
 
     monkeypatch.setattr(Workspace, "dual", swapped)
-    with pytest.raises(InternalCheckError, match="reverse inclusion"):
-        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
+    with pytest.raises(InternalCheckError, match=message):
+        cli.run_command("mirror", cli.parse_input(json.dumps(A_EX_DOC)))
 
 
 def test_scan_golden_and_forces_characteristic_zero():
@@ -356,6 +411,24 @@ def test_subgroups_rejects_invalid_transpose(tmp_path, capsys, rows, kind):
     err = json.loads(captured.err)
     assert err["error"]["kind"] == kind
     assert err["error"]["category"] == "input"
+
+
+def test_subgroups_rejects_invalid_transpose_before_enumerating_the_lattice(tmp_path, capsys, monkeypatch):
+    """Rows (96,0,0,0), (0,96,0,0), (0,0,96,0), (3,0,0,1) are Calabi-Yau, with
+    |SL| = 9,216, and their transpose has a nonpositive weight. A^T is
+    validated before the lattice of SL/J is enumerated."""
+    import bhk.duality as duality
+
+    real = duality.enumerate_intermediate
+    enumerated = []
+    monkeypatch.setattr(duality, "enumerate_intermediate", lambda j, sl: enumerated.append(sl) or real(j, sl))
+    rows = [[96, 0, 0, 0], [0, 96, 0, 0], [0, 0, 96, 0], [3, 0, 0, 1]]
+    path = _write(tmp_path, "in.json", {"matrix": rows})
+    assert cli.main(["subgroups", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "NonpositiveWeight"
+    assert enumerated == []
 
 
 def test_main_scan(tmp_path, capsys):

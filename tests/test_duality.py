@@ -182,9 +182,16 @@ def test_double_dual_returns_group(a_ex, mixed_m):
 
 
 def _assert_duals_match_filter(m):
+    """Each dual of the lattice, derived from the dual of the group it
+    covers, equals a fresh `dual` solve in another workspace, and the solve
+    equals the filter over Aut(A^T)."""
     ws = Workspace(m, CHAR0)
-    for group in enumerate_intermediate(ws.primal.j, ws.primal.sl):
-        got = ws.dual(group)
+    solver = Workspace(m, CHAR0)
+    lattice = ws.lattice
+    assert [g for g, _ in lattice] == enumerate_intermediate(ws.primal.j, ws.primal.sl)
+    for group, derived in lattice:
+        got = solver.dual(group)
+        assert derived == got
         assert (got.elements, got.generators) == dual_by_filter(m, ws.transpose.matrix, group.generators)
 
 
@@ -195,7 +202,17 @@ def test_dual_matches_filter_on_fixtures(a_ex, a_f, loop_m, mixed_m):
 
 def test_dual_matches_filter_on_small_catalog():
     for m in cy_catalog_small():
-        _assert_duals_match_filter(m)
+        for side in (m, transpose(m, CHAR0)):
+            _assert_duals_match_filter(side)
+
+
+def test_lattice_order_identity_catches_a_derivation_skipping_the_pairing_test(a_f, monkeypatch):
+    """Keeping all of H^T as the dual of H + <e> gives |G| |G^T| = 2 |det| or more."""
+    import bhk.duality as duality
+
+    monkeypatch.setattr(duality, "_annihilator", lambda d, group, image: group)
+    with pytest.raises(InternalCheckError, match="differs from"):
+        Workspace(a_f, CHAR0).lattice
 
 
 def test_dual_of_trivial_and_full_groups(a_ex):

@@ -206,6 +206,18 @@ def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
         sl = sl_subgroup(aut_group(m))
         lattice = enumerate_intermediate(j, sl)
         assert {frozenset(g.elements) for g in lattice} == lattice_by_joins(j, sl)
+        _assert_covers(lattice)
+
+
+def _assert_covers(lattice):
+    """J covers nothing; every other G covers (H, q) with H in the lattice,
+    G the closure of H and q, and no group strictly between H and G."""
+    assert lattice[0].covers is None
+    for g in lattice[1:]:
+        h, q = g.covers
+        assert h in lattice and q in g and q not in h
+        assert reference_closure(g.modulus, [*h.generators, q]) == g
+        assert not any(h < k < g for k in lattice)
 
 
 def _quotient_case(d):
@@ -232,21 +244,37 @@ def test_intermediate_lattice_on_random_quotients(case):
     lattice = enumerate_intermediate(j, sl)
     assert {frozenset(g.elements) for g in lattice} == lattice_by_joins(j, sl)
     assert [(g.order, g.elements) for g in lattice] == sorted((g.order, g.elements) for g in lattice)
+    _assert_covers(lattice)
 
 
 def test_partition_check_catches_an_overmarking(a_f, monkeypatch):
     """Marking all of J + <e>, not just its generators, skips J + <2e>; the
-    generator classes then no longer add up to |SL|."""
+    generator classes then no longer add up to |SL/J|."""
     import bhk.symmetry as symmetry
 
-    real = symmetry._generating_cosets
+    real = symmetry._generator_classes
 
-    def whole_cyclic_group(modulus, j_group, e):
-        n, _ = real(modulus, j_group, e)
-        return n, symmetry._join(modulus, set(j_group.elements), e)
+    def whole_cyclic_group(row):
+        n, _ = real(row)
+        return n, symmetry._join_cosets(row, frozenset([0]))
 
-    monkeypatch.setattr(symmetry, "_generating_cosets", whole_cyclic_group)
+    monkeypatch.setattr(symmetry, "_generator_classes", whole_cyclic_group)
     with pytest.raises(InternalCheckError, match="generator classes"):
+        enumerate_intermediate(j_subgroup(a_f), sl_group(a_f))
+
+
+def test_coset_count_check_catches_a_lost_coset(a_f, monkeypatch):
+    """Cosets of J that do not cover SL no longer have |SL| elements in all."""
+    import bhk.symmetry as symmetry
+
+    real = symmetry._cosets
+
+    def without_last(j_group, sl):
+        index, cosets = real(j_group, sl)
+        return index, cosets[:-1]
+
+    monkeypatch.setattr(symmetry, "_cosets", without_last)
+    with pytest.raises(InternalCheckError, match="cosets of J"):
         enumerate_intermediate(j_subgroup(a_f), sl_group(a_f))
 
 
