@@ -147,7 +147,7 @@ def _groups_section(ws: Workspace) -> dict:
     side, group = ws.primal, ws.pair.group
     return {
         "aut_order": abs(side.matrix.det),
-        "sl_order": side.sl.order,
+        "sl_order": side.sl_order,  # counted, not enumerated
         "j_order": side.j.order,
         "group_order": group.order,
         "j": list(side.j.generators[0]),

@@ -9,7 +9,7 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .arith import kernel_mod, transpose_rows
+from .arith import transpose_rows
 from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, transpose
 from .errors import (
     InternalCheckError,
@@ -20,7 +20,6 @@ from .errors import (
 from .smoothness import AdequacyReport, adequacy
 from .symmetry import (
     SymmetrySubgroup,
-    _span,
     check_order,
     check_sl_order,
     enumerate_intermediate,
@@ -28,6 +27,7 @@ from .symmetry import (
     in_sl,
     j_subgroup,
     sl_group,
+    solved_span,
     subgroup_generated,
 )
 
@@ -80,10 +80,14 @@ def _annihilator(d: int, group: SymmetrySubgroup, image) -> SymmetrySubgroup:
 class _Side:
     """One side of the pair: a matrix and its groups SL (solved from the
     matrix, never enumerating Aut) and J, each built on first use from the
-    matrix builder and kept."""
+    matrix builder and kept. SL is solved through `solves`, the memo of
+    `solved_span` that the side shares with the other side and the dual
+    groups; it holds results only, never the Workspace, so a finished
+    Workspace is freed by reference counting alone."""
 
-    def __init__(self, build_matrix):
+    def __init__(self, build_matrix, solves: dict):
         self._build_matrix = build_matrix
+        self._solves = solves
 
     @cached_property
     def matrix(self) -> DelsarteMatrix:
@@ -91,11 +95,18 @@ class _Side:
 
     @cached_property
     def sl(self) -> SymmetrySubgroup:
-        return sl_group(self.matrix)
+        return sl_group(self.matrix, self._solves)
 
     @cached_property
     def j(self) -> SymmetrySubgroup:
         return j_subgroup(self.matrix)
+
+    @cached_property
+    def sl_order(self) -> int:
+        """|SL|, counted by `check_sl_order` without building SL, which
+        raises TooLarge above the enumeration limit; `sl_group` checks it
+        against SL wherever SL is built."""
+        return abs(self.matrix.det) // check_sl_order(self.matrix)[1]
 
 
 class Workspace:
@@ -104,48 +115,52 @@ class Workspace:
     It holds one characteristic and both sides of the pair: `primal` (A) and
     `transpose` (A^T), each with its matrix, SL and J; the resolved
     group G; the validated `pair` and `mirror` pair; and the dual groups,
-    memoized by group. `matrix` is rows (validated on first use) or a built
-    DelsarteMatrix; `group` is "J", "SL", generator coordinates, or a
-    SymmetrySubgroup.
+    memoized by group. SL of A^T and the dual of J are one solve: the row
+    sums of B = d A^(-1) are B 1 = (d/h) q = j, so SL of A^T solves j . x = 0
+    and maps x to x B, as the dual of J does; `solved_span` keeps that
+    result, and `sl_group` and `dual` each run their own checks on it.
+    `matrix` is rows (validated on first use) or a built DelsarteMatrix;
+    `group` is "J", "SL", generator coordinates, or a SymmetrySubgroup.
     """
 
     def __init__(self, matrix, char: Characteristic, group="J"):
         self.char = char
         self._group_spec = group
+        self._solves: dict = {}
         if isinstance(matrix, DelsarteMatrix):
-            primal = _Side(lambda: matrix)
+            primal = _Side(lambda: matrix, self._solves)
         else:
-            primal = _Side(lambda: build_delsarte(matrix, char))
+            primal = _Side(lambda: build_delsarte(matrix, char), self._solves)
         self.primal = primal
-        self.transpose = _Side(lambda: transpose(primal.matrix, char))
+        self.transpose = _Side(lambda: transpose(primal.matrix, char), self._solves)
         self._duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
 
     @cached_property
     def group(self) -> SymmetrySubgroup:
         """G from its description. |SL| is bounded first, as J, SL and G all
-        lie in SL; generators must lie in SL, which is tested on each
-        generator before any group beyond J is built."""
+        lie in SL. G <= SL is decided on what G is resolved from, without
+        building SL: `in_sl` on j for J, on each generator (before any group
+        beyond J is built) for generators, and trivially for SL."""
         spec = self._group_spec
         if isinstance(spec, SymmetrySubgroup):
             return spec
-        check_sl_order(self.primal.matrix)
+        m = self.primal.matrix
+        self.primal.sl_order  # raises TooLarge when SL, and so G, is over the limit
         try:
             jg = self.primal.j
         except ValueError as err:
             raise SemanticError(str(err)) from err
-        if spec == "J":
-            return jg
         if spec == "SL":
             return self.primal.sl
-        m = self.primal.matrix
-        for g in spec:
+        for g in jg.generators if spec == "J" else spec:
             coords = tuple(x % m.exponent for x in g)
             if not in_sl(m, coords):
                 raise SemanticError(f"generator {list(coords)} is outside the coordinate-sum-zero kernel")
-        return subgroup_generated(m.exponent, spec)
+        return jg if spec == "J" else subgroup_generated(m.exponent, spec)
 
-    def check(self, group: SymmetrySubgroup) -> None:
-        """Raise SemanticError unless J <= group <= SL on a Calabi-Yau matrix."""
+    def check(self, group: SymmetrySubgroup, in_sl_known: bool = False) -> None:
+        """Raise SemanticError unless J <= group <= SL on a Calabi-Yau matrix.
+        G <= SL is tested against SL, built for it, unless `in_sl_known`."""
         m = self.primal.matrix
         if group.modulus != m.exponent:
             raise SemanticError(
@@ -158,14 +173,16 @@ class Workspace:
             raise SemanticError(message) from None
         if not j <= group:
             raise SemanticError("group does not contain the grading element")
-        if not group <= self.primal.sl:
+        if not in_sl_known and not group <= self.primal.sl:
             raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
 
     @cached_property
     def pair(self) -> BhkPair:
-        """The pair (A, G), checked and with its adequacy report attached."""
+        """The pair (A, G), checked and with its adequacy report attached. A
+        G resolved from a document is known to lie in SL (`group`), so SL is
+        built only for a G given as a SymmetrySubgroup."""
         m, group = self.primal.matrix, self.group
-        self.check(group)
+        self.check(group, in_sl_known=not isinstance(self._group_spec, SymmetrySubgroup))
         return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
 
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
@@ -174,8 +191,9 @@ class Workspace:
         The rows of B = d A^(-1) generate Aut(A^T), so every a in it is x B mod d
         for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
         mod d^2. So G^T is the image under x -> x B mod d of the solutions of
-        x . g = 0 mod d over the generators g of G, solved by `kernel_mod`
-        without enumerating Aut(A^T). Cross-checked on every call, on the
+        x . g = 0 mod d over the generators g of G, solved by `solved_span`
+        without enumerating Aut(A^T); for J, the solve is SL of A^T's.
+        Cross-checked on every call, on the
         solutions that enlarged G^T as it was spanned, which generate it: each
         lies in Aut(A^T) and each generator of G in Aut(A), each tested once;
         each pairs to zero with each generator of G; and |G| |G^T| = |det|. As
@@ -185,13 +203,9 @@ class Workspace:
         if group not in self._duals:
             self.transpose.matrix  # raises the input error of an invalid A^T
             m = self.primal.matrix
-            d, b = m.exponent, m.b_matrix
+            d = m.exponent
             check_order(abs(m.det) // group.order, "the dual group")
-            xs = kernel_mod(group.generators, d)
-            b_cols = transpose_rows(b)
-            gens = [tuple(sum(map(mul, x, col)) % d for col in b_cols) for x in xs]
-            elements, used = _span(d, gens)
-            dual = SymmetrySubgroup(d, elements)
+            dual, _, used = solved_span(d, group.generators, transpose_rows(m.b_matrix), self._solves)
             columns = transpose_rows(m.matrix)
             if not all(in_kernel(columns, d, a) for a in used):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
@@ -248,7 +262,9 @@ class Workspace:
                 report=pair.adequacy,
             )
         mt = self.transpose.matrix
-        dual = self.dual(pair.group)
+        group = pair.group
+        # a G equal to J is solved over j, the solve SL^T shares
+        dual = self.dual(self.primal.j if group == self.primal.j else group)
         if not self.transpose.j <= dual <= self.transpose.sl:
             raise InternalCheckError("dual group escaped the J..SL window of the transpose")
         report = adequacy(mt, dual, self.char)

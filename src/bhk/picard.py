@@ -54,21 +54,24 @@ def age(d: int, coords: Sequence[int]) -> int:
     return total // d
 
 
-def aged_elements(group: SymmetrySubgroup) -> tuple[AgedElement, ...]:
-    """Elements of the group with all coordinates nonzero, with their ages,
-    in the group's (sorted) element order.
+def aged_elements(group: SymmetrySubgroup) -> dict[Coords, int]:
+    """The age table of a group: its elements with all coordinates nonzero,
+    each mapped to its age, in the group's (sorted) element order.
 
-    The group must lie in the coordinate-sum-zero part of (Z/d)^4.
+    Built in one pass: each element's coordinate sum is tested once, and
+    for an element with no zero coordinate, the age is that sum over d (its
+    coordinates are already reduced). The group must lie in the
+    coordinate-sum-zero part of (Z/d)^4, else HNotInMd.
     """
     d = group.modulus
+    ages = {}
     for e in group.elements:
-        if sum(e) % d != 0:
-            raise HNotInMd(f"element {e} has coordinate sum {sum(e) % d} mod {d}")
-    return tuple(AgedElement(e, age(d, e)) for e in group.elements if 0 not in e)
-
-
-def _scaled(coords, t: int, d: int):
-    return tuple(t * c % d for c in coords)
+        total = sum(e)
+        if total % d:
+            raise HNotInMd(f"element {e} has coordinate sum {total % d} mod {d}")
+        if 0 not in e:
+            ages[e] = total // d
+    return ages
 
 
 def _check_char(char: Characteristic, d: int) -> None:
@@ -91,7 +94,7 @@ def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[
     orbit of a of order n lists t a for t over the units mod n, onto which the
     units mod d reduce, so each of its elements appears once."""
     d = group.modulus
-    ages = dict(aged_elements(group))
+    ages = aged_elements(group)
     units: dict[int, list[int]] = {}
     orbits: list[list[Coords]] = []
     seen: set[Coords] = set()
@@ -155,15 +158,18 @@ def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Ch
     {p^k c} has unequal counts of age-one and age-three elements."""
     if not char.positive:
         return any(ages[c] == 1 for c in orbit)
+    p = char.p
     rest = set(orbit)
     while rest:
-        suborbit = [rest.pop()]
-        c = _scaled(suborbit[0], char.p, d)
-        while c != suborbit[0]:
-            suborbit.append(c)
-            c = _scaled(c, char.p, d)
-        rest.difference_update(suborbit)
-        sub_ages = [ages[c] for c in suborbit]
+        c = first = rest.pop()
+        sub_ages = []
+        while True:
+            sub_ages.append(ages[c])
+            c0, c1, c2, c3 = c
+            c = (p * c0 % d, p * c1 % d, p * c2 % d, p * c3 % d)
+            if c == first:
+                break
+            rest.discard(c)
         if sub_ages.count(1) != sub_ages.count(3):
             return True
     return False
@@ -242,8 +248,9 @@ def grading_set(m: DelsarteMatrix, char: Characteristic) -> tuple[Coords, ...]:
     _check_char(char, d)
     if char.positive and minus_one_power_exists(char.p, h):
         return ()
-    j = j_element(m)
-    return tuple(sorted(_scaled(j, k, d) for k in range(1, h) if gcd(k, h) == 1))
+    j0, j1, j2, j3 = j_element(m)
+    units = [k for k in range(1, h) if gcd(k, h) == 1]
+    return tuple(sorted((k * j0 % d, k * j1 % d, k * j2 % d, k * j3 % d) for k in units))
 
 
 class PicardReport(NamedTuple):

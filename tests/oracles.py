@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from bhk import AgedElement, Characteristic, SymmetrySubgroup, aged_elements, multiplicative_order
+from bhk import AgedElement, Characteristic, SymmetrySubgroup, age, multiplicative_order
 from bhk.errors import CharDividesD
 
 ZERO = (0, 0, 0, 0)
@@ -147,7 +147,7 @@ def transcendental_set_by_element(group, char: Characteristic) -> tuple[AgedElem
     d = group.modulus
     if char.positive and d % char.p == 0:
         raise CharDividesD(f"characteristic {char.p} divides the exponent {d}")
-    aged = aged_elements(group)
+    aged = [AgedElement(e, age(d, e)) for e in group.elements if 0 not in e]
     lookup = dict(aged)
     units = _units(d)
     out = []

@@ -4,7 +4,9 @@ calls made through a module's own import of a function are counted too. The
 size of every group join is recorded as well: no command enumerates Aut, so
 no join may reach |det| elements. The transpose takes its determinant and
 adjugate from A, and the direct and orbit routes read one unit-orbit
-partition per group, so each of those is built once per side."""
+partition per group, so each of those is built once per side. Smith-normal-
+form solves are counted too: SL of A^T and the dual of J are one. No
+command builds SL to check a pair, and no Workspace outlives its run."""
 
 from __future__ import annotations
 
@@ -62,10 +64,39 @@ def _run(tmp_path, capsys, command: str, doc: dict) -> None:
     capsys.readouterr()
 
 
-def test_picard_builds_each_object_once(tmp_path, capsys, calls):
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The rows of every Smith-normal-form solve, in order: SL and the dual
+    groups are all solved through `symmetry.solved_span`."""
+    import bhk.symmetry as symmetry
+
+    real = symmetry.kernel_mod
+    rows_solved: list = []
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: rows_solved.append(rows) or real(rows, d))
+    return rows_solved
+
+
+CHAIN = {"matrix": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 6, 1], [0, 0, 0, 7]], "group": "J"}
+
+
+def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, solves):
+    """The row sums of B are j, so SL of A^T and the dual of J are one solve,
+    over the rows (j); on the chain with J the other two are SL of A and the
+    dual of SL."""
+    _run(tmp_path, capsys, "picard", CHAIN)
+    j, j_t = (48, 72, 24, 24), (84, 42, 21, 21)
+    assert len(solves) == 3
+    assert solves.count((j,)) == 1
+    assert solves.count((j_t,)) == 1  # SL of A: the column sums of B are j of A^T
+
+
+def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     # J = SL on this matrix, so the pair has a single dual group.
     doc = {"matrix": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 42]], "group": "SL"}
     _run(tmp_path, capsys, "picard", doc)
+    # A = A^T, so SL of A, SL of A^T, the dual of J and so of G = SL = J
+    # are one solve, over the rows (j)
+    assert solves == [((21, 14, 6, 1),)]
     assert calls["build_delsarte"] == 1
     assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
     assert 0 < calls["largest join"] < 1764  # |det|: Aut is never enumerated
@@ -82,12 +113,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls):
     assert calls["atomic_decomposition"] <= 2
 
 
-def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, monkeypatch):
-    import bhk.duality as duality
-
-    real = duality.kernel_mod
-    solves = []
-    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: solves.append(rows) or real(rows, d))
+def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
     doc = {"matrix": [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], "group": "SL", "characteristic": 5}
     _run(tmp_path, capsys, "subgroups", doc)
     assert calls["build_delsarte"] <= 2
@@ -96,7 +122,72 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, monkeypatch):
     # the lattice is walked on the cosets of J, so element joins only build
     # SL, J, J^T, the dual of J and the printed generators
     assert calls["_join"] <= 46
-    # the dual of J is the one solve; each of the other 14 duals is the part
-    # of a largest smaller group's dual that pairs to zero with one element
+    # the dual of J is the one solve, shared with SL, as B = I; each of the
+    # other 14 duals is the part of a largest smaller group's dual that pairs
+    # to zero with one element
     assert solves == [((1, 1, 1, 1),)]  # over the generator of J
     assert calls["_raw_pairing"] == 475
+
+
+@pytest.mark.parametrize(
+    "command, status, kind",
+    [
+        ("validate", 1, None),
+        ("analyze", 0, None),
+        ("subgroups", 1, "NonpositiveWeight"),
+        ("picard", 1, "NotAdequate"),
+        ("mirror", 1, "NotAdequate"),
+    ],
+)
+def test_pair_check_builds_no_sl(tmp_path, capsys, monkeypatch, command, status, kind):
+    """G <= SL is decided on the generators G is resolved from, and |SL| is
+    printed from `check_sl_order`, so on rows whose SL has 9,216 elements
+    (and whose transpose has a nonpositive weight) no command builds SL."""
+    import bhk.duality as duality
+
+    built = []
+    real = duality.sl_group
+    monkeypatch.setattr(duality, "sl_group", lambda m, solves=None: built.append(m) or real(m, solves))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": [[96, 0, 0, 0], [0, 96, 0, 0], [0, 0, 96, 0], [3, 0, 0, 1]]}))
+    assert cli.main([command, str(path)]) == status
+    captured = capsys.readouterr()
+    if kind is None:
+        assert json.loads(captured.out)["adequacy"]["verdict"] is False
+        if command == "analyze":
+            assert json.loads(captured.out)["groups"]["sl_order"] == 9216
+    else:
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == kind
+    assert built == []
+
+
+def test_workspace_is_freed_without_the_cycle_collector(tmp_path, capsys, monkeypatch):
+    """Nothing a Workspace builds refers back to it, so it is freed by
+    reference counting as soon as a command returns; a cycle through it
+    would keep every group of the run alive until the cycle collector ran."""
+    import gc
+    import weakref
+
+    import bhk.duality as duality
+
+    refs = []
+    real_init = duality.Workspace.__init__
+
+    def init(ws, *args, **kwargs):
+        refs.append(weakref.ref(ws))
+        real_init(ws, *args, **kwargs)
+
+    monkeypatch.setattr(duality.Workspace, "__init__", init)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(CHAIN))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(["picard", str(path)]) == 0
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()

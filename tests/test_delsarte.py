@@ -12,7 +12,7 @@ import bhk.cli as cli
 import bhk.delsarte as delsarte
 import bhk.duality as duality
 
-from bhk import Characteristic, build_delsarte, is_calabi_yau, transpose
+from bhk import Characteristic, build_delsarte, is_calabi_yau, j_element, transpose
 from bhk.delsarte import is_prime
 from bhk.arith import IDENTITY4, transpose_rows
 from bhk.errors import (
@@ -225,3 +225,12 @@ def test_weights_are_coprime_catalog(catalog):
     for m in catalog:
         assert gcd(gcd(m.weights[0], m.weights[1]), gcd(m.weights[2], m.weights[3])) == 1
         assert sum(m.weights) == m.degree  # Calabi-Yau catalog
+
+
+def test_b_row_sums_are_the_grading_element(catalog_small):
+    """B 1 = d A^(-1) 1 = (d/h) q = j, and 1 B = j of A^T, as integers, with no
+    reduction mod d: so SL of A^T, the solutions of j . x = 0 mod d mapped to
+    x B, is the dual of J, and the two are solved once."""
+    for m in catalog_small:
+        assert tuple(sum(row) for row in m.b_matrix) == j_element(m)
+        assert tuple(sum(col) for col in zip(*m.b_matrix)) == j_element(transpose(m, CHAR0))

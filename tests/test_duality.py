@@ -225,27 +225,26 @@ def test_dual_of_trivial_and_full_groups(a_ex):
 def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
     """|G^T| = |det| / |G| is known before the dual is solved for, and a dual
     above the enumeration limit is rejected without building it."""
-    import bhk.duality as duality
     import bhk.symmetry as symmetry
 
     monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", 100)
-    monkeypatch.setattr(duality, "_span", None)  # never reached
     trivial = subgroup_generated(a_ex.exponent, [])
+    monkeypatch.setattr(symmetry, "kernel_mod", None)  # never reached
     with pytest.raises(TooLarge, match="the dual group has 168 elements"):
         Workspace(a_ex, CHAR0).dual(trivial)
 
 
 def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
-    import bhk.duality as duality
+    import bhk.symmetry as symmetry
 
     groups = enumerate_intermediate(j_subgroup(a_f), sl_subgroup(aut_group(a_f)))
     group, other = next((g, h) for g in groups for h in groups if g != h and g.order == h.order)
-    real = duality.kernel_mod
+    real = symmetry.kernel_mod
     wrong_rows = other.generators
-    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: real(wrong_rows, d))
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(wrong_rows, d))
     with pytest.raises(InternalCheckError, match="pairs nontrivially"):
         Workspace(a_f, CHAR0).dual(group)
-    monkeypatch.setattr(duality, "kernel_mod", lambda rows, d: ())
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: ())
     with pytest.raises(InternalCheckError, match="differs from"):
         Workspace(a_f, CHAR0).dual(group)
 
@@ -259,9 +258,10 @@ def test_dual_checks_each_generator_in_its_kernel(rows):
 
 
 def test_dual_checks_each_dual_generator_in_the_transposed_kernel(a_ex, monkeypatch):
-    import bhk.duality as duality
+    import bhk.symmetry as symmetry
 
-    real = duality._span
-    monkeypatch.setattr(duality, "_span", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
+    j = j_subgroup(a_ex)
+    real = symmetry._span
+    monkeypatch.setattr(symmetry, "_span", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
     with pytest.raises(InternalCheckError, match="outside the transposed kernel"):
-        Workspace(a_ex, CHAR0).dual(j_subgroup(a_ex))
+        Workspace(a_ex, CHAR0).dual(j)

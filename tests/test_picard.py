@@ -50,8 +50,8 @@ def test_age_goldens(a_ex):
 
 
 def test_age_negation_symmetry(a_ex):
-    for e in aged_elements(sl_subgroup(aut_group(a_ex))):
-        assert age(a_ex.exponent, [-c for c in e.coords]) == 4 - e.age
+    for coords, a in aged_elements(sl_subgroup(aut_group(a_ex))).items():
+        assert age(a_ex.exponent, [-c for c in coords]) == 4 - a
 
 
 def test_age_rejects_zero_coordinate():
@@ -82,7 +82,7 @@ def test_aged_elements_need_zero_sums(a_ex):
 
 def test_age_one_census_unique(a_ex, a_f):
     def census(group):
-        return [a.coords for a in aged_elements(group) if a.age == 1]
+        return [c for c, a in aged_elements(group).items() if a == 1]
 
     assert census(j_subgroup(a_ex)) == [(48, 72, 24, 24)]
     assert census(sl_subgroup(aut_group(a_ex))) == [(48, 72, 24, 24)]
@@ -152,7 +152,7 @@ def test_orbit_decomposition_partitions(a_ex):
     sl = sl_subgroup(aut_group(a_ex))
     ages, orbits = picard._unit_orbits(sl)
     aged = aged_elements(sl)
-    assert list(ages.items()) == [tuple(a) for a in aged]
+    assert list(ages.items()) == list(aged.items())
     assert sum(len(o) for o in orbits) == len(aged)
     assert set().union(*orbits) == set(ages)
     units = [t for t in range(1, 168) if t % 2 and t % 3 and t % 7]
@@ -163,15 +163,17 @@ def test_orbit_decomposition_partitions(a_ex):
 
 
 def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
-    """Flipping one age makes the routes disagree and trips the cross-check."""
-    real_age = picard.age
+    """Flipping one age in the age table both routes read makes the routes
+    disagree and trips the cross-check."""
+    real_table = picard.aged_elements
 
-    def corrupted(d, coords):
-        if d == 4 and coords == (1, 1, 3, 3):
-            return 3
-        return real_age(d, coords)
+    def corrupted(group):
+        ages = real_table(group)
+        if group.modulus == 4 and (1, 1, 3, 3) in ages:
+            ages[(1, 1, 3, 3)] = 3
+        return ages
 
-    monkeypatch.setattr(picard, "age", corrupted)
+    monkeypatch.setattr(picard, "aged_elements", corrupted)
     mp = _mirror(a_f, "SL")
     with pytest.raises(MethodMismatch):
         picard_report(mp).methods

@@ -222,11 +222,11 @@ def test_suite_transcendental_dichotomy(case, p):
 def test_suite_exactly_one_age_one(case):
     _count("test_suite_exactly_one_age_one")
     m, group = case
-    census = [a.coords for a in aged_elements(group) if a.age == 1]
+    census = [c for c, a in aged_elements(group).items() if a == 1]
     assert census == [j_element(m)]
     ws = Workspace(m, CHAR0, group)
     dual = ws.dual(ws.pair.group)
-    mirror_census = [a.coords for a in aged_elements(dual) if a.age == 1]
+    mirror_census = [c for c, a in aged_elements(dual).items() if a == 1]
     assert mirror_census == [j_element(_transpose(m))]
 
 
