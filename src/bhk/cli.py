@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -449,10 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "batch":
-        return _run_batch(args.directory, args.out, args.quiet)
+def _run_one(args: argparse.Namespace) -> int:
     options = {k: v for k, v in vars(args).items() if k in _OPTIONS}
     try:
         doc, status = run_command(args.command, parse_input(_read(args.file)), **options)
@@ -460,6 +458,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _report(err)
     if not args.quiet:
         print(_render(doc, args.format))
+    return status
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; exit status 1 when the reader of stdout has gone, as
+    in `bhk picard c.json | head -c 300`. Stdout is flushed here so that a
+    closed pipe fails inside the handler, which then points stdout at the
+    null device, so the flush at shutdown cannot fail again."""
+    args = build_parser().parse_args(argv)
+    try:
+        status = _run_batch(args.directory, args.out, args.quiet) if args.command == "batch" else _run_one(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return status
 
 

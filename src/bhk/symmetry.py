@@ -5,7 +5,11 @@ grading element j, and enumeration of the groups between J and SL, by one
 join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
 of its elements. Every group is built by one primitive, the join G + <g> of
-a subgroup with one element, on elements or on the cosets of J."""
+a subgroup with one element, on elements or on the cosets of J. On elements
+it steps the multiples k g until one lies in G, then adds every coset
+G + k g in one pass. A group's reported generators are a greedy walk over
+its sorted elements, which knows the group's order and so stops at the pick
+that spans it, without building that last join."""
 
 from __future__ import annotations
 
@@ -35,35 +39,56 @@ def check_order(order: int, name: str) -> None:
         raise TooLarge(f"{name} has {order} elements, more than the limit {MAX_GROUP_ORDER}")
 
 
-def _join(modulus: int, group: AbstractSet[Coords], g: Coords) -> set[Coords]:
-    """G + <g> for a subgroup G and a reduced g: the union of the cosets
-    G + k g for k = 0, 1, ..., each stepped from the one before by adding g,
-    up to the first k with k g in G, which is when the coset's first element
-    x + k g lies in G."""
+def _multiples(modulus: int, group: AbstractSet[Coords], g: Coords) -> list[Coords]:
+    """g, 2 g, ..., (n - 1) g for a subgroup G and a reduced g, each stepped
+    from the one before by adding g, where n is the order of g modulo G: the
+    first k with k g in G."""
     g0, g1, g2, g3 = g
+    out = []
+    k = g
+    while k not in group:
+        out.append(k)
+        k0, k1, k2, k3 = k
+        k = ((k0 + g0) % modulus, (k1 + g1) % modulus, (k2 + g2) % modulus, (k3 + g3) % modulus)
+    return out
+
+
+def _join(modulus: int, group: AbstractSet[Coords], g: Coords, multiples: list[Coords] | None = None) -> set[Coords]:
+    """G + <g> for a subgroup G and a reduced g: G and its cosets G + k g for
+    the multiples k g outside G (`_multiples`, unless given), all added in
+    one pass."""
+    if multiples is None:
+        multiples = _multiples(modulus, group, g)
     out = set(group)
-    coset = list(group)
-    while True:
-        coset = [
-            ((x0 + g0) % modulus, (x1 + g1) % modulus, (x2 + g2) % modulus, (x3 + g3) % modulus)
-            for x0, x1, x2, x3 in coset
+    out.update(
+        [
+            ((x0 + k0) % modulus, (x1 + k1) % modulus, (x2 + k2) % modulus, (x3 + k3) % modulus)
+            for k0, k1, k2, k3 in multiples
+            for x0, x1, x2, x3 in group
         ]
-        if coset[0] in group:
-            return out
-        out.update(coset)
+    )
+    return out
 
 
-def _span(modulus: int, gens: Iterable[Coords]) -> tuple[set[Coords], tuple[Coords, ...]]:
+def _span(
+    modulus: int, gens: Iterable[Coords], order: int | None = None
+) -> tuple[set[Coords], tuple[Coords, ...]]:
     """(G, U): G is the subgroup generated by the reduced generators, and U
-    those of them that enlarged it, as each is joined to the group of those
+    those of them that enlarged it, as each is joined to the group S of those
     before it unless it already lies in it. Over a group's sorted elements U
-    is the greedy walk that picks its reported generators."""
+    is the greedy walk that picks its reported generators. Given the order of
+    the group the generators span, the walk stops at the pick g with
+    |S| n = order, n the order of g modulo S, as S + <g> is then the whole
+    group: g ends U, and that last join is not built, so G is S."""
     group = {ZERO}
     used = []
     for g in gens:
         if g not in group:
             used.append(g)
-            group = _join(modulus, group, g)
+            multiples = _multiples(modulus, group, g)
+            if len(group) * (len(multiples) + 1) == order:
+                break
+            group = _join(modulus, group, g, multiples)
     return group, tuple(used)
 
 
@@ -98,7 +123,7 @@ class SymmetrySubgroup(frozenset):
 
     @cached_property
     def generators(self) -> tuple[Coords, ...]:
-        return _span(self.modulus, self.elements)[1]
+        return _span(self.modulus, self.elements, len(self))[1]
 
 
 def subgroup_generated(modulus: int, gens: Iterable[Sequence[int]]) -> SymmetrySubgroup:

@@ -2,7 +2,9 @@
 wrapping the stage functions at every binding inside the `bhk` package, so
 calls made through a module's own import of a function are counted too. The
 size of every group join is recorded as well: no command enumerates Aut, so
-no join may reach |det| elements. The transpose takes its determinant and
+no join may reach |det| elements. Joins are also pinned by the elements
+they build in all, and pairings by the elements passed through the one
+batched pairing product. The transpose takes its determinant and
 adjugate from A, and the direct and orbit routes read one unit-orbit
 partition per group, so each of those is built once per side. Smith-normal-
 form solves are counted too: SL of A^T and the dual of J are one. No
@@ -27,7 +29,7 @@ COUNTED = {
     "_direct_route": "bhk.picard",
     "_orbit_route": "bhk.picard",
     "grading_set": "bhk.picard",
-    "_raw_pairing": "bhk.duality",
+    "_pairings": "bhk.duality",
     "atomic_decomposition": "bhk.smoothness",
     "_join": "bhk.symmetry",
 }
@@ -39,6 +41,9 @@ def _counting(counts: Counter, name: str, fn):
         result = fn(*args, **kwargs)
         if name == "_join":
             counts["largest join"] = max(counts["largest join"], len(result))
+            counts["join elements"] += len(result)
+        if name == "_pairings":
+            counts["paired elements"] += len(result)
         return result
 
     return wrapper
@@ -46,7 +51,8 @@ def _counting(counts: Counter, name: str, fn):
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Calls per counted function, plus the element count of the largest join."""
+    """Calls per counted function, plus the element count of the largest
+    join, the elements built by all joins and the elements paired."""
     counts: Counter = Counter()
     for name, home in COUNTED.items():
         original = getattr(sys.modules[home], name)
@@ -109,7 +115,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     assert calls["_orbit_route"] == 2
     assert calls["grading_set"] == 2
     assert calls["aged_elements"] == 2
-    assert calls["_raw_pairing"] == 3  # each solved dual generator against each group generator
+    assert calls["paired elements"] == 3  # each solved dual generator against each group generator
     assert calls["atomic_decomposition"] <= 2
 
 
@@ -120,13 +126,16 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
     assert 0 < calls["largest join"] < 256  # |det|: Aut is never enumerated
     assert calls["is_calabi_yau"] <= 2  # not once per intermediate group
     # the lattice is walked on the cosets of J, so element joins only build
-    # SL, J, J^T, the dual of J and the printed generators
-    assert calls["_join"] <= 46
+    # SL, J, J^T, the dual of J and the printed generators, and each greedy
+    # walk for generators stops at the pick that spans its group, without
+    # building that last join
+    assert calls["_join"] <= 27
+    assert calls["join elements"] <= 202
     # the dual of J is the one solve, shared with SL, as B = I; each of the
     # other 14 duals is the part of a largest smaller group's dual that pairs
     # to zero with one element
     assert solves == [((1, 1, 1, 1),)]  # over the generator of J
-    assert calls["_raw_pairing"] == 475
+    assert calls["paired elements"] == 475
 
 
 @pytest.mark.parametrize(

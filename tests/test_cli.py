@@ -603,6 +603,29 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["picard", "batch"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
+    """The reader of stdout has gone, as in `bhk picard c.json | head -c 300`:
+    the read end of the pipe is closed before the child starts, so its first
+    write to stdout fails, and the child exits 1 with nothing on stderr."""
+    path = _write(tmp_path, "in.json", A_EX_DOC)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhk.cli", command, path if command == "picard" else str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Every command pays for `import bhk.cli` once; `dataclasses`, and the
     `inspect` it imports, cost more than the rest of that import together."""

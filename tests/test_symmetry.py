@@ -19,7 +19,7 @@ from bhk import (
     transpose,
 )
 from bhk.errors import InternalCheckError, SemanticError, TooLarge
-from bhk.symmetry import _span
+from bhk.symmetry import _join, _span
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 from oracles import aut_group, greedy_generators, lattice_by_joins, reference_closure, sl_subgroup
 
@@ -197,6 +197,31 @@ def test_closure_matches_breadth_first_reference(data):
     assert group.elements == tuple(sorted(reference))
     assert group.order == len(reference)
     assert group.generators == tuple(g for g in reduced if g != (0, 0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_join_matches_breadth_first_closure(data):
+    """G + <g> is the closure of G and g, for G a random nontrivial subgroup
+    and g reduced, often an element of G; G itself is left as it was."""
+    d = data.draw(st.integers(2, 12))
+    coord = st.integers(0, d - 1)
+    element = st.tuples(coord, coord, coord, coord)
+    gens = data.draw(st.lists(element.filter(any), min_size=1, max_size=3))
+    group = reference_closure(d, gens)
+    g = data.draw(st.one_of(st.sampled_from(sorted(group)), element))
+    assert _join(d, group, g) == reference_closure(d, [*gens, g])
+    assert group == reference_closure(d, gens)
+
+
+def test_generators_match_greedy_oracle_on_small_catalog_lattices():
+    """The walk that stops at the pick spanning the group reports what the
+    oracle's walk, which closes every prefix, reports, on every group
+    between J and SL of both sides of the small catalog."""
+    for m in cy_catalog_small():
+        for side in (m, transpose(m, CHAR0)):
+            for g in enumerate_intermediate(j_subgroup(side), sl_group(side)):
+                assert g.generators == greedy_generators(side.exponent, g.elements)
 
 
 def test_intermediate_lattice_against_join_oracle(a_ex, a_f, loop_m, mixed_m):
