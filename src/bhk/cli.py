@@ -394,9 +394,18 @@ def _read(path) -> str:
         raise ParseError(str(err)) from err
 
 
+def _same_file(path, stat: os.stat_result) -> bool:
+    """Whether the path names the file of the stat; False when it cannot be stat'ed."""
+    try:
+        return os.path.samestat(os.stat(path), stat)
+    except OSError:
+        return False
+
+
 def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
     """NDJSON, one line per file, whatever `--format` says. The output file is
-    opened before any document runs, so an unwritable one fails first."""
+    opened before any document runs, so an unwritable one fails first, and
+    is never read as a document, even when it is a *.json in the directory."""
     base = Path(directory)
     if not base.is_dir():
         return _report(SemanticError(f"not a directory: {directory}"))
@@ -405,6 +414,9 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
         out = open(out_path, "w") if out_path else nullcontext(None if quiet else sys.stdout)
     except OSError as err:
         return _report(SemanticError(f"cannot write {out_path}: {err.strerror}"))
+    if out_path:  # an output file among the documents, left by an earlier run, is not one
+        written = os.fstat(out.fileno())
+        paths = [p for p in paths if not _same_file(p, written)]
     worst = EXIT_OK
     with out as sink:
         for path in paths:

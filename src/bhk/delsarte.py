@@ -4,7 +4,6 @@ and the integral matrix B = d A^(-1)."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arith import Matrix4, Vector4, det_adjugate, matrix4, transpose_rows
@@ -100,13 +99,14 @@ def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> Delsa
 
 
 def _check_rows(m: Matrix4) -> None:
-    for i in range(4):
-        for j in range(4):
-            if m[i][j] < 0:
-                raise NegativeEntry(f"entry ({i},{j}) = {m[i][j]} is negative")
-    for i in range(4):
-        if all(v != 0 for v in m[i]):
-            raise RowWithoutZero(f"row {i} = {m[i]} has no zero entry")
+    """NegativeEntry, then RowWithoutZero, each naming the first offending
+    entry or row in row-major order, found only once the check has failed."""
+    if min(map(min, m)) < 0:
+        i, j = next((i, j) for i in range(4) for j in range(4) if m[i][j] < 0)
+        raise NegativeEntry(f"entry ({i},{j}) = {m[i][j]} is negative")
+    for i, row in enumerate(m):
+        if 0 not in row:
+            raise RowWithoutZero(f"row {i} = {row} has no zero entry")
 
 
 def _derive(m: Matrix4, det: int, adj: Matrix4, char: Characteristic) -> DelsarteMatrix:
@@ -127,8 +127,8 @@ def _derive(m: Matrix4, det: int, adj: Matrix4, char: Characteristic) -> Delsart
     if gcd(*q) != 1:
         raise InternalCheckError(f"weight normalization failed: q = {q}")
 
-    d = lcm(*[abs(det) // gcd(det, adj[i][j]) for i in range(4) for j in range(4)])
-    b = tuple(tuple(d * adj[i][j] // det for j in range(4)) for i in range(4))
+    d = lcm(*[abs(det) // gcd(det, x) for row in adj for x in row])
+    b = tuple([tuple([d * x // det for x in row]) for row in adj])
     _check_construction(m, det, q, h, d, b)
     return DelsarteMatrix(
         matrix=m, det=det, adjugate=adj, weights=q, degree=h, exponent=d, b_matrix=b
@@ -139,16 +139,16 @@ def _check_construction(m, det, q, h, d, b):
     """Construction-time assertions: A B = B A = d I, A q = h 1, h | d | |det| | d^4.
 
     As B = d adj / det, the first is the adjugate identity A adj = adj A = det I,
-    checked here and nowhere else."""
+    checked here and nowhere else, on the 16 entries of each product in
+    row-major order against d I flattened."""
+    scaled_identity = [d, 0, 0, 0, 0, d, 0, 0, 0, 0, d, 0, 0, 0, 0, d]
     m_cols, b_cols = transpose_rows(m), transpose_rows(b)
-    for i in range(4):
-        for j in range(4):
-            ab = sum(map(mul, m[i], b_cols[j]))
-            ba = sum(map(mul, b[i], m_cols[j]))
-            want = d if i == j else 0
-            if ab != want or ba != want:
-                raise InternalCheckError("A B = B A = d I failed")
-    if any(sum(map(mul, row, q)) != h for row in m):
+    ab = [r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for r0, r1, r2, r3 in m for c0, c1, c2, c3 in b_cols]
+    ba = [r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for r0, r1, r2, r3 in b for c0, c1, c2, c3 in m_cols]
+    if ab != scaled_identity or ba != scaled_identity:
+        raise InternalCheckError("A B = B A = d I failed")
+    q0, q1, q2, q3 = q
+    if any(r0 * q0 + r1 * q1 + r2 * q2 + r3 * q3 != h for r0, r1, r2, r3 in m):
         raise InternalCheckError("A q = h (1,1,1,1) failed")
     if d % h != 0 or abs(det) % d != 0 or d**4 % abs(det) != 0:
         raise InternalCheckError(f"divisibility chain h | d | |det| | d^4 failed: {h}, {d}, {det}")

@@ -1,14 +1,17 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
 and construction of the transposed (mirror) pair. A Workspace is the one
 way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)`, `.mirror`
-and `.lattice`, each built once per input. Every pairing, of `pairing`, of
-the checks of `.dual` and of the lattice's derived duals, is one batched
-product, a . (A b) mod d^2 for a list of elements a against one A b."""
+and `.lattice`, each built once per input. One Smith-normal-form solve per
+input gives the dual of J, shared with SL of A^T; duality reverses
+inclusion, so the dual of every G above J, of `.dual` and of the lattice, is
+derived from a known dual as the part of it that pairs to zero with some
+elements of G. Every pairing, of `pairing`, of the checks of a solved dual
+and of each derived dual, is one batched product, a . (A b) mod d^2 for a
+list of elements a against one A b."""
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import transpose_rows
@@ -65,7 +68,8 @@ def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
 
 def _image(matrix, b) -> tuple[int, ...]:
     """A b, the column that any a pairs with as a . (A b)."""
-    return tuple(sum(map(mul, row, b)) for row in matrix)
+    b0, b1, b2, b3 = b
+    return tuple([r0 * b0 + r1 * b1 + r2 * b2 + r3 * b3 for r0, r1, r2, r3 in matrix])
 
 
 def _pairings(d: int, elements: Iterable[Sequence[int]], image: Sequence[int]) -> list[int]:
@@ -76,10 +80,20 @@ def _pairings(d: int, elements: Iterable[Sequence[int]], image: Sequence[int]) -
     return [(a0 * i0 + a1 * i1 + a2 * i2 + a3 * i3) % d2 for a0, a1, a2, a3 in elements]
 
 
-def _annihilator(d: int, group: SymmetrySubgroup, image) -> SymmetrySubgroup:
-    """The elements a of a subgroup of Aut(A^T) with a A e = 0 mod d^2, given
-    image = A e: for the dual H^T of H, the dual of H + <e>."""
-    return SymmetrySubgroup(d, [a for a, v in zip(group, _pairings(d, group, image)) if not v])
+def _annihilator(d: int, group: SymmetrySubgroup, images: Iterable[Sequence[int]]) -> SymmetrySubgroup:
+    """The elements a of a subgroup of Aut(A^T) with a A e = 0 mod d^2 for
+    each of the images A e, filtered one image at a time: for the dual H^T
+    of H, the dual of H + <e, ...>."""
+    kept: Iterable[Sequence[int]] = group
+    for image in images:
+        kept = [a for a, v in zip(kept, _pairings(d, kept, image)) if not v]
+    return SymmetrySubgroup(d, kept)
+
+
+def _check_dual_order(m: DelsarteMatrix, order: int, dual: SymmetrySubgroup) -> None:
+    """|G| |G^T| = |det|, as the pairing is perfect."""
+    if order * dual.order != abs(m.det):
+        raise InternalCheckError(f"|G| |G^T| = {order} * {dual.order} differs from |det| = {abs(m.det)}")
 
 
 class _Side:
@@ -193,37 +207,62 @@ class Workspace:
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
         """Annihilator of a subgroup G of Aut(A) inside Aut(A^T), under the pairing.
 
+        The dual of J is solved, and every G with J < G has G^T inside it, as
+        duality reverses inclusion: G^T is the part of the dual of J that pairs
+        to zero with each generator of G (`_annihilated`), and is solved for
+        nothing. A G that does not contain J is solved for as J is.
+
         The rows of B = d A^(-1) generate Aut(A^T), so every a in it is x B mod d
         for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
-        mod d^2. So G^T is the image under x -> x B mod d of the solutions of
-        x . g = 0 mod d over the generators g of G, solved by `solved_span`
-        without enumerating Aut(A^T); for J, the solve is SL of A^T's.
-        Cross-checked on every call, on the
-        solutions that enlarged G^T as it was spanned, which generate it: each
-        lies in Aut(A^T) and each generator of G in Aut(A), each tested once;
-        each pairs to zero with each generator of G; and |G| |G^T| = |det|. As
-        the pairing is perfect, these together pin G^T down. A^T is validated
+        mod d^2. So a solved G^T is the image under x -> x B mod d of the
+        solutions of x . g = 0 mod d over the generators g of G, solved by
+        `solved_span` without enumerating Aut(A^T); for J, the solve is SL of
+        A^T's. Cross-checked on every call: each generator of G lies in Aut(A),
+        tested first; a solved G^T is checked on the solutions that enlarged it
+        as it was spanned, which generate it: each lies in Aut(A^T) and pairs to
+        zero with each generator of G; and |G| |G^T| = |det|. As the pairing is
+        perfect, these together pin G^T down. A derived G^T lies in the checked
+        dual of J, and pairs to zero with G by construction. A^T is validated
         first, so an invalid transpose is reported as the input error it is.
         """
-        if group not in self._duals:
-            self.transpose.matrix  # raises the input error of an invalid A^T
-            m = self.primal.matrix
-            d = m.exponent
-            check_order(abs(m.det) // group.order, "the dual group")
+        return self._dual(group)
+
+    def _dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
+        """`dual`, which derivations call to read the dual of J."""
+        if group in self._duals:
+            return self._duals[group]
+        self.transpose.matrix  # raises the input error of an invalid A^T
+        m = self.primal.matrix
+        d = m.exponent
+        if not all(in_kernel(m.matrix, d, g) for g in group.generators):
+            raise InternalCheckError("a group generator is outside the kernel Aut(A)")
+        check_order(abs(m.det) // group.order, "the dual group")
+        try:
+            j = self.primal.j
+        except ValueError:  # no grading element: not a Calabi-Yau matrix
+            j = None
+        if j is not None and j < group:
+            dual = self._annihilated(self._dual(j), group.order, group.generators)
+        else:
             dual, _, used = solved_span(d, group.generators, transpose_rows(m.b_matrix), self._solves)
             columns = transpose_rows(m.matrix)
             if not all(in_kernel(columns, d, a) for a in used):
                 raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
-            if not all(in_kernel(m.matrix, d, g) for g in group.generators):
-                raise InternalCheckError("a group generator is outside the kernel Aut(A)")
             if any(any(_pairings(d, used, _image(m.matrix, g))) for g in group.generators):
                 raise InternalCheckError("a dual generator pairs nontrivially with the group")
-            if group.order * dual.order != abs(m.det):
-                raise InternalCheckError(
-                    f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {abs(m.det)}"
-                )
-            self._duals[group] = dual
-        return self._duals[group]
+            _check_dual_order(m, group.order, dual)
+        self._duals[group] = dual
+        return dual
+
+    def _annihilated(self, dual: SymmetrySubgroup, order: int, elements: Iterable[Sequence[int]]) -> SymmetrySubgroup:
+        """The part of the dual H^T of some H that pairs to zero with each of
+        the elements, which is the dual of H + <elements>, of the given order,
+        by `_annihilator`. |G| |G^T| = |det| is checked, which fails when
+        the filter skips an element that G needs beyond H."""
+        m = self.primal.matrix
+        dual = _annihilator(m.exponent, dual, [_image(m.matrix, e) for e in elements])
+        _check_dual_order(m, order, dual)
+        return dual
 
     @cached_property
     def lattice(self) -> list[tuple[SymmetrySubgroup, SymmetrySubgroup]]:
@@ -233,27 +272,20 @@ class Workspace:
         A^T is validated first, so an invalid transpose is reported before
         the lattice is enumerated. The dual of J is the one `dual` solve,
         with all of its checks. Every other G is H + <e> for the pair (H, e)
-        it `covers`, with H before it, and its dual is derived from H^T: the
-        part of H^T that pairs to zero with e. Cross-checked on
-        every call: J <= G <= SL (`check`), and |G| |G^T| = |det| for each
+        it `covers`, with H before it, and its dual is derived from H^T by
+        `_annihilated`: the part of H^T that pairs to zero with e. Cross-checked
+        on every call: J <= G <= SL (`check`), and |G| |G^T| = |det| for each
         derived dual, which a dual missing the pairing test with e would fail.
         """
         self.transpose.matrix  # raises the input error of an invalid A^T
-        m = self.primal.matrix
-        d, det = m.exponent, abs(m.det)
         duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
         for group in enumerate_intermediate(self.primal.j, self.primal.sl):
             self.check(group)
             if group.covers is None:
-                dual = self.dual(group)
+                duals[group] = self._dual(group)
             else:
                 h, e = group.covers
-                dual = _annihilator(d, duals[h], _image(m.matrix, e))
-                if group.order * dual.order != det:
-                    raise InternalCheckError(
-                        f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {det}"
-                    )
-            duals[group] = dual
+                duals[group] = self._annihilated(duals[h], group.order, [e])
         return list(duals.items())
 
     @cached_property

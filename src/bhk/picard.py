@@ -131,16 +131,8 @@ def _direct_contributes(orbit: list[Coords], ages: Mapping[Coords, int], powers:
 def _direct_route(
     ages: Mapping[Coords, int], orbits: list[list[Coords]], powers: Sequence[int], d: int
 ) -> tuple[AgedElement, ...]:
-    """The aged elements, in table order, of the orbits that pass `_direct_contributes`."""
-    kept: set[Coords] = set()
-    for orbit in orbits:
-        if _direct_contributes(orbit, ages, powers, d):
-            kept.update(orbit)
-    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
-
-
-def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
-    """Aged elements that fail the average-age-two test, decided once per unit orbit.
+    """The transcendental set: the aged elements, in table order, of the
+    orbits that pass `_direct_contributes`, the average-age-two test.
 
     Characteristic zero keeps a when some unit multiple t a has age != 2.
     Characteristic p keeps a when for some unit t the ages over the p-power
@@ -148,8 +140,11 @@ def transcendental_set(group: SymmetrySubgroup, char: Characteristic) -> tuple[A
     The test ranges over every unit t, so its verdict is the same on the whole
     unit orbit {t a}, which it keeps or drops as one.
     """
-    powers = _p_powers(char, group.modulus)
-    return _direct_route(*_unit_orbits(group), powers, group.modulus)
+    kept: set[Coords] = set()
+    for orbit in orbits:
+        if _direct_contributes(orbit, ages, powers, d):
+            kept.update(orbit)
+    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
 
 
 def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
@@ -180,14 +175,6 @@ def _orbit_route(
 ) -> tuple[Coords, ...]:
     """The elements, sorted, of the orbits that pass `_orbit_contributes`."""
     return tuple(sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit))
-
-
-def transcendental_set_orbits(group: SymmetrySubgroup, char: Characteristic) -> tuple[AgedElement, ...]:
-    """The same set via orbits: the union of the unit orbits that pass
-    `_orbit_contributes`, sorted."""
-    _check_char(char, group.modulus)
-    ages, orbits = _unit_orbits(group)
-    return tuple(AgedElement(c, ages[c]) for c in _orbit_route(ages, orbits, char, group.modulus))
 
 
 def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]:

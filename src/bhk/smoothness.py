@@ -102,28 +102,22 @@ def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...]:
 
 
 def _triple_gcds_ok(q) -> bool:
-    idx = range(4)
-    return all(
-        gcd(q[i], gcd(q[j], q[k])) == 1
-        for i in idx
-        for j in idx
-        for k in idx
-        if i < j < k
-    )
+    q0, q1, q2, q3 = q
+    return gcd(q0, q1, q2) == gcd(q0, q1, q3) == gcd(q0, q2, q3) == gcd(q1, q2, q3) == 1
+
+
+# (i, j, k, l): the weight pair (i, j), and the two coordinates k, l a row
+# must not involve to be supported on the coordinate line of i and j.
+_PAIRS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
 
 
 def _pair_supports_ok(m: DelsarteMatrix) -> bool:
-    q = m.weights
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if gcd(q[i], q[j]) > 1:
-                covered = any(
-                    all(row[k] == 0 for k in range(4) if k not in (i, j))
-                    for row in m.matrix
-                )
-                if not covered:
-                    return False
-    return True
+    """Whether every weight pair with a common factor has a row supported on
+    its coordinate line."""
+    q, rows = m.weights, m.matrix
+    return all(
+        gcd(q[i], q[j]) <= 1 or any(row[k] == 0 == row[l] for row in rows) for i, j, k, l in _PAIRS
+    )
 
 
 def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:

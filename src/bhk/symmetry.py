@@ -4,10 +4,11 @@ SL itself from a Smith-normal-form solve that never enumerates Aut, the
 grading element j, and enumeration of the groups between J and SL, by one
 join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
-of its elements. Every group is built by one primitive, the join G + <g> of
-a subgroup with one element, on elements or on the cosets of J. On elements
-it steps the multiples k g until one lies in G, then adds every coset
-G + k g in one pass. A group's reported generators are a greedy walk over
+of its elements. J is listed directly as the multiples k j, 0 <= k < h,
+as j has order h. Every other group is built by one primitive, the join
+G + <g> of a subgroup with one element, on elements or on the cosets of J.
+On elements it steps the multiples k g until one lies in G, then adds every
+coset G + k g in one pass. A group's reported generators are a greedy walk over
 its sorted elements, which knows the group's order and so stops at the pick
 that spans it, without building that last join."""
 
@@ -222,8 +223,12 @@ def j_element(m: DelsarteMatrix) -> Coords:
 
 
 def j_subgroup(m: DelsarteMatrix) -> SymmetrySubgroup:
-    """Cyclic group generated by the grading element."""
-    return subgroup_generated(m.exponent, [j_element(m)])
+    """Cyclic group generated by the grading element j: its multiples k j
+    for 0 <= k < h, as `j_element` checks that j has order h."""
+    j = j_element(m)
+    d = m.exponent
+    j0, j1, j2, j3 = j
+    return SymmetrySubgroup(d, [(k * j0 % d, k * j1 % d, k * j2 % d, k * j3 % d) for k in range(m.degree)], (j,))
 
 
 def _cosets(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[Coords]]]:

@@ -5,17 +5,51 @@ ages, number-theory helpers) and builds its own sets with the breadth-first
 closure below, so it shares no group-building or set-building code with the
 library functions it checks. They are slow on purpose: plain loops over
 every element, kept small enough for the small catalog.
+
+Two kinds of reference code are not oracles in that sense. The library's
+two set-level Picard routes, run on one group (`transcendental_set` and
+`transcendental_set_orbits`), assemble the routes from the library's own
+partition, so that tests can run each route on any group; the commands run
+them only inside `picard.transcendental_sets`. And the matrix layer's
+checks as they were written before they were made one pass each
+(`reference_build_delsarte` and the functions under it), which the
+equivalence tests compare the library against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
-from bhk import AgedElement, Characteristic, SymmetrySubgroup, age, multiplicative_order
-from bhk.errors import CharDividesD
+import bhk.picard as picard
+from bhk import (
+    AgedElement,
+    Characteristic,
+    DelsarteMatrix,
+    SymmetrySubgroup,
+    age,
+    det_adjugate,
+    matrix4,
+    multiplicative_order,
+)
+from bhk.errors import (
+    CharDividesD,
+    CharDividesDet,
+    InternalCheckError,
+    NegativeEntry,
+    NonpositiveWeight,
+    RowWithoutZero,
+    SingularMatrix,
+)
 
 ZERO = (0, 0, 0, 0)
+
+
+def transpose_rows(a) -> tuple:
+    """Transpose of a 4x4 tuple matrix."""
+    return tuple(zip(*a))
 
 
 def reference_closure(modulus, gens) -> set:
@@ -89,16 +123,22 @@ def inverse(m) -> tuple:
     return tuple(tuple(Fraction(m.adjugate[i][j], m.det) for j in range(4)) for i in range(4))
 
 
+@lru_cache(maxsize=2)
+def _transposed_kernel(d, b_matrix) -> frozenset:
+    """Aut(A^T), closed from the columns of its B matrix; kept for the two
+    sides last asked for, which a test filters for several groups in turn."""
+    return frozenset(reference_closure(d, [tuple(b_matrix[i][j] for i in range(4)) for j in range(4)]))
+
+
 def dual_by_filter(m, mt, generators) -> tuple[tuple, tuple]:
     """(sorted elements, generators) of the dual group straight from its
     definition: every element a of Aut(A^T) with a A g = 0 mod d^2 for every
     generator g of the group. Aut(A^T) is closed from the columns of
     d (A^T)^(-1), the B matrix of the transpose."""
     d = m.exponent
-    cols = [tuple(mt.b_matrix[i][j] for i in range(4)) for j in range(4)]
     coords = [
         a
-        for a in reference_closure(d, cols)
+        for a in _transposed_kernel(d, mt.b_matrix)
         if all(
             sum(a[i] * m.matrix[i][j] * g[j] for i in range(4) for j in range(4)) % (d * d) == 0
             for g in generators
@@ -165,3 +205,119 @@ def transcendental_set_by_element(group, char: Characteristic) -> tuple[AgedElem
                 out.append(a)
                 break
     return tuple(out)
+
+
+def transcendental_set(group, char: Characteristic) -> tuple[AgedElement, ...]:
+    """The direct route's transcendental set of one group: the aged elements
+    that fail the average-age-two test, decided once per unit orbit
+    (`picard._direct_route`)."""
+    powers = picard._p_powers(char, group.modulus)
+    return picard._direct_route(*picard._unit_orbits(group), powers, group.modulus)
+
+
+def transcendental_set_orbits(group, char: Characteristic) -> tuple[AgedElement, ...]:
+    """The same set via orbits: the union of the unit orbits that pass
+    `picard._orbit_contributes`, sorted."""
+    picard._check_char(char, group.modulus)
+    ages, orbits = picard._unit_orbits(group)
+    return tuple(AgedElement(c, ages[c]) for c in picard._orbit_route(ages, orbits, char, group.modulus))
+
+
+# The matrix layer's checks as written before each became one pass, kept
+# verbatim: `build_delsarte` and `transpose` must raise what these raise, or
+# return what these return, and `smoothness._triple_gcds_ok` and
+# `_pair_supports_ok` must agree with `triple_gcds_ok` and `pair_supports_ok`.
+
+
+def reference_build_delsarte(rows, char: Characteristic) -> DelsarteMatrix:
+    """`build_delsarte` through the reference checks below."""
+    m = matrix4(rows)
+    _check_rows(m)
+    return _derive(m, *det_adjugate(m), char)
+
+
+def reference_transpose(m: DelsarteMatrix, char: Characteristic) -> DelsarteMatrix:
+    """`transpose` through the reference checks below."""
+    mt = transpose_rows(m.matrix)
+    _check_rows(mt)
+    return _derive(mt, m.det, transpose_rows(m.adjugate), char)
+
+
+def _check_rows(m: Matrix4) -> None:
+    for i in range(4):
+        for j in range(4):
+            if m[i][j] < 0:
+                raise NegativeEntry(f"entry ({i},{j}) = {m[i][j]} is negative")
+    for i in range(4):
+        if all(v != 0 for v in m[i]):
+            raise RowWithoutZero(f"row {i} = {m[i]} has no zero entry")
+
+
+def _derive(m: Matrix4, det: int, adj: Matrix4, char: Characteristic) -> DelsarteMatrix:
+    """The derived data of checked rows from their determinant and adjugate."""
+    if det == 0:
+        raise SingularMatrix("determinant is zero")
+    if char.positive and det % char.p == 0:
+        raise CharDividesDet(f"characteristic {char.p} divides det = {det}")
+
+    # A^(-1) (1,1,1,1) = r / det for r the row sums of adj, so q = r h / det
+    # with h the least common denominator |det| / gcd(det, r).
+    r = [sum(row) for row in adj]
+    for i, ri in enumerate(r):
+        if ri * det <= 0:
+            raise NonpositiveWeight(f"weight {i} is {'zero' if ri == 0 else 'negative'}, expected positive")
+    h = abs(det) // gcd(det, *r)
+    q = tuple(ri * h // det for ri in r)
+    if gcd(*q) != 1:
+        raise InternalCheckError(f"weight normalization failed: q = {q}")
+
+    d = lcm(*[abs(det) // gcd(det, adj[i][j]) for i in range(4) for j in range(4)])
+    b = tuple(tuple(d * adj[i][j] // det for j in range(4)) for i in range(4))
+    _check_construction(m, det, q, h, d, b)
+    return DelsarteMatrix(
+        matrix=m, det=det, adjugate=adj, weights=q, degree=h, exponent=d, b_matrix=b
+    )
+
+
+def _check_construction(m, det, q, h, d, b):
+    """Construction-time assertions: A B = B A = d I, A q = h 1, h | d | |det| | d^4.
+
+    As B = d adj / det, the first is the adjugate identity A adj = adj A = det I,
+    checked here and nowhere else."""
+    m_cols, b_cols = transpose_rows(m), transpose_rows(b)
+    for i in range(4):
+        for j in range(4):
+            ab = sum(map(mul, m[i], b_cols[j]))
+            ba = sum(map(mul, b[i], m_cols[j]))
+            want = d if i == j else 0
+            if ab != want or ba != want:
+                raise InternalCheckError("A B = B A = d I failed")
+    if any(sum(map(mul, row, q)) != h for row in m):
+        raise InternalCheckError("A q = h (1,1,1,1) failed")
+    if d % h != 0 or abs(det) % d != 0 or d**4 % abs(det) != 0:
+        raise InternalCheckError(f"divisibility chain h | d | |det| | d^4 failed: {h}, {d}, {det}")
+
+
+def triple_gcds_ok(q) -> bool:
+    idx = range(4)
+    return all(
+        gcd(q[i], gcd(q[j], q[k])) == 1
+        for i in idx
+        for j in idx
+        for k in idx
+        if i < j < k
+    )
+
+
+def pair_supports_ok(m: DelsarteMatrix) -> bool:
+    q = m.weights
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if gcd(q[i], q[j]) > 1:
+                covered = any(
+                    all(row[k] == 0 for k in range(4) if k not in (i, j))
+                    for row in m.matrix
+                )
+                if not covered:
+                    return False
+    return True

@@ -85,15 +85,19 @@ def solves(monkeypatch) -> list:
 CHAIN = {"matrix": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 6, 1], [0, 0, 0, 7]], "group": "J"}
 
 
-def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, solves):
+def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, calls, solves):
     """The row sums of B are j, so SL of A^T and the dual of J are one solve,
-    over the rows (j); on the chain with J the other two are SL of A and the
-    dual of SL."""
+    over the rows (j); on the chain with J the other is SL of A. The dual of
+    SL is derived from the dual of J, not solved: each of the 24 elements of
+    the dual of J is paired once with the one generator of SL."""
     _run(tmp_path, capsys, "picard", CHAIN)
     j, j_t = (48, 72, 24, 24), (84, 42, 21, 21)
-    assert len(solves) == 3
+    assert len(solves) == 2
     assert solves.count((j,)) == 1
     assert solves.count((j_t,)) == 1  # SL of A: the column sums of B are j of A^T
+    # the 3 generators that span the dual of J checked against j, then the
+    # 24 elements of the dual of J against the generator of SL
+    assert calls["paired elements"] == 3 + 24
 
 
 def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
@@ -200,3 +204,25 @@ def test_workspace_is_freed_without_the_cycle_collector(tmp_path, capsys, monkey
         if enabled:
             gc.enable()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "rows, group",
+    [
+        ([[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]], ((1, 1, 1, 1), (0, 0, 2, 2))),
+        (CHAIN["matrix"], "SL"),
+    ],
+)
+def test_dual_above_j_solves_nothing(solves, rows, group):
+    """Once the dual of J is solved, the dual of every G above J, in the
+    lattice or given by generators, is derived from it without a solve."""
+    from bhk import Characteristic, Workspace, enumerate_intermediate
+
+    ws = Workspace(rows, Characteristic(0), group)
+    j = ws.primal.j
+    above = [g for g in enumerate_intermediate(j, ws.primal.sl) if g != j] + [ws.group]
+    ws.dual(j)
+    solves.clear()
+    for g in above:
+        ws.dual(g)
+    assert solves == []

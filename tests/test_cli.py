@@ -526,6 +526,19 @@ def test_batch_out_file(tmp_path, capsys):
     assert json.loads(lines[0])["file"] == "one.json"
 
 
+def test_batch_does_not_read_its_own_out_file(tmp_path, capsys):
+    """An --out file named *.json in the scanned directory exists on the
+    second run, which must not truncate it and then parse it as a document."""
+    _write(tmp_path, "one.json", A_EX_DOC)
+    out = tmp_path / "out.json"
+    for _ in range(2):
+        assert cli.main(["batch", str(tmp_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["file"] == "one.json"
+
+
 @pytest.mark.parametrize("target", ["missing/results.ndjson", "."])
 def test_batch_unwritable_out_fails_before_any_document(tmp_path, capsys, monkeypatch, target):
     """A missing parent directory or a directory at --out is one error document."""

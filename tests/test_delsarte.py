@@ -7,6 +7,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhk.cli as cli
 import bhk.delsarte as delsarte
@@ -24,7 +26,7 @@ from bhk.errors import (
     SingularMatrix,
 )
 from conftest import A_EX_ROWS, A_F_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build
-from oracles import inverse, mat_mul
+from oracles import inverse, mat_mul, reference_build_delsarte, reference_transpose
 
 
 def test_characteristic_validation():
@@ -234,3 +236,37 @@ def test_b_row_sums_are_the_grading_element(catalog_small):
     for m in catalog_small:
         assert tuple(sum(row) for row in m.b_matrix) == j_element(m)
         assert tuple(sum(col) for col in zip(*m.b_matrix)) == j_element(transpose(m, CHAR0))
+
+
+# 4x4 matrices with entries in [-2, 60], biased to 0: uniform ones, with
+# half their entries 0, and near-diagonal ones, their off-diagonal entries
+# mostly 0 or 1 and their rows shuffled, as most invertible matrices are.
+ENTRIES = st.one_of(st.just(0), st.integers(-2, 60))
+OFF_DIAGONAL = st.one_of(st.just(0), st.just(0), st.just(0), st.just(1), st.integers(-2, 60))
+DIAGONAL = st.one_of(st.integers(2, 8), st.integers(2, 8), st.integers(-2, 60))
+MATRICES = st.one_of(
+    st.lists(st.lists(ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4),
+    st.tuples(
+        *[st.tuples(*[DIAGONAL if i == j else OFF_DIAGONAL for j in range(4)]) for i in range(4)]
+    ).flatmap(st.permutations),
+)
+
+
+def _outcome(build_fn, *args):
+    """The record built, or the class and message of what was raised."""
+    try:
+        return build_fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(rows=MATRICES, p=st.sampled_from([0, 2, 3, 5, 7]))
+def test_matrix_layer_matches_the_reference_checks(rows, p):
+    """`build_delsarte` and `transpose` raise the same class and message as
+    the checks written one entry at a time, or return equal records."""
+    char = Characteristic(p)
+    got = _outcome(build_delsarte, rows, char)
+    assert got == _outcome(reference_build_delsarte, rows, char)
+    if isinstance(got, delsarte.DelsarteMatrix):
+        assert _outcome(transpose, got, char) == _outcome(reference_transpose, got, char)

@@ -183,16 +183,24 @@ def test_double_dual_returns_group(a_ex, mixed_m):
 
 def _assert_duals_match_filter(m):
     """Each dual of the lattice, derived from the dual of the group it
-    covers, equals a fresh `dual` solve in another workspace, and the solve
-    equals the filter over Aut(A^T)."""
+    covers, equals `dual` in a workspace where only the dual of J is known,
+    and that equals the filter over Aut(A^T); so do the duals of SL and of a
+    group given by generators, each in its own workspace."""
     ws = Workspace(m, CHAR0)
     solver = Workspace(m, CHAR0)
     lattice = ws.lattice
     assert [g for g, _ in lattice] == enumerate_intermediate(ws.primal.j, ws.primal.sl)
+    mt = ws.transpose.matrix
     for group, derived in lattice:
         got = solver.dual(group)
         assert derived == got
-        assert (got.elements, got.generators) == dual_by_filter(m, ws.transpose.matrix, group.generators)
+        assert (got.elements, got.generators) == dual_by_filter(m, mt, group.generators)
+    sl_ws = Workspace(m, CHAR0, "SL")
+    assert sl_ws.dual(sl_ws.group).elements == dual_by_filter(m, mt, ws.primal.sl.generators)[0]
+    # j and the largest element of SL, as a document would give them
+    generators = (j_element(m), ws.primal.sl.elements[-1])
+    gens_ws = Workspace(m, CHAR0, generators)
+    assert gens_ws.dual(gens_ws.group).elements == dual_by_filter(m, mt, generators)[0]
 
 
 def test_dual_matches_filter_on_fixtures(a_ex, a_f, loop_m, mixed_m):
@@ -235,18 +243,44 @@ def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
 
 
 def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
+    """The dual of J is the one solve, and every dual above J is derived from
+    it, so a wrong solve is caught there, also when a larger group's dual is
+    asked for: a solve over the rows of a group without j pairs nontrivially
+    with j, and a solve with no solutions gives too small a dual."""
     import bhk.symmetry as symmetry
 
-    groups = enumerate_intermediate(j_subgroup(a_f), sl_subgroup(aut_group(a_f)))
-    group, other = next((g, h) for g in groups for h in groups if g != h and g.order == h.order)
+    j = j_subgroup(a_f)
+    groups = enumerate_intermediate(j, sl_subgroup(aut_group(a_f)))
+    above = groups[-1]
+    without_j = subgroup_generated(a_f.exponent, [(1, 3, 0, 0)])
+    assert not j <= without_j
     real = symmetry.kernel_mod
-    wrong_rows = other.generators
+    wrong_rows = without_j.generators
     monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(wrong_rows, d))
-    with pytest.raises(InternalCheckError, match="pairs nontrivially"):
-        Workspace(a_f, CHAR0).dual(group)
+    for group in (j, above):
+        with pytest.raises(InternalCheckError, match="pairs nontrivially"):
+            Workspace(a_f, CHAR0).dual(group)
     monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: ())
+    for group in (j, above):
+        with pytest.raises(InternalCheckError, match="differs from"):
+            Workspace(a_f, CHAR0).dual(group)
+
+
+def test_derived_dual_order_identity_catches_a_filter_skipping_a_generator(a_f, monkeypatch):
+    """The part of the dual of J that pairs to zero with all but the last
+    generator of G is the dual of a smaller group, so |G| |G^T| > |det|; the
+    lattice passes one element per derivation, and skipping it keeps H^T."""
+    import bhk.duality as duality
+
+    real = duality.Workspace._annihilated
+    monkeypatch.setattr(
+        duality.Workspace, "_annihilated", lambda ws, dual, order, elements: real(ws, dual, order, list(elements)[:-1])
+    )
+    ws = Workspace(a_f, CHAR0, ((1, 1, 1, 1), (0, 0, 2, 2)))
     with pytest.raises(InternalCheckError, match="differs from"):
-        Workspace(a_f, CHAR0).dual(group)
+        ws.dual(ws.group)
+    with pytest.raises(InternalCheckError, match="differs from"):
+        Workspace(a_f, CHAR0).lattice
 
 
 @pytest.mark.parametrize("rows", [A_EX_ROWS, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42))])

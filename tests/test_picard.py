@@ -19,8 +19,6 @@ from bhk import (
     prime_scan,
     sl_group,
     subgroup_generated,
-    transcendental_set,
-    transcendental_set_orbits,
     transpose,
 )
 from bhk.errors import (
@@ -31,7 +29,13 @@ from bhk.errors import (
     ZeroCoordinate,
 )
 from conftest import CHAR0, cy_catalog_small, primes_below
-from oracles import aut_group, sl_subgroup, transcendental_set_by_element
+from oracles import (
+    aut_group,
+    sl_subgroup,
+    transcendental_set,
+    transcendental_set_by_element,
+    transcendental_set_orbits,
+)
 
 
 def _mirror(m, group_name="J", p=0):

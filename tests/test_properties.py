@@ -22,14 +22,13 @@ from bhk import (
     j_subgroup,
     pairing,
     subgroup_generated,
-    transcendental_set,
     transpose,
 )
 from bhk.arith import euler_phi, minus_one_power_exists
 from bhk.delsarte import build_delsarte
 from bhk.duality import _image, _pairings
 from conftest import CHAR0, cy_catalog_small, primes_below, random_valid_rows
-from oracles import aut_group, sl_subgroup
+from oracles import aut_group, sl_subgroup, transcendental_set
 
 SUITE_CASES = 500
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import random
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bhk.smoothness as smoothness
 from bhk import Atom, Characteristic, adequacy, atomic_decomposition
 from bhk.errors import NotInvertiblePotential
 from conftest import (
@@ -17,6 +22,7 @@ from conftest import (
     NONCY_LOOP_ROWS,
     build,
 )
+from oracles import pair_supports_ok, triple_gcds_ok
 
 # Calabi-Yau but not quasi-smooth: the first row mixes three variables.
 CY_NOT_QS_ROWS = ((2, 1, 1, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 1, 4))
@@ -139,3 +145,16 @@ def test_catalog_is_adequate(catalog):
     for m in catalog:
         rep = adequacy(m, None, CHAR0)
         assert rep.verdict, m.matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.one_of(st.integers(1, 12), st.integers(-2, 60)), min_size=4, max_size=4),
+    rows=st.lists(st.lists(st.one_of(st.just(0), st.integers(-2, 60)), min_size=4, max_size=4), min_size=4, max_size=4),
+)
+def test_weight_checks_match_the_reference_checks(weights, rows):
+    """The triple-gcd and line-support tests, each written over the four
+    triples and the six pairs, agree with the loops over all index choices."""
+    m = SimpleNamespace(weights=tuple(weights), matrix=tuple(map(tuple, rows)))
+    assert smoothness._triple_gcds_ok(weights) == triple_gcds_ok(weights)
+    assert smoothness._pair_supports_ok(m) == pair_supports_ok(m)
