@@ -39,6 +39,11 @@ _ALLOWED_KEYS = {"matrix", "group", "characteristic"}
 # supersingular residues already state for every p.
 MAX_PRIMES_UP_TO = 10**6
 
+# Largest input document, in bytes: far above any real document (four rows,
+# a few generators), and small enough that a file without end, such as
+# /dev/zero, is rejected after one bounded read.
+MAX_DOCUMENT_BYTES = 1 << 20
+
 
 class InputSpec(NamedTuple):
     """Parsed input document: matrix rows, group selector, characteristic."""
@@ -52,7 +57,9 @@ def parse_input(text: str) -> InputSpec:
     """Parse one input document; strict about keys and shapes."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:  # json raises RecursionError on deep nesting
+    # json raises RecursionError on deep nesting, and ValueError on an integer
+    # longer than the interpreter converts (sys.get_int_max_str_digits)
+    except (ValueError, RecursionError) as err:
         raise ParseError(f"invalid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
@@ -387,11 +394,18 @@ def _flatten(value, prefix: str = "") -> list[str]:
 
 
 def _read(path) -> str:
-    """A document's text; unreadable files are input errors."""
+    """A document's text, decoded as a text-mode read decodes it; unreadable
+    files and files over MAX_DOCUMENT_BYTES are input errors. At most one
+    byte beyond the limit is read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read(MAX_DOCUMENT_BYTES + 1)
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise ParseError(f"{path}: document is larger than {MAX_DOCUMENT_BYTES} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ParseError(str(err)) from err
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
 
 
 def _same_file(path, stat: os.stat_result) -> bool:

@@ -1,13 +1,14 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
 and construction of the transposed (mirror) pair. A Workspace is the one
 way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)`, `.mirror`
-and `.lattice`, each built once per input. One Smith-normal-form solve per
-input gives the dual of J, shared with SL of A^T; duality reverses
-inclusion, so the dual of every G above J, of `.dual` and of the lattice, is
-derived from a known dual as the part of it that pairs to zero with some
-elements of G. Every pairing, of `pairing`, of the checks of a solved dual
-and of each derived dual, is one batched product, a . (A b) mod d^2 for a
-list of elements a against one A b."""
+and `.lattice`, each built once per input. Every dual group is read from one
+known dual and filtered: duality reverses inclusion, so for J <= G the dual
+G^T is the part of the dual of J, which is SL of A^T, that pairs to zero
+with the generators of G outside J; for any other G it is the part of
+Aut(A^T) that pairs to zero with every generator of G. Each lattice dual but
+J's is filtered from a smaller group's dual. Every pairing, of `pairing` and
+of each filter, is one batched product, a . (A b) mod d^2 for a list of
+elements a against one A b."""
 
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .symmetry import (
     in_sl,
     j_subgroup,
     sl_group,
-    solved_span,
     subgroup_generated,
 )
 
@@ -90,31 +90,16 @@ def _annihilator(d: int, group: SymmetrySubgroup, images: Iterable[Sequence[int]
     return SymmetrySubgroup(d, kept)
 
 
-def _check_dual_order(m: DelsarteMatrix, order: int, dual: SymmetrySubgroup) -> None:
-    """|G| |G^T| = |det|, as the pairing is perfect."""
-    if order * dual.order != abs(m.det):
-        raise InternalCheckError(f"|G| |G^T| = {order} * {dual.order} differs from |det| = {abs(m.det)}")
-
-
 class _Side:
     """One side of the pair: a matrix and its groups SL (solved from the
-    matrix, never enumerating Aut) and J, each built on first use from the
-    matrix builder and kept. SL is solved through `solves`, the memo of
-    `solved_span` that the side shares with the other side and the dual
-    groups; it holds results only, never the Workspace, so a finished
-    Workspace is freed by reference counting alone."""
+    matrix, never enumerating Aut) and J, each built on first use and kept."""
 
-    def __init__(self, build_matrix, solves: dict):
-        self._build_matrix = build_matrix
-        self._solves = solves
-
-    @cached_property
-    def matrix(self) -> DelsarteMatrix:
-        return self._build_matrix()
+    def __init__(self, matrix: DelsarteMatrix):
+        self.matrix = matrix
 
     @cached_property
     def sl(self) -> SymmetrySubgroup:
-        return sl_group(self.matrix, self._solves)
+        return sl_group(self.matrix)
 
     @cached_property
     def j(self) -> SymmetrySubgroup:
@@ -128,42 +113,53 @@ class _Side:
         return abs(self.matrix.det) // check_sl_order(self.matrix)[1]
 
 
+def _check_modulus(m: DelsarteMatrix, group: SymmetrySubgroup) -> None:
+    if group.modulus != m.exponent:
+        raise SemanticError(f"group modulus {group.modulus} does not match the exponent {m.exponent}")
+
+
 class Workspace:
     """Every object derived from one input, each built on first use and at most once.
 
     It holds one characteristic and both sides of the pair: `primal` (A) and
-    `transpose` (A^T), each with its matrix, SL and J; the resolved
-    group G; the validated `pair` and `mirror` pair; and the dual groups,
-    memoized by group. SL of A^T and the dual of J are one solve: the row
-    sums of B = d A^(-1) are B 1 = (d/h) q = j, so SL of A^T solves j . x = 0
-    and maps x to x B, as the dual of J does; `solved_span` keeps that
-    result, and `sl_group` and `dual` each run their own checks on it.
-    `matrix` is rows (validated on first use) or a built DelsarteMatrix;
-    `group` is "J", "SL", generator coordinates, or a SymmetrySubgroup.
+    `transpose` (A^T), each with its matrix, SL and J, one side when A^T
+    equals A; the resolved group G; the validated `pair` and `mirror` pair;
+    and the dual groups, memoized by group. `matrix` is rows (validated on
+    first use) or a built DelsarteMatrix; `group` is "J", "SL", generator
+    coordinates, or a SymmetrySubgroup.
     """
 
     def __init__(self, matrix, char: Characteristic, group="J"):
         self.char = char
+        self._matrix = matrix
         self._group_spec = group
-        self._solves: dict = {}
-        if isinstance(matrix, DelsarteMatrix):
-            primal = _Side(lambda: matrix, self._solves)
-        else:
-            primal = _Side(lambda: build_delsarte(matrix, char), self._solves)
-        self.primal = primal
-        self.transpose = _Side(lambda: transpose(primal.matrix, char), self._solves)
         self._duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
 
     @cached_property
-    def group(self) -> SymmetrySubgroup:
-        """G from its description. |SL| is bounded first, as J, SL and G all
-        lie in SL. G <= SL is decided on what G is resolved from, without
-        building SL: `in_sl` on j for J, on each generator (before any group
-        beyond J is built) for generators, and trivially for SL."""
-        spec = self._group_spec
-        if isinstance(spec, SymmetrySubgroup):
-            return spec
+    def primal(self) -> _Side:
+        m = self._matrix
+        return _Side(m if isinstance(m, DelsarteMatrix) else build_delsarte(m, self.char))
+
+    @cached_property
+    def transpose(self) -> _Side:
+        """A^T, validated on first use; the primal side itself when A^T
+        equals A, so a symmetric A has one SL and one J."""
         m = self.primal.matrix
+        mt = transpose(m, self.char)
+        return self.primal if mt.matrix == m.matrix else _Side(mt)
+
+    @cached_property
+    def group(self) -> SymmetrySubgroup:
+        """G from its description, checked to satisfy J <= G <= SL on a
+        Calabi-Yau matrix. A given SymmetrySubgroup must have the exponent as
+        its modulus. |SL| is bounded first, as J, SL and G all lie in SL. G <=
+        SL is decided without building SL, by `in_sl` on the generators of G
+        (before any group beyond J is built), and trivially for SL."""
+        spec = self._group_spec
+        m = self.primal.matrix
+        given = isinstance(spec, SymmetrySubgroup)
+        if given:
+            _check_modulus(m, spec)
         self.primal.sl_order  # raises TooLarge when SL, and so G, is over the limit
         try:
             jg = self.primal.j
@@ -171,68 +167,46 @@ class Workspace:
             raise SemanticError(str(err)) from err
         if spec == "SL":
             return self.primal.sl
-        for g in jg.generators if spec == "J" else spec:
+        for g in jg.generators if spec == "J" else spec.generators if given else spec:
             coords = tuple(x % m.exponent for x in g)
             if not in_sl(m, coords):
                 raise SemanticError(f"generator {list(coords)} is outside the coordinate-sum-zero kernel")
-        return jg if spec == "J" else subgroup_generated(m.exponent, spec)
-
-    def check(self, group: SymmetrySubgroup, in_sl_known: bool = False) -> None:
-        """Raise SemanticError unless J <= group <= SL on a Calabi-Yau matrix.
-        G <= SL is tested against SL, built for it, unless `in_sl_known`."""
-        m = self.primal.matrix
-        if group.modulus != m.exponent:
-            raise SemanticError(
-                f"group modulus {group.modulus} does not match the exponent {m.exponent}"
-            )
-        try:
-            j = self.primal.j  # defined exactly on Calabi-Yau matrices
-        except ValueError:
-            message = f"weights {m.weights} sum to {sum(m.weights)}, degree is {m.degree}"
-            raise SemanticError(message) from None
-        if not j <= group:
+        group = jg if spec == "J" else spec if given else subgroup_generated(m.exponent, spec)
+        if not jg <= group:
             raise SemanticError("group does not contain the grading element")
-        if not in_sl_known and not group <= self.primal.sl:
-            raise SemanticError("group is not contained in the coordinate-sum-zero kernel")
+        return group
 
     @cached_property
     def pair(self) -> BhkPair:
-        """The pair (A, G), checked and with its adequacy report attached. A
-        G resolved from a document is known to lie in SL (`group`), so SL is
-        built only for a G given as a SymmetrySubgroup."""
+        """The pair (A, G), with its adequacy report attached."""
         m, group = self.primal.matrix, self.group
-        self.check(group, in_sl_known=not isinstance(self._group_spec, SymmetrySubgroup))
         return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
 
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
         """Annihilator of a subgroup G of Aut(A) inside Aut(A^T), under the pairing.
 
-        The dual of J is solved, and every G with J < G has G^T inside it, as
-        duality reverses inclusion: G^T is the part of the dual of J that pairs
-        to zero with each generator of G (`_annihilated`), and is solved for
-        nothing. A G that does not contain J is solved for as J is.
+        G^T is read from a known dual by `_annihilated`, as the part of it
+        that pairs to zero with some generators of G; duality reverses
+        inclusion, so G^T lies in the dual of any subgroup of G. For J <= G
+        the known dual is that of J, which is SL of A^T: A j = d 1, so
+        a A j = d (sum of a) mod d^2, and a pairs to zero with j exactly when
+        its coordinate sum is 0 mod d. It is filtered by the generators of G
+        outside J. Otherwise the known dual is Aut(A^T), the dual of the
+        trivial group, spanned by the rows of B = d A^(-1) and bounded first,
+        filtered by every generator of G; only the library passes such a G.
 
-        The rows of B = d A^(-1) generate Aut(A^T), so every a in it is x B mod d
-        for some x, and for g in Aut(A), pairing(x B, g) = x B A g = d (x . g)
-        mod d^2. So a solved G^T is the image under x -> x B mod d of the
-        solutions of x . g = 0 mod d over the generators g of G, solved by
-        `solved_span` without enumerating Aut(A^T); for J, the solve is SL of
-        A^T's. Cross-checked on every call: each generator of G lies in Aut(A),
-        tested first; a solved G^T is checked on the solutions that enlarged it
-        as it was spanned, which generate it: each lies in Aut(A^T) and pairs to
-        zero with each generator of G; and |G| |G^T| = |det|. As the pairing is
-        perfect, these together pin G^T down. A derived G^T lies in the checked
-        dual of J, and pairs to zero with G by construction. A^T is validated
-        first, so an invalid transpose is reported as the input error it is.
+        Cross-checked on every call: G has the exponent as its modulus
+        (SemanticError otherwise), and each generator of G lies in Aut(A),
+        tested first; |G| |G^T| = |det| (`_annihilated`), and SL of A^T has
+        `sl_group`'s own checks. As the pairing is perfect, these pin G^T
+        down. A^T is validated first, so an invalid transpose is reported as
+        the input error it is.
         """
-        return self._dual(group)
-
-    def _dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
-        """`dual`, which derivations call to read the dual of J."""
+        m = self.primal.matrix
+        _check_modulus(m, group)  # before the memo, as groups compare by their elements alone
         if group in self._duals:
             return self._duals[group]
         self.transpose.matrix  # raises the input error of an invalid A^T
-        m = self.primal.matrix
         d = m.exponent
         if not all(in_kernel(m.matrix, d, g) for g in group.generators):
             raise InternalCheckError("a group generator is outside the kernel Aut(A)")
@@ -241,27 +215,24 @@ class Workspace:
             j = self.primal.j
         except ValueError:  # no grading element: not a Calabi-Yau matrix
             j = None
-        if j is not None and j < group:
-            dual = self._annihilated(self._dual(j), group.order, group.generators)
+        if j is not None and j <= group:
+            known, elements = self.transpose.sl, [g for g in group.generators if g not in j]
         else:
-            dual, _, used = solved_span(d, group.generators, transpose_rows(m.b_matrix), self._solves)
-            columns = transpose_rows(m.matrix)
-            if not all(in_kernel(columns, d, a) for a in used):
-                raise InternalCheckError("a dual generator is outside the transposed kernel Aut(A^T)")
-            if any(any(_pairings(d, used, _image(m.matrix, g))) for g in group.generators):
-                raise InternalCheckError("a dual generator pairs nontrivially with the group")
-            _check_dual_order(m, group.order, dual)
-        self._duals[group] = dual
+            check_order(abs(m.det), "Aut(A^T)")
+            known, elements = subgroup_generated(d, m.b_matrix), group.generators
+        dual = self._duals[group] = self._annihilated(known, group.order, elements)
         return dual
 
     def _annihilated(self, dual: SymmetrySubgroup, order: int, elements: Iterable[Sequence[int]]) -> SymmetrySubgroup:
         """The part of the dual H^T of some H that pairs to zero with each of
         the elements, which is the dual of H + <elements>, of the given order,
-        by `_annihilator`. |G| |G^T| = |det| is checked, which fails when
-        the filter skips an element that G needs beyond H."""
+        by `_annihilator`. |G| |G^T| = |det| is checked, as the pairing is
+        perfect, which fails when the filter skips an element that G needs
+        beyond H."""
         m = self.primal.matrix
         dual = _annihilator(m.exponent, dual, [_image(m.matrix, e) for e in elements])
-        _check_dual_order(m, order, dual)
+        if order * dual.order != abs(m.det):
+            raise InternalCheckError(f"|G| |G^T| = {order} * {dual.order} differs from |det| = {abs(m.det)}")
         return dual
 
     @cached_property
@@ -270,19 +241,21 @@ class Workspace:
         `enumerate_intermediate`, which starts with J.
 
         A^T is validated first, so an invalid transpose is reported before
-        the lattice is enumerated. The dual of J is the one `dual` solve,
-        with all of its checks. Every other G is H + <e> for the pair (H, e)
-        it `covers`, with H before it, and its dual is derived from H^T by
-        `_annihilated`: the part of H^T that pairs to zero with e. Cross-checked
-        on every call: J <= G <= SL (`check`), and |G| |G^T| = |det| for each
-        derived dual, which a dual missing the pairing test with e would fail.
+        the lattice is enumerated. The dual of J is read by `dual`. Every
+        other G is H + <e> for the pair (H, e) it `covers`, with H before
+        it, and its dual is derived from H^T by `_annihilated`: the part of
+        H^T that pairs to zero with e. Cross-checked on every call: J <= G
+        <= SL, and |G| |G^T| = |det| for each derived dual, which a dual
+        missing the pairing test with e would fail.
         """
         self.transpose.matrix  # raises the input error of an invalid A^T
+        j, sl = self.primal.j, self.primal.sl
         duals: dict[SymmetrySubgroup, SymmetrySubgroup] = {}
-        for group in enumerate_intermediate(self.primal.j, self.primal.sl):
-            self.check(group)
+        for group in enumerate_intermediate(j, sl):
+            if not j <= group <= sl:
+                raise InternalCheckError("an intermediate group escaped the J..SL window")
             if group.covers is None:
-                duals[group] = self._dual(group)
+                duals[group] = self.dual(group)
             else:
                 h, e = group.covers
                 duals[group] = self._annihilated(duals[h], group.order, [e])
@@ -298,9 +271,7 @@ class Workspace:
                 report=pair.adequacy,
             )
         mt = self.transpose.matrix
-        group = pair.group
-        # a G equal to J is solved over j, the solve SL^T shares
-        dual = self.dual(self.primal.j if group == self.primal.j else group)
+        dual = self.dual(pair.group)
         if not self.transpose.j <= dual <= self.transpose.sl:
             raise InternalCheckError("dual group escaped the J..SL window of the transpose")
         report = adequacy(mt, dual, self.char)

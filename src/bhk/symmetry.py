@@ -1,6 +1,7 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
 membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
-SL itself from a Smith-normal-form solve that never enumerates Aut, the
+SL itself from a Smith-normal-form solve that never enumerates Aut (the one
+solve of the package; the dual groups are filtered from SL of A^T), the
 grading element j, and enumeration of the groups between J and SL, by one
 join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
@@ -166,41 +167,21 @@ def check_sl_order(m: DelsarteMatrix) -> tuple[list[int], int]:
     return s, index
 
 
-def solved_span(
-    d: int, rows: Iterable[Sequence[int]], image: Sequence[Sequence[int]], solves: dict | None = None
-) -> tuple[SymmetrySubgroup, list[Coords], tuple[Coords, ...]]:
-    """(G, X, U): X holds M x mod d, for M the image matrix, over the
-    generators x that `kernel_mod` gives of {x : r . x = 0 mod d for every
-    row r}, G is the group X generates and U those of X that enlarged it
-    (`_span`). Kept in `solves` when one is given, keyed by d, the rows
-    reduced mod d and M, so that two groups described by the same rows and
-    image are one solve; each caller runs its own checks on the result."""
-    rows = tuple(tuple([x % d for x in r]) for r in rows)
-    key = (d, rows, image)
-    if solves is not None and key in solves:
-        return solves[key]
-    gens = [tuple([sum(map(mul, row, x)) % d for row in image]) for x in kernel_mod(rows, d)]
-    elements, used = _span(d, gens)
-    result = SymmetrySubgroup(d, elements), gens, used
-    if solves is not None:
-        solves[key] = result
-    return result
-
-
-def sl_group(m: DelsarteMatrix, solves: dict | None = None) -> SymmetrySubgroup:
+def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     """SL(A), the coordinate-sum-zero part of Aut(A), without enumerating Aut.
 
     Every point of Aut is B x mod d for some x in (Z/d)^4, with coordinate
     sum s . x, where s holds the column sums of B. So SL is the image under
-    x -> B x mod d of the solutions of s . x = 0 mod d, which `solved_span`
-    solves, sharing the solve through `solves` when given. Its order is
-    bounded before it is built (`check_sl_order`), and cross-checked on every
-    call: each generator lies in SL, and |SL| d / gcd(d, s) = |det|, since
-    s . x takes d / gcd(d, s) values on Aut.
+    x -> B x mod d of the generators that `kernel_mod` gives of the solutions
+    of s . x = 0 mod d, and the group they span. Its order is bounded before
+    it is built (`check_sl_order`), and cross-checked on every call: each
+    generator lies in SL, and |SL| d / gcd(d, s) = |det|, since s . x takes
+    d / gcd(d, s) values on Aut.
     """
-    d = m.exponent
+    d, b = m.exponent, m.b_matrix
     s, index = check_sl_order(m)
-    sl, gens, _ = solved_span(d, [s], m.b_matrix, solves)
+    gens = [tuple([sum(map(mul, row, x)) % d for row in b]) for x in kernel_mod((tuple(s),), d)]
+    sl = SymmetrySubgroup(d, _span(d, gens)[0])
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
     if sl.order * index != abs(m.det):

@@ -7,7 +7,7 @@ they build in all, and pairings by the elements passed through the one
 batched pairing product. The transpose takes its determinant and
 adjugate from A, and the direct and orbit routes read one unit-orbit
 partition per group, so each of those is built once per side. Smith-normal-
-form solves are counted too: SL of A^T and the dual of J are one. No
+form solves are counted too: SL of A^T is the dual of J. No
 command builds SL to check a pair, and no Workspace outlives its run."""
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def _run(tmp_path, capsys, command: str, doc: dict) -> None:
 
 @pytest.fixture
 def solves(monkeypatch) -> list:
-    """The rows of every Smith-normal-form solve, in order: SL and the dual
-    groups are all solved through `symmetry.solved_span`."""
+    """The rows of every Smith-normal-form solve, in order: `sl_group` is the
+    only solve, and every dual group is filtered from SL of the transpose."""
     import bhk.symmetry as symmetry
 
     real = symmetry.kernel_mod
@@ -86,26 +86,26 @@ CHAIN = {"matrix": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 6, 1], [0, 0, 0, 7]], "gr
 
 
 def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, calls, solves):
-    """The row sums of B are j, so SL of A^T and the dual of J are one solve,
-    over the rows (j); on the chain with J the other is SL of A. The dual of
-    SL is derived from the dual of J, not solved: each of the 24 elements of
-    the dual of J is paired once with the one generator of SL."""
+    """The row sums of B are j, so SL of A^T, which is the dual of J, is the
+    solve over the rows (j); on the chain with J the other is SL of A. The
+    dual of SL is filtered from the dual of J, not solved: each of the 24
+    elements of the dual of J is paired once with the one generator of SL."""
     _run(tmp_path, capsys, "picard", CHAIN)
     j, j_t = (48, 72, 24, 24), (84, 42, 21, 21)
     assert len(solves) == 2
     assert solves.count((j,)) == 1
     assert solves.count((j_t,)) == 1  # SL of A: the column sums of B are j of A^T
-    # the 3 generators that span the dual of J checked against j, then the
-    # 24 elements of the dual of J against the generator of SL
-    assert calls["paired elements"] == 3 + 24
+    # the 24 elements of the dual of J against the generator of SL; the dual
+    # of J is SL^T itself, filtered by no element
+    assert calls["paired elements"] == 24
 
 
 def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     # J = SL on this matrix, so the pair has a single dual group.
     doc = {"matrix": [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 42]], "group": "SL"}
     _run(tmp_path, capsys, "picard", doc)
-    # A = A^T, so SL of A, SL of A^T, the dual of J and so of G = SL = J
-    # are one solve, over the rows (j)
+    # A = A^T, so the two sides are one, and SL of A, SL of A^T, the dual of
+    # J and so of G = SL = J are one solve, over the rows (j)
     assert solves == [((21, 14, 6, 1),)]
     assert calls["build_delsarte"] == 1
     assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
@@ -119,7 +119,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     assert calls["_orbit_route"] == 2
     assert calls["grading_set"] == 2
     assert calls["aged_elements"] == 2
-    assert calls["paired elements"] == 3  # each solved dual generator against each group generator
+    assert calls["paired elements"] == 0  # G = J: its dual is SL^T, filtered by no element
     assert calls["atomic_decomposition"] <= 2
 
 
@@ -135,11 +135,11 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
     # building that last join
     assert calls["_join"] <= 27
     assert calls["join elements"] <= 202
-    # the dual of J is the one solve, shared with SL, as B = I; each of the
-    # other 14 duals is the part of a largest smaller group's dual that pairs
-    # to zero with one element
+    # SL is the one solve, and the dual of J is SL itself, as A = A^T; each
+    # of the other 14 duals is the part of a largest smaller group's dual
+    # that pairs to zero with one element
     assert solves == [((1, 1, 1, 1),)]  # over the generator of J
-    assert calls["paired elements"] == 475
+    assert calls["paired elements"] == 472
 
 
 @pytest.mark.parametrize(
@@ -160,7 +160,7 @@ def test_pair_check_builds_no_sl(tmp_path, capsys, monkeypatch, command, status,
 
     built = []
     real = duality.sl_group
-    monkeypatch.setattr(duality, "sl_group", lambda m, solves=None: built.append(m) or real(m, solves))
+    monkeypatch.setattr(duality, "sl_group", lambda m: built.append(m) or real(m))
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"matrix": [[96, 0, 0, 0], [0, 96, 0, 0], [0, 0, 96, 0], [3, 0, 0, 1]]}))
     assert cli.main([command, str(path)]) == status

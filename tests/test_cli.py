@@ -591,6 +591,55 @@ def test_batch_isolates_deeply_nested_document(tmp_path, capsys):
     assert entries[0]["error"]["kind"] == "ParseError"
 
 
+LONG_INTEGER_DOC = '{"matrix": [[1%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % ("0" * 5000)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or not 0 < sys.get_int_max_str_digits() < 5000,
+    reason="the interpreter converts 5,000-digit integers",
+)
+def test_integer_beyond_the_conversion_limit_is_a_parse_error(tmp_path, capsys):
+    """json refuses an integer longer than the interpreter converts with a
+    bare ValueError, which is reported as the ParseError it is."""
+    (tmp_path / "long.json").write_text(LONG_INTEGER_DOC)
+    assert cli.main(["picard", str(tmp_path / "long.json")]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["category"]) == ("ParseError", "input")
+    assert err["message"].startswith("invalid JSON: ")
+    _write(tmp_path, "good.json", A_EX_DOC)
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    entries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [("good.json", "ok"), ("long.json", "error")]
+    assert entries[1]["error"]["kind"] == "ParseError"
+
+
+def test_oversized_document_is_a_parse_error(tmp_path, capsys):
+    """A document is read up to one byte past MAX_DOCUMENT_BYTES, and one
+    that long is refused, however valid its text; one at the limit is read."""
+    doc = json.dumps(A_EX_DOC)
+    (tmp_path / "big.json").write_text(doc + " " * (cli.MAX_DOCUMENT_BYTES + 1 - len(doc)))
+    assert cli.main(["picard", str(tmp_path / "big.json")]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ParseError"
+    assert f"larger than {cli.MAX_DOCUMENT_BYTES} bytes" in err["message"]
+    (tmp_path / "big.json").write_text(doc + " " * (cli.MAX_DOCUMENT_BYTES - len(doc)))
+    assert cli.main(["picard", str(tmp_path / "big.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_batch_isolates_a_document_without_end(tmp_path, capsys):
+    """x.json links to /dev/zero, which never ends: its read stops past the
+    limit, and it is one error line among the others."""
+    _write(tmp_path, "a_good.json", A_EX_DOC)
+    (tmp_path / "x.json").symlink_to("/dev/zero")
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    entries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [("a_good.json", "ok"), ("x.json", "error")]
+    assert entries[1]["error"]["kind"] == "ParseError"
+    assert f"larger than {cli.MAX_DOCUMENT_BYTES} bytes" in entries[1]["error"]["message"]
+
+
 def test_batch_missing_directory(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path / "nowhere")]) == 1
     err = json.loads(capsys.readouterr().err)

@@ -59,6 +59,15 @@ def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
     assert Workspace(A_EX_ROWS, CHAR0, ((48, 72, 24, 24), (0, 0, 0, 0))).group.order == 7
 
 
+def test_workspace_rejects_a_given_group_outside_sl_before_building_sl(a_ex):
+    """A given SymmetrySubgroup is checked by `in_sl` on its generators, as
+    a group from a document is, so SL is never built for it."""
+    ws = Workspace(A_EX_ROWS, CHAR0, aut_group(a_ex))
+    with pytest.raises(SemanticError, match="is outside the coordinate-sum-zero kernel"):
+        ws.pair
+    assert "sl" not in vars(ws.primal)
+
+
 def test_make_pair_attaches_adequacy(a_ex):
     pair = _workspace(a_ex).pair
     assert pair.adequacy.verdict
@@ -223,11 +232,14 @@ def test_lattice_order_identity_catches_a_derivation_skipping_the_pairing_test(a
         Workspace(a_f, CHAR0).lattice
 
 
-def test_dual_of_trivial_and_full_groups(a_ex):
-    ws = Workspace(a_ex, CHAR0)
-    trivial = subgroup_generated(a_ex.exponent, [])
-    assert ws.dual(trivial) == aut_group(ws.transpose.matrix)
-    assert ws.dual(aut_group(ws.primal.matrix)).order == 1
+def test_dual_of_trivial_and_full_groups(a_ex, a_f, loop_m, mixed_m):
+    """The trivial group does not contain J, so its dual is all of Aut(A^T),
+    spanned by the rows of B; on the Fermat quartic no row alone spans it."""
+    for m in (a_ex, a_f, loop_m, mixed_m):
+        ws = Workspace(m, CHAR0)
+        trivial = subgroup_generated(m.exponent, [])
+        assert ws.dual(trivial) == aut_group(ws.transpose.matrix)
+        assert ws.dual(aut_group(ws.primal.matrix)).order == 1
 
 
 def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
@@ -243,10 +255,11 @@ def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
 
 
 def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
-    """The dual of J is the one solve, and every dual above J is derived from
-    it, so a wrong solve is caught there, also when a larger group's dual is
-    asked for: a solve over the rows of a group without j pairs nontrivially
-    with j, and a solve with no solutions gives too small a dual."""
+    """Every dual of a group above J is filtered from SL of the transpose,
+    which is the one solve, so a wrong solve is caught by `sl_group`'s own
+    checks, also when a larger group's dual is asked for: a solve over the
+    rows of a group without j gives a generator outside SL, and a solve with
+    no solutions gives too small an SL."""
     import bhk.symmetry as symmetry
 
     j = j_subgroup(a_f)
@@ -258,11 +271,11 @@ def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
     wrong_rows = without_j.generators
     monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(wrong_rows, d))
     for group in (j, above):
-        with pytest.raises(InternalCheckError, match="pairs nontrivially"):
+        with pytest.raises(InternalCheckError, match="an SL generator is outside the coordinate-sum-zero kernel"):
             Workspace(a_f, CHAR0).dual(group)
     monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: ())
     for group in (j, above):
-        with pytest.raises(InternalCheckError, match="differs from"):
+        with pytest.raises(InternalCheckError, match=r"\|SL\| d / gcd\(d, s\) = 1 \* 4 differs from"):
             Workspace(a_f, CHAR0).dual(group)
 
 
@@ -292,10 +305,39 @@ def test_dual_checks_each_generator_in_its_kernel(rows):
 
 
 def test_dual_checks_each_dual_generator_in_the_transposed_kernel(a_ex, monkeypatch):
+    """A span of SL of the transpose that takes in (1, 0, 0, 0), outside
+    Aut(A^T), is too large for `sl_group`'s order check, whether the dual of
+    J or of a group above it is asked for."""
     import bhk.symmetry as symmetry
 
     j = j_subgroup(a_ex)
+    above = enumerate_intermediate(j, sl_subgroup(aut_group(a_ex)))[-1]
+    assert j < above and above.generators
     real = symmetry._span
     monkeypatch.setattr(symmetry, "_span", lambda d, gens: real(d, [*gens, (1, 0, 0, 0)]))
-    with pytest.raises(InternalCheckError, match="outside the transposed kernel"):
-        Workspace(a_ex, CHAR0).dual(j)
+    for group in (j, above):
+        with pytest.raises(InternalCheckError, match=r"\|SL\| d / gcd\(d, s\) = \d+ \* \d+ differs from"):
+            Workspace(a_ex, CHAR0).dual(group)
+
+
+def test_dual_rejects_a_group_of_another_modulus(a_ex):
+    """A subgroup of (Z/84)^4 or (Z/336)^4 is no subgroup of Aut(A) on the
+    chain, whose exponent is 168: an input error, raised before any check
+    of the group's elements, and before the memo of duals, where the
+    trivial group of any modulus equals the one already asked for."""
+    ws = Workspace(a_ex, CHAR0)
+    assert ws.dual(subgroup_generated(168, [])).order == 168
+    for modulus in (84, 336):
+        for gens in ([(48, 72, 24, 24)], []):
+            with pytest.raises(SemanticError, match=f"group modulus {modulus} does not match the exponent 168"):
+                ws.dual(subgroup_generated(modulus, gens))
+
+
+def test_symmetric_matrix_has_one_side():
+    """A = A^T on diag(2, 3, 7, 42), so the transpose is the primal side and
+    SL is one solve; the chain is not symmetric."""
+    ws = Workspace(((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42)), CHAR0)
+    assert ws.transpose is ws.primal
+    chain = Workspace(A_EX_ROWS, CHAR0)
+    assert chain.transpose is not chain.primal
+    assert chain.transpose.matrix.matrix == tuple(zip(*A_EX_ROWS))
