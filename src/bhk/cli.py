@@ -1,6 +1,8 @@
 """Command line interface. One JSON report document per invocation, NDJSON for
 batch; exit status 0 on success, 1 for input or adequacy errors, 2 when an
-internal cross-check fails."""
+internal cross-check fails or any other exception is raised. Each command
+computes only what its sections print: only the commands that print or
+decide on adequacy build an adequacy report."""
 
 from __future__ import annotations
 
@@ -152,7 +154,7 @@ def _adequacy_section(report: AdequacyReport) -> dict:
 
 
 def _groups_section(ws: Workspace) -> dict:
-    side, group = ws.primal, ws.pair.group
+    side, group = ws.primal, ws.group
     return {
         "aut_order": abs(side.matrix.det),
         "sl_order": side.sl_order,  # counted, not enumerated
@@ -284,7 +286,7 @@ class _Command(NamedTuple):
     help: str
     sections: tuple[str, ...]
     characteristic: int | None = None  # overrides the document's
-    status_from_verdict: bool = False  # exit 1 when the pair is not adequate
+    status_from_verdict: bool = False  # exit 1 when the pair is not adequate, read after the sections
 
 
 _COMMANDS = {
@@ -310,23 +312,25 @@ def run_command(command: str, spec: InputSpec, **options) -> tuple[dict, int]:
     except ValueError as err:
         raise SemanticError(str(err)) from err
     ws = Workspace(spec.matrix, char, spec.group_spec)
-    pair = ws.pair  # every section reads a validated pair, so bad input fails first
+    # every section reads a validated G, so bad input fails first; the
+    # adequacy report, which never raises, is built only by the sections and
+    # the exit status that read it
+    ws.group
     doc = {name: _SECTIONS[name](ws, spec, options) for name in ("input", "tool_version", *cmd.sections)}
-    adequate = pair.adequacy.verdict or not cmd.status_from_verdict
+    adequate = not cmd.status_from_verdict or ws.pair.adequacy.verdict
     return doc, EXIT_OK if adequate else EXIT_INPUT
 
 
-# Errors a run reports as a document; internal ones exit 2, the rest 1.
-_REPORTED = (InternalCheckError, InputError, ValueError)
-
-
+# An InputError is reported with exit 1; any other exception raised for one
+# document, a failed cross-check or a fault in the program, is an internal
+# error with exit 2.
 def _error_document(err: Exception) -> dict:
-    category = "internal" if isinstance(err, InternalCheckError) else "input"
+    category = "input" if isinstance(err, InputError) else "internal"
     return {"error": {"kind": type(err).__name__, "category": category, "message": str(err)}}
 
 
 def _error_status(err: Exception) -> int:
-    return EXIT_INTERNAL if isinstance(err, InternalCheckError) else EXIT_INPUT
+    return EXIT_INPUT if isinstance(err, InputError) else EXIT_INTERNAL
 
 
 def _report(err: Exception) -> int:
@@ -337,47 +341,60 @@ def _report(err: Exception) -> int:
 
 def _render(doc: dict, fmt: str) -> str:
     """The report as text. The json format is the text of
-    `json.dumps(doc, sort_keys=True, indent=2)`, written by `_indented`
+    `json.dumps(doc, sort_keys=True, indent=2)`, written by `_write_json`
     instead: with `indent` set, `json.dumps` leaves CPython's C encoder for
     its pure-Python one, which cost more than any single stage of a small
-    report."""
+    report. The writer appends every piece of the text to one list, joined
+    once here."""
     if fmt == "json":
-        return _indented(doc, "\n")
+        pieces: list[str] = []
+        _write_json(doc, "\n", pieces)
+        return "".join(pieces)
     return "\n".join(_flatten(doc))
 
 
-def _indented(value, newline: str) -> str:
-    """JSON text of a value, keys sorted, each level indented two spaces more
-    than `newline`, the line break plus the enclosing indentation. Only the
-    types the sections produce are written: dicts with str keys, lists, str,
-    int, bool and None; any other type raises TypeError, as in `json.dumps`.
-    Strings go through the same escaping function `json.dumps` uses."""
+def _write_json(value, newline: str, pieces: list[str]) -> None:
+    """Append the JSON text of a value to pieces, keys sorted, each level
+    indented two spaces more than `newline`, the line break plus the
+    enclosing indentation. Only the types the sections produce are written:
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError, as in `json.dumps`. Strings go through the same
+    escaping function `json.dumps` uses."""
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return str(value)
-    if kind is dict:
+        pieces.append(encode_basestring_ascii(value))
+    elif kind is int:
+        pieces.append(str(value))
+    elif kind is dict:
         if not value:
-            return "{}"
+            pieces.append("{}")
+            return
         inner = newline + "  "
-        items = []
+        opening = "{" + inner
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_indented(value[key], inner)}")
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
+            pieces.append(f"{opening}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], inner, pieces)
+            opening = "," + inner
+        pieces.append(newline + "}")
+    elif kind is list:
         if not value:
-            return "[]"
+            pieces.append("[]")
+            return
         inner = newline + "  "
-        items = [_indented(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        opening = "[" + inner
+        for x in value:
+            pieces.append(opening)
+            _write_json(x, inner, pieces)
+            opening = "," + inner
+        pieces.append(newline + "]")
+    elif value is None:
+        pieces.append("null")
+    elif kind is bool:
+        pieces.append("true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _flatten(value, prefix: str = "") -> list[str]:
@@ -437,7 +454,7 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
             try:
                 doc, _ = run_command("picard", parse_input(_read(path)))
                 entry = {"file": path.name, "report": doc, "status": "ok"}
-            except _REPORTED as err:
+            except Exception as err:  # one document's failure, of any kind, is its line
                 worst = max(worst, _error_status(err))
                 entry = {"file": path.name, "status": "error", **_error_document(err)}
             if sink is not None:
@@ -480,7 +497,7 @@ def _run_one(args: argparse.Namespace) -> int:
     options = {k: v for k, v in vars(args).items() if k in _OPTIONS}
     try:
         doc, status = run_command(args.command, parse_input(_read(args.file)), **options)
-    except _REPORTED as err:
+    except Exception as err:  # reported as one error document, never a traceback
         return _report(err)
     if not args.quiet:
         print(_render(doc, args.format))

@@ -123,10 +123,11 @@ class Workspace:
 
     It holds one characteristic and both sides of the pair: `primal` (A) and
     `transpose` (A^T), each with its matrix, SL and J, one side when A^T
-    equals A; the resolved group G; the validated `pair` and `mirror` pair;
-    and the dual groups, memoized by group. `matrix` is rows (validated on
-    first use) or a built DelsarteMatrix; `group` is "J", "SL", generator
-    coordinates, or a SymmetrySubgroup.
+    equals A, decided before A^T is derived; the resolved group G; the
+    `pair`, whose adequacy report is built only when it is read, and the
+    `mirror` pair; and the dual groups, memoized by group. `matrix` is rows
+    (validated on first use) or a built DelsarteMatrix; `group` is "J",
+    "SL", generator coordinates, or a SymmetrySubgroup.
     """
 
     def __init__(self, matrix, char: Characteristic, group="J"):
@@ -143,10 +144,13 @@ class Workspace:
     @cached_property
     def transpose(self) -> _Side:
         """A^T, validated on first use; the primal side itself when A^T
-        equals A, so a symmetric A has one SL and one J."""
+        equals A, compared before A^T is derived, so a symmetric A has one
+        SL and one J and is not derived or checked a second time: A^T = A
+        and adj(A)^T = adj(A), so every check of A^T is one A has passed."""
         m = self.primal.matrix
-        mt = transpose(m, self.char)
-        return self.primal if mt.matrix == m.matrix else _Side(mt)
+        if transpose_rows(m.matrix) == m.matrix:
+            return self.primal
+        return _Side(transpose(m, self.char))
 
     @cached_property
     def group(self) -> SymmetrySubgroup:
@@ -190,10 +194,12 @@ class Workspace:
         inclusion, so G^T lies in the dual of any subgroup of G. For J <= G
         the known dual is that of J, which is SL of A^T: A j = d 1, so
         a A j = d (sum of a) mod d^2, and a pairs to zero with j exactly when
-        its coordinate sum is 0 mod d. It is filtered by the generators of G
-        outside J. Otherwise the known dual is Aut(A^T), the dual of the
-        trivial group, spanned by the rows of B = d A^(-1) and bounded first,
-        filtered by every generator of G; only the library passes such a G.
+        its coordinate sum is 0 mod d. That identity is checked on the
+        grading element J is built from (InternalCheckError otherwise), and
+        the dual of J is filtered by the generators of G outside J.
+        Otherwise the known dual is Aut(A^T), the dual of the trivial group,
+        spanned by the rows of B = d A^(-1) and bounded first, filtered by
+        every generator of G; only the library passes such a G.
 
         Cross-checked on every call: G has the exponent as its modulus
         (SemanticError otherwise), and each generator of G lies in Aut(A),
@@ -216,6 +222,8 @@ class Workspace:
         except ValueError:  # no grading element: not a Calabi-Yau matrix
             j = None
         if j is not None and j <= group:
+            if _image(m.matrix, j.generators[0]) != (d, d, d, d):
+                raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
             known, elements = self.transpose.sl, [g for g in group.generators if g not in j]
         else:
             check_order(abs(m.det), "Aut(A^T)")

@@ -8,7 +8,9 @@ batched pairing product. The transpose takes its determinant and
 adjugate from A, and the direct and orbit routes read one unit-orbit
 partition per group, so each of those is built once per side. Smith-normal-
 form solves are counted too: SL of A^T is the dual of J. No
-command builds SL to check a pair, and no Workspace outlives its run."""
+command builds SL to check a pair, or an adequacy report it does not print
+or decide on, a symmetric A is not derived again as its own transpose, and
+no Workspace outlives its run."""
 
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import bhk.cli as cli
 # Stage function -> the module that defines it.
 COUNTED = {
     "build_delsarte": "bhk.delsarte",
+    "transpose": "bhk.delsarte",
     "is_calabi_yau": "bhk.delsarte",
     "det_adjugate": "bhk.arith",
     "aged_elements": "bhk.picard",
@@ -98,6 +101,9 @@ def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, caps
     # the 24 elements of the dual of J against the generator of SL; the dual
     # of J is SL^T itself, filtered by no element
     assert calls["paired elements"] == 24
+    assert calls["transpose"] == 1  # A != A^T
+    assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
+    assert calls["atomic_decomposition"] == 2  # one adequacy report per side
 
 
 def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
@@ -108,7 +114,8 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     # J and so of G = SL = J are one solve, over the rows (j)
     assert solves == [((21, 14, 6, 1),)]
     assert calls["build_delsarte"] == 1
-    assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
+    assert calls["det_adjugate"] == 1
+    assert calls["transpose"] == 0  # A = A^T is seen before A^T is derived
     assert 0 < calls["largest join"] < 1764  # |det|: Aut is never enumerated
     # a solve's redundant generators are skipped, and SL of A^T, which is only
     # counted and compared, is never walked for generators
@@ -120,7 +127,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     assert calls["grading_set"] == 2
     assert calls["aged_elements"] == 2
     assert calls["paired elements"] == 0  # G = J: its dual is SL^T, filtered by no element
-    assert calls["atomic_decomposition"] <= 2
+    assert calls["atomic_decomposition"] == 2  # the pair's report and the mirror's
 
 
 def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
@@ -129,6 +136,8 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
     assert calls["build_delsarte"] <= 2
     assert 0 < calls["largest join"] < 256  # |det|: Aut is never enumerated
     assert calls["is_calabi_yau"] <= 2  # not once per intermediate group
+    assert calls["transpose"] == 0  # A = A^T
+    assert calls["atomic_decomposition"] == 0  # subgroups prints no adequacy report
     # the lattice is walked on the cosets of J, so element joins only build
     # SL, J, J^T, the dual of J and the printed generators, and each greedy
     # walk for generators stops at the pick that spans its group, without

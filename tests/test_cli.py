@@ -249,6 +249,24 @@ def test_mirror_section_checks_its_printed_equalities(monkeypatch, doctored, mes
         cli.run_command("mirror", cli.parse_input(json.dumps(A_EX_DOC)))
 
 
+def test_mirror_checks_the_grading_identity_behind_the_dual_of_j(tmp_path, capsys, monkeypatch):
+    """The dual of J is read as SL of the transpose because A j = d (1,1,1,1).
+    A grading element 3j on the Fermat quartic still has order 4 and
+    coordinate sum 0 mod 4, and spans the same J, but A (3j) = 3d (1,1,1,1):
+    `bhk mirror` must exit 2 on that check."""
+    import bhk.symmetry as symmetry
+
+    real = symmetry.j_element
+    monkeypatch.setattr(symmetry, "j_element", lambda m: tuple(3 * x % m.exponent for x in real(m)))
+    path = _write(tmp_path, "fermat.json", {"matrix": [list(r) for r in A_F_ROWS]})
+    assert cli.main(["mirror", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["category"]) == ("InternalCheckError", "internal")
+    assert "A j differs from d (1,1,1,1)" in err["message"]
+
+
 def test_scan_golden_and_forces_characteristic_zero():
     doc_input = dict(A_EX_DOC, characteristic=11)
     doc, status = cli.run_command(
@@ -392,6 +410,40 @@ def test_main_internal_error_exits_two(tmp_path, capsys, monkeypatch):
     assert cli.main(["picard", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "internal"
+
+
+@pytest.mark.parametrize("raised", [ValueError, KeyError])
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, raised):
+    """An exception that is not an InputError, raised by a stage for one
+    document, is one internal error document with exit 2, never a traceback
+    nor an input error; batch reports the other documents as before."""
+    real = cli.picard_report
+
+    def faulty(mp):
+        if mp.primal.matrix.matrix == A_EX_ROWS:
+            raise raised("a fault in a test double")
+        return real(mp)
+
+    monkeypatch.setattr(cli, "picard_report", faulty)
+    path = _write(tmp_path, "chain.json", A_EX_DOC)
+    assert cli.main(["picard", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)["error"]
+    assert (err["kind"], err["category"]) == (raised.__name__, "internal")
+
+    _write(tmp_path, "fermat.json", {"matrix": [list(r) for r in A_F_ROWS]})
+    _write(tmp_path, "zero.json", {"matrix": [[0] * 4] * 4})
+    assert cli.main(["batch", str(tmp_path)]) == 2
+    entries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [
+        ("chain.json", "error"),
+        ("fermat.json", "ok"),
+        ("zero.json", "error"),
+    ]
+    assert (entries[0]["error"]["kind"], entries[0]["error"]["category"]) == (raised.__name__, "internal")
+    assert entries[2]["error"]["category"] == "input"
 
 
 @pytest.mark.parametrize(
