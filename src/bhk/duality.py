@@ -1,14 +1,13 @@
 """BHK pairs, the mod d^2 pairing between the two kernels, dual groups,
 and construction of the transposed (mirror) pair. A Workspace is the one
-way to build them: `Workspace(m, char, g)` gives `.pair`, `.dual(g)`, `.mirror`
-and `.lattice`, each built once per input. Every dual group is read from one
-known dual and filtered: duality reverses inclusion, so for J <= G the dual
-G^T is the part of the dual of J, which is SL of A^T, that pairs to zero
-with the generators of G outside J; for any other G it is the part of
-Aut(A^T) that pairs to zero with every generator of G. Each lattice dual but
-J's is filtered from a smaller group's dual. Every pairing, of `pairing` and
-of each filter, is one batched product, a . (A b) mod d^2 for a list of
-elements a against one A b."""
+way to build them: `Workspace(rows, char, g)` gives `.pair`, `.dual(g)`,
+`.mirror` and `.lattice`, each built once per input. A dual group is taken
+only of a G with J <= G, and is read from one known dual and filtered:
+duality reverses inclusion, so G^T is the part of the dual of J, which is
+SL of A^T, that pairs to zero with the generators of G outside J. Each
+lattice dual but J's is filtered from a smaller group's dual. Every
+pairing of each filter is one batched product, a . (A b) mod d^2 for a
+list of elements a against one A b."""
 
 from __future__ import annotations
 
@@ -49,21 +48,6 @@ class BhkPair(NamedTuple):
 class MirrorPair(NamedTuple):
     primal: BhkPair
     mirror: BhkPair
-
-
-def pairing(m: DelsarteMatrix, a: Sequence[int], b: Sequence[int]) -> int:
-    """The residue a A b^t mod d^2, using the canonical lifts in [0, d) of a and b.
-
-    a must annihilate the columns of A and b its rows, else ValueError.
-    """
-    d = m.exponent
-    a = tuple(c % d for c in a)
-    b = tuple(c % d for c in b)
-    if not in_kernel(transpose_rows(m.matrix), d, a):
-        raise ValueError(f"{a} is not in the transposed kernel")
-    if not in_kernel(m.matrix, d, b):
-        raise ValueError(f"{b} is not in the kernel")
-    return _pairings(d, [a], _image(m.matrix, b))[0]
 
 
 def _image(matrix, b) -> tuple[int, ...]:
@@ -125,9 +109,9 @@ class Workspace:
     `transpose` (A^T), each with its matrix, SL and J, one side when A^T
     equals A, decided before A^T is derived; the resolved group G; the
     `pair`, whose adequacy report is built only when it is read, and the
-    `mirror` pair; and the dual groups, memoized by group. `matrix` is rows
-    (validated on first use) or a built DelsarteMatrix; `group` is "J",
-    "SL", generator coordinates, or a SymmetrySubgroup.
+    `mirror` pair; and the dual groups, memoized by group. `matrix` is rows,
+    validated at the workspace's characteristic on first use; `group` is
+    "J", "SL", generator coordinates, or a SymmetrySubgroup.
     """
 
     def __init__(self, matrix, char: Characteristic, group="J"):
@@ -138,8 +122,7 @@ class Workspace:
 
     @cached_property
     def primal(self) -> _Side:
-        m = self._matrix
-        return _Side(m if isinstance(m, DelsarteMatrix) else build_delsarte(m, self.char))
+        return _Side(build_delsarte(self._matrix, self.char))
 
     @cached_property
     def transpose(self) -> _Side:
@@ -165,10 +148,7 @@ class Workspace:
         if given:
             _check_modulus(m, spec)
         self.primal.sl_order  # raises TooLarge when SL, and so G, is over the limit
-        try:
-            jg = self.primal.j
-        except ValueError as err:
-            raise SemanticError(str(err)) from err
+        jg = self.primal.j
         if spec == "SL":
             return self.primal.sl
         for g in jg.generators if spec == "J" else spec.generators if given else spec:
@@ -187,19 +167,16 @@ class Workspace:
         return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
 
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
-        """Annihilator of a subgroup G of Aut(A) inside Aut(A^T), under the pairing.
+        """Annihilator of a subgroup G of Aut(A) with J <= G inside Aut(A^T),
+        under the pairing; SemanticError for a G without J.
 
-        G^T is read from a known dual by `_annihilated`, as the part of it
-        that pairs to zero with some generators of G; duality reverses
-        inclusion, so G^T lies in the dual of any subgroup of G. For J <= G
-        the known dual is that of J, which is SL of A^T: A j = d 1, so
-        a A j = d (sum of a) mod d^2, and a pairs to zero with j exactly when
-        its coordinate sum is 0 mod d. That identity is checked on the
-        grading element J is built from (InternalCheckError otherwise), and
-        the dual of J is filtered by the generators of G outside J.
-        Otherwise the known dual is Aut(A^T), the dual of the trivial group,
-        spanned by the rows of B = d A^(-1) and bounded first, filtered by
-        every generator of G; only the library passes such a G.
+        G^T is read from the dual of J, which is SL of A^T, by `_annihilated`,
+        as the part of it that pairs to zero with the generators of G outside
+        J: duality reverses inclusion, so G^T lies in the dual of any subgroup
+        of G. A j = d 1, so a A j = d (sum of a) mod d^2, and a pairs to zero
+        with j exactly when its coordinate sum is 0 mod d. That identity is
+        checked on the grading element J is built from (InternalCheckError
+        otherwise).
 
         Cross-checked on every call: G has the exponent as its modulus
         (SemanticError otherwise), and each generator of G lies in Aut(A),
@@ -216,19 +193,14 @@ class Workspace:
         d = m.exponent
         if not all(in_kernel(m.matrix, d, g) for g in group.generators):
             raise InternalCheckError("a group generator is outside the kernel Aut(A)")
+        j = self.primal.j
+        if not j <= group:
+            raise SemanticError("group does not contain the grading element")
         check_order(abs(m.det) // group.order, "the dual group")
-        try:
-            j = self.primal.j
-        except ValueError:  # no grading element: not a Calabi-Yau matrix
-            j = None
-        if j is not None and j <= group:
-            if _image(m.matrix, j.generators[0]) != (d, d, d, d):
-                raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
-            known, elements = self.transpose.sl, [g for g in group.generators if g not in j]
-        else:
-            check_order(abs(m.det), "Aut(A^T)")
-            known, elements = subgroup_generated(d, m.b_matrix), group.generators
-        dual = self._duals[group] = self._annihilated(known, group.order, elements)
+        if _image(m.matrix, j.generators[0]) != (d, d, d, d):
+            raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
+        elements = [g for g in group.generators if g not in j]
+        dual = self._duals[group] = self._annihilated(self.transpose.sl, group.order, elements)
         return dual
 
     def _annihilated(self, dual: SymmetrySubgroup, order: int, elements: Iterable[Sequence[int]]) -> SymmetrySubgroup:

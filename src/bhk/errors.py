@@ -44,14 +44,6 @@ class CharDividesD(InputError):
     """The characteristic divides the exponent d."""
 
 
-class ZeroCoordinate(InputError):
-    """Age requested for an element with a zero coordinate."""
-
-
-class NonintegralAge(InputError):
-    """Coordinate sum of an age candidate is not divisible by the modulus."""
-
-
 class TooLarge(InputError):
     """A group the input asks for is larger than any command enumerates."""
 

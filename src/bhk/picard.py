@@ -26,8 +26,6 @@ from .errors import (
     HNotInMd,
     InternalCheckError,
     MethodMismatch,
-    NonintegralAge,
-    ZeroCoordinate,
 )
 from .symmetry import Coords, SymmetrySubgroup, j_element
 
@@ -37,21 +35,6 @@ class AgedElement(NamedTuple):
 
     coords: Coords
     age: int
-
-
-def age(d: int, coords: Sequence[int]) -> int:
-    """Sum of the coordinates reduced to [0, d), divided by d.
-
-    Defined only for elements with every coordinate nonzero whose coordinate
-    sum is divisible by d; the value then lands in {1, 2, 3}.
-    """
-    reduced = tuple(c % d for c in coords)
-    if 0 in reduced:
-        raise ZeroCoordinate(f"{reduced} has a zero coordinate mod {d}")
-    total = sum(reduced)
-    if total % d != 0:
-        raise NonintegralAge(f"coordinate sum {total} of {reduced} is not divisible by {d}")
-    return total // d
 
 
 def aged_elements(group: SymmetrySubgroup) -> dict[Coords, int]:

@@ -23,7 +23,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .arith import euler_phi, kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
-from .errors import InternalCheckError, TooLarge
+from .errors import InternalCheckError, SemanticError, TooLarge
 
 Coords = tuple[int, int, int, int]
 ZERO: Coords = (0, 0, 0, 0)
@@ -55,12 +55,10 @@ def _multiples(modulus: int, group: AbstractSet[Coords], g: Coords) -> list[Coor
     return out
 
 
-def _join(modulus: int, group: AbstractSet[Coords], g: Coords, multiples: list[Coords] | None = None) -> set[Coords]:
-    """G + <g> for a subgroup G and a reduced g: G and its cosets G + k g for
-    the multiples k g outside G (`_multiples`, unless given), all added in
-    one pass."""
-    if multiples is None:
-        multiples = _multiples(modulus, group, g)
+def _join(modulus: int, group: AbstractSet[Coords], multiples: list[Coords]) -> set[Coords]:
+    """G + <g> for a subgroup G, given the multiples k g outside G of a
+    reduced g (`_multiples`): G and its cosets G + k g, all added in one
+    pass."""
     out = set(group)
     out.update(
         [
@@ -90,7 +88,7 @@ def _span(
             multiples = _multiples(modulus, group, g)
             if len(group) * (len(multiples) + 1) == order:
                 break
-            group = _join(modulus, group, g, multiples)
+            group = _join(modulus, group, multiples)
     return group, tuple(used)
 
 
@@ -192,10 +190,10 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
 
 
 def j_element(m: DelsarteMatrix) -> Coords:
-    """The grading element (d/h) q mod d; defined for Calabi-Yau matrices.
-    Checked to have order h and coordinate sum 0 mod d."""
+    """The grading element (d/h) q mod d; defined for Calabi-Yau matrices,
+    SemanticError otherwise. Checked to have order h and coordinate sum 0 mod d."""
     if not is_calabi_yau(m):
-        raise ValueError("grading element requires a Calabi-Yau matrix")
+        raise SemanticError("grading element requires a Calabi-Yau matrix")
     d, h = m.exponent, m.degree
     j = tuple(d // h * qi % d for qi in m.weights)
     if d // gcd(d, *j) != h or sum(j) % d != 0:

@@ -13,6 +13,7 @@ from bhk import (
     Characteristic,
     DelsarteMatrix,
     adequacy,
+    aged_elements,
     build_delsarte,
     is_calabi_yau,
     j_element,
@@ -20,7 +21,7 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from oracles import aut_group, sl_subgroup
+from oracles import age, aut_group, sl_subgroup
 
 CHAR0 = Characteristic(0)
 
@@ -33,6 +34,15 @@ NONCY_LOOP_ROWS = ((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2))
 
 def build(rows, p: int = 0) -> DelsarteMatrix:
     return build_delsarte(rows, Characteristic(p))
+
+
+def aged(d: int, coords) -> int:
+    """The library's age of an element, read from the age table of the
+    cyclic group it generates, and checked against the oracle's age."""
+    g = tuple(c % d for c in coords)
+    value = aged_elements(subgroup_generated(d, [g]))[g]
+    assert value == age(d, coords)
+    return value
 
 
 def primes_below(n: int) -> list[int]:

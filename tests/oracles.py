@@ -1,7 +1,7 @@
 """Test oracles: library results recomputed straight from their definitions.
 
 Each oracle takes its inputs through public `bhk` names (matrices, groups,
-ages, number-theory helpers) and builds its own sets with the breadth-first
+number-theory helpers) and builds its own sets with the breadth-first
 closure below, so it shares no group-building or set-building code with the
 library functions it checks. They are slow on purpose: plain loops over
 every element, kept small enough for the small catalog.
@@ -29,7 +29,6 @@ from bhk import (
     Characteristic,
     DelsarteMatrix,
     SymmetrySubgroup,
-    age,
     det_adjugate,
     matrix4,
     multiplicative_order,
@@ -77,6 +76,23 @@ def greedy_generators(modulus, elements) -> tuple:
             gens.append(c)
             covered = reference_closure(modulus, gens)
     return tuple(gens)
+
+
+def pairing(m, a, b) -> int:
+    """The residue a A b^T mod d^2, summed entry by entry. On a in Aut(A^T)
+    and b in Aut(A) it does not depend on the lifts of a and b."""
+    d = m.exponent
+    return sum(a[i] * m.matrix[i][j] * b[j] for i in range(4) for j in range(4)) % (d * d)
+
+
+def age(d: int, coords) -> int:
+    """The age of an element with every coordinate nonzero mod d and
+    coordinate sum 0 mod d: the sum of its coordinates reduced to [0, d),
+    over d."""
+    reduced = [c % d for c in coords]
+    if 0 in reduced or sum(reduced) % d:
+        raise ValueError(f"{tuple(coords)} has no age mod {d}")
+    return sum(reduced) // d
 
 
 def aut_group(m) -> SymmetrySubgroup:

@@ -1,0 +1,76 @@
+"""Every function in `src/bhk` is entered by some command. The golden
+corpus, then one `batch --out` run over a document whose group is given by
+generators (the golden corpus has none), go through `cli.main` under a
+profile hook that records the code of each function entered; every function
+the package defines must be among them, but for the listed exceptions."""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import bhk
+import bhk.cli as cli
+from test_cli_golden import cases, replay
+
+PACKAGE = Path(bhk.__file__).parent
+
+# (module file, function) -> why no command enters it.
+NEVER_ENTERED = {
+    ("delsarte.py", "_make"): "the guard that makes `Characteristic._replace` check p as `Characteristic(p)` does;"
+    " no command replaces a characteristic",
+}
+
+GENERATORS_DOC = {
+    "matrix": [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]],
+    "group": {"generators": [[1, 1, 1, 1], [0, 0, 2, 2]]},
+}
+
+
+def _defined() -> dict[tuple[str, int], str]:
+    """(module file, first line) -> name of every function defined in the
+    package. The first line is that of the first decorator, as in the
+    function's code object."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                out[path.name, first] = node.name
+    return out
+
+
+def _run_commands(workdir: Path) -> None:
+    """The golden corpus, then `batch --out` over the generators document."""
+    for i, case in enumerate(cases()):
+        (workdir / str(i)).mkdir()
+        replay(case, workdir / str(i))
+    batch = workdir / "batch"
+    batch.mkdir()
+    (batch / "fermat8.json").write_text(json.dumps(GENERATORS_DOC))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["batch", str(batch), "--out", str(batch / "out.json")]) == cli.EXIT_OK
+    assert json.loads((batch / "out.json").read_text())["status"] == "ok"
+
+
+def test_every_function_is_entered_by_a_command(tmp_path):
+    cli.build_parser.cache_clear()  # else a parser built by an earlier test is reused
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        _run_commands(tmp_path)
+    finally:
+        sys.setprofile(None)
+    prefix = str(PACKAGE)
+    seen = {(Path(c.co_filename).name, c.co_firstlineno) for c in entered if c.co_filename.startswith(prefix)}
+    never = sorted((file, name) for (file, line), name in _defined().items() if (file, line) not in seen)
+    assert never == sorted(NEVER_ENTERED)

@@ -19,7 +19,7 @@ from bhk import (
     transpose,
 )
 from bhk.errors import InternalCheckError, SemanticError, TooLarge
-from bhk.symmetry import _join, _span
+from bhk.symmetry import _join, _multiples, _span
 from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
 from oracles import aut_group, greedy_generators, lattice_by_joins, reference_closure, sl_subgroup
 
@@ -122,7 +122,7 @@ def test_grading_element_in_sl(a_ex, a_f, loop_m, mixed_m):
 
 
 def test_grading_element_needs_calabi_yau():
-    with pytest.raises(ValueError):
+    with pytest.raises(SemanticError, match="grading element requires a Calabi-Yau matrix"):
         j_element(build(NONCY_LOOP_ROWS))
 
 
@@ -210,7 +210,7 @@ def test_join_matches_breadth_first_closure(data):
     gens = data.draw(st.lists(element.filter(any), min_size=1, max_size=3))
     group = reference_closure(d, gens)
     g = data.draw(st.one_of(st.sampled_from(sorted(group)), element))
-    assert _join(d, group, g) == reference_closure(d, [*gens, g])
+    assert _join(d, group, _multiples(d, group, g)) == reference_closure(d, [*gens, g])
     assert group == reference_closure(d, gens)
 
 
