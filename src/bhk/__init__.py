@@ -15,7 +15,6 @@ from .errors import (
     BhkError,
     CharDividesD,
     CharDividesDet,
-    HNotInMd,
     InputError,
     InternalCheckError,
     MethodMismatch,
@@ -31,21 +30,13 @@ from .errors import (
     TooLarge,
 )
 from .picard import (
-    AgedElement,
     PicardReport,
     ScanReport,
-    aged_elements,
-    grading_set,
     picard_closed_form,
     picard_report,
     prime_scan,
 )
-from .smoothness import (
-    AdequacyReport,
-    Atom,
-    adequacy,
-    atomic_decomposition,
-)
+from .smoothness import AdequacyReport, Atom, adequacy
 from .symmetry import (
     SymmetrySubgroup,
     enumerate_intermediate,
@@ -59,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdequacyReport",
-    "AgedElement",
     "Atom",
     "BhkError",
     "BhkPair",
@@ -67,7 +57,6 @@ __all__ = [
     "CharDividesDet",
     "Characteristic",
     "DelsarteMatrix",
-    "HNotInMd",
     "InputError",
     "InternalCheckError",
     "MethodMismatch",
@@ -87,13 +76,10 @@ __all__ = [
     "TooLarge",
     "Workspace",
     "adequacy",
-    "aged_elements",
-    "atomic_decomposition",
     "build_delsarte",
     "det_adjugate",
     "enumerate_intermediate",
     "euler_phi",
-    "grading_set",
     "is_calabi_yau",
     "j_element",
     "j_subgroup",

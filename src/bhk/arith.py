@@ -133,47 +133,28 @@ def det_adjugate(a: Matrix4) -> tuple[int, Matrix4]:
     return det, adj
 
 
-def kernel_mod(rows: Sequence[Sequence[int]], d: int) -> tuple[Vector4, ...]:
-    """Generators of {x in (Z/d)^4 : r . x = 0 mod d for every row r}.
+def kernel_mod(s: Sequence[int], d: int) -> tuple[Vector4, ...]:
+    """Generators of {x in (Z/d)^4 : s . x = 0 mod d} for one row s of four
+    entries and d >= 1.
 
-    The rows are diagonalized by unimodular integer row and column operations
-    (Smith normal form without the divisibility chain), the column operations
-    kept in V, so that U R V = diag(s). Since U is invertible, R x = 0 mod d
-    exactly when y = V^(-1) x has s_i y_i = 0 mod d for each i, so the columns
-    of V scaled by d / gcd(d, s_i) generate the solutions. Returns at most four
-    generators, none of them zero.
+    Euclid's algorithm on the columns reduces s to s V = (g, 0, 0, 0), the
+    unimodular column operations kept in V. Since V is invertible, s . x = 0
+    mod d exactly when y = V^(-1) x has g y_0 = 0 mod d, so column 0 of V
+    scaled by d / gcd(d, g) and the other three columns generate the
+    solutions. Returns at most four generators, none of them zero.
     """
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    a = [[x % d for x in r] for r in rows]
-    if any(len(r) != 4 for r in a):
-        raise ValueError("every row needs 4 entries")
+    a = [x % d for x in s]
     v = [list(r) for r in IDENTITY4]
-    diag = [0, 0, 0, 0]
-    for t in range(4):
-        while True:
-            entries = [(abs(a[i][j]), i, j) for i in range(t, len(a)) for j in range(t, 4) if a[i][j]]
-            if not entries:
-                break
-            _, i, j = min(entries)
-            a[t], a[i] = a[i], a[t]
-            for r in (*a, *v):
-                r[t], r[j] = r[j], r[t]
-            p = a[t][t]
-            for i in range(t + 1, len(a)):
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, 4):
-                q = a[t][j] // p
-                for r in (*a, *v):
-                    r[j] -= q * r[t]
-            if not any(a[i][t] for i in range(t + 1, len(a))) and not any(a[t][t + 1 :]):
-                diag[t] = p
-                break
-    gens = []
-    for k in range(4):
-        step = d // gcd(d, diag[k])
-        col = tuple(v[i][k] * step % d for i in range(4))
-        if any(col):
-            gens.append(col)
-    return tuple(gens)
+    while any(a[1:]):
+        t = min((j for j in range(4) if a[j]), key=a.__getitem__)
+        a[0], a[t] = a[t], a[0]
+        for r in v:
+            r[0], r[t] = r[t], r[0]
+        for j in range(1, 4):
+            q = a[j] // a[0]
+            a[j] -= q * a[0]
+            for r in v:
+                r[j] -= q * r[0]
+    steps = (d // gcd(d, a[0]), 1, 1, 1)
+    gens = [tuple(r[k] * steps[k] % d for r in v) for k in range(4)]
+    return tuple(g for g in gens if any(g))

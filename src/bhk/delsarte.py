@@ -48,12 +48,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _CharacteristicFields(NamedTuple):
-    p: int = 0
-
-
-class Characteristic(_CharacteristicFields):
-    """Base field characteristic: zero or a prime below _PRIME_TEST_BOUND."""
+class Characteristic(int):
+    """Base field characteristic, an int: zero or a prime below
+    _PRIME_TEST_BOUND, checked in `__new__`. `p` is its value as a plain int."""
 
     __slots__ = ()
 
@@ -62,13 +59,13 @@ class Characteristic(_CharacteristicFields):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         return super().__new__(cls, p)
 
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through it; checked like a new one
-        return cls(*iterable)
+    @property
+    def p(self) -> int:
+        return int(self)
 
     @property
     def positive(self) -> bool:
-        return self.p > 0
+        return self > 0
 
 
 class DelsarteMatrix(NamedTuple):

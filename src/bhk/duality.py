@@ -25,7 +25,6 @@ from .errors import (
 from .smoothness import AdequacyReport, adequacy
 from .symmetry import (
     SymmetrySubgroup,
-    check_order,
     check_sl_order,
     enumerate_intermediate,
     in_kernel,
@@ -97,11 +96,6 @@ class _Side:
         return abs(self.matrix.det) // check_sl_order(self.matrix)[1]
 
 
-def _check_modulus(m: DelsarteMatrix, group: SymmetrySubgroup) -> None:
-    if group.modulus != m.exponent:
-        raise SemanticError(f"group modulus {group.modulus} does not match the exponent {m.exponent}")
-
-
 class Workspace:
     """Every object derived from one input, each built on first use and at most once.
 
@@ -111,10 +105,13 @@ class Workspace:
     `pair`, whose adequacy report is built only when it is read, and the
     `mirror` pair; and the dual groups, memoized by group. `matrix` is rows,
     validated at the workspace's characteristic on first use; `group` is
-    "J", "SL", generator coordinates, or a SymmetrySubgroup.
+    "J", "SL", or a tuple of generator coordinates, the three forms a
+    document gives, and TypeError for anything else.
     """
 
     def __init__(self, matrix, char: Characteristic, group="J"):
+        if group not in ("J", "SL") and not isinstance(group, tuple):
+            raise TypeError(f"group must be 'J', 'SL' or a tuple of generators, got {type(group).__name__}")
         self.char = char
         self._matrix = matrix
         self._group_spec = group
@@ -138,24 +135,21 @@ class Workspace:
     @cached_property
     def group(self) -> SymmetrySubgroup:
         """G from its description, checked to satisfy J <= G <= SL on a
-        Calabi-Yau matrix. A given SymmetrySubgroup must have the exponent as
-        its modulus. |SL| is bounded first, as J, SL and G all lie in SL. G <=
-        SL is decided without building SL, by `in_sl` on the generators of G
-        (before any group beyond J is built), and trivially for SL."""
+        Calabi-Yau matrix. |SL| is bounded first, as J, SL and G all lie in
+        SL. G <= SL is decided without building SL, by `in_sl` on the
+        generators of G (before any group beyond J is built), and trivially
+        for SL."""
         spec = self._group_spec
         m = self.primal.matrix
-        given = isinstance(spec, SymmetrySubgroup)
-        if given:
-            _check_modulus(m, spec)
         self.primal.sl_order  # raises TooLarge when SL, and so G, is over the limit
         jg = self.primal.j
         if spec == "SL":
             return self.primal.sl
-        for g in jg.generators if spec == "J" else spec.generators if given else spec:
+        for g in jg.generators if spec == "J" else spec:
             coords = tuple(x % m.exponent for x in g)
             if not in_sl(m, coords):
                 raise SemanticError(f"generator {list(coords)} is outside the coordinate-sum-zero kernel")
-        group = jg if spec == "J" else spec if given else subgroup_generated(m.exponent, spec)
+        group = jg if spec == "J" else subgroup_generated(m.exponent, spec)
         if not jg <= group:
             raise SemanticError("group does not contain the grading element")
         return group
@@ -183,10 +177,12 @@ class Workspace:
         tested first; |G| |G^T| = |det| (`_annihilated`), and SL of A^T has
         `sl_group`'s own checks. As the pairing is perfect, these pin G^T
         down. A^T is validated first, so an invalid transpose is reported as
-        the input error it is.
+        the input error it is. G^T needs no bound of its own: it lies in SL
+        of A^T, which `sl_group` bounds before building it.
         """
         m = self.primal.matrix
-        _check_modulus(m, group)  # before the memo, as groups compare by their elements alone
+        if group.modulus != m.exponent:  # before the memo, as groups compare by their elements alone
+            raise SemanticError(f"group modulus {group.modulus} does not match the exponent {m.exponent}")
         if group in self._duals:
             return self._duals[group]
         self.transpose.matrix  # raises the input error of an invalid A^T
@@ -196,7 +192,6 @@ class Workspace:
         j = self.primal.j
         if not j <= group:
             raise SemanticError("group does not contain the grading element")
-        check_order(abs(m.det) // group.order, "the dual group")
         if _image(m.matrix, j.generators[0]) != (d, d, d, d):
             raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
         elements = [g for g in group.generators if g not in j]

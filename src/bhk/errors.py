@@ -36,10 +36,6 @@ class NotInvertiblePotential(InputError):
     """The rows do not match any disjoint union of Fermat, chain, and loop shapes."""
 
 
-class HNotInMd(InputError):
-    """A subgroup handed to the age machinery has an element with nonzero coordinate sum."""
-
-
 class CharDividesD(InputError):
     """The characteristic divides the exponent d."""
 

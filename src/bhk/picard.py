@@ -21,20 +21,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .arith import euler_phi, minus_one_power_exists, multiplicative_order
 from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair
-from .errors import (
-    CharDividesD,
-    HNotInMd,
-    InternalCheckError,
-    MethodMismatch,
-)
+from .errors import CharDividesD, InternalCheckError, MethodMismatch
 from .symmetry import Coords, SymmetrySubgroup, j_element
-
-
-class AgedElement(NamedTuple):
-    """A group element with every coordinate nonzero, and its age."""
-
-    coords: Coords
-    age: int
 
 
 def aged_elements(group: SymmetrySubgroup) -> dict[Coords, int]:
@@ -43,15 +31,16 @@ def aged_elements(group: SymmetrySubgroup) -> dict[Coords, int]:
 
     Built in one pass: each element's coordinate sum is tested once, and
     for an element with no zero coordinate, the age is that sum over d (its
-    coordinates are already reduced). The group must lie in the
-    coordinate-sum-zero part of (Z/d)^4, else HNotInMd.
+    coordinates are already reduced). Every group read here lies in SL or
+    SL of A^T, so an element with a coordinate sum other than 0 mod d is
+    InternalCheckError.
     """
     d = group.modulus
     ages = {}
     for e in group.elements:
         total = sum(e)
         if total % d:
-            raise HNotInMd(f"element {e} has coordinate sum {total % d} mod {d}")
+            raise InternalCheckError(f"element {e} has coordinate sum {total % d} mod {d}")
         if 0 not in e:
             ages[e] = total // d
     return ages
@@ -113,9 +102,9 @@ def _direct_contributes(orbit: list[Coords], ages: Mapping[Coords, int], powers:
 
 def _direct_route(
     ages: Mapping[Coords, int], orbits: list[list[Coords]], powers: Sequence[int], d: int
-) -> tuple[AgedElement, ...]:
-    """The transcendental set: the aged elements, in table order, of the
-    orbits that pass `_direct_contributes`, the average-age-two test.
+) -> tuple[Coords, ...]:
+    """The transcendental set: the aged elements, sorted, of the orbits that
+    pass `_direct_contributes`, the average-age-two test.
 
     Characteristic zero keeps a when some unit multiple t a has age != 2.
     Characteristic p keeps a when for some unit t the ages over the p-power
@@ -123,11 +112,7 @@ def _direct_route(
     The test ranges over every unit t, so its verdict is the same on the whole
     unit orbit {t a}, which it keeps or drops as one.
     """
-    kept: set[Coords] = set()
-    for orbit in orbits:
-        if _direct_contributes(orbit, ages, powers, d):
-            kept.update(orbit)
-    return tuple(AgedElement(c, a) for c, a in ages.items() if c in kept)
+    return tuple(sorted(c for orbit in orbits if _direct_contributes(orbit, ages, powers, d) for c in orbit))
 
 
 def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
@@ -160,7 +145,7 @@ def _orbit_route(
     return tuple(sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit))
 
 
-def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[AgedElement, ...]]:
+def transcendental_sets(mp: MirrorPair) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
     """(set in the dual group, set in the group) by the direct route, each
     checked element for element against the grading route (the set of G^T
     against grading_set(A^T), the set of G against grading_set(A)) and against
@@ -173,12 +158,11 @@ def transcendental_sets(mp: MirrorPair) -> tuple[tuple[AgedElement, ...], tuple[
         powers = _p_powers(char, d)
         ages, orbits = _unit_orbits(side.group)
         direct = _direct_route(ages, orbits, powers, d)
-        coords = tuple(a.coords for a in direct)
         for route, found in (
             ("grading", grading_set(side.matrix, char)),
             ("orbit", _orbit_route(ages, orbits, char, d)),
         ):
-            if found != coords:
+            if found != direct:
                 raise MethodMismatch(
                     f"in the {name}, the direct route found {len(direct)} elements"
                     f" and the {route} route {len(found)}"

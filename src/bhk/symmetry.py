@@ -1,7 +1,7 @@
 """Diagonal symmetry groups as subgroups of (Z/d)^4 in additive notation:
 membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
-SL itself from a Smith-normal-form solve that never enumerates Aut (the one
-solve of the package; the dual groups are filtered from SL of A^T), the
+SL itself from a one-row solve that never enumerates Aut (the one solve of
+the package; the dual groups are filtered from SL of A^T), the
 grading element j, and enumeration of the groups between J and SL, by one
 join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
@@ -178,7 +178,7 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     """
     d, b = m.exponent, m.b_matrix
     s, index = check_sl_order(m)
-    gens = [tuple([sum(map(mul, row, x)) % d for row in b]) for x in kernel_mod((tuple(s),), d)]
+    gens = [tuple([sum(map(mul, row, x)) % d for row in b]) for x in kernel_mod(s, d)]
     sl = SymmetrySubgroup(d, _span(d, gens)[0])
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")

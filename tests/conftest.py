@@ -13,7 +13,6 @@ from bhk import (
     Characteristic,
     DelsarteMatrix,
     adequacy,
-    aged_elements,
     build_delsarte,
     is_calabi_yau,
     j_element,
@@ -21,6 +20,7 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
+from bhk.picard import aged_elements
 from oracles import age, aut_group, sl_subgroup
 
 CHAR0 = Characteristic(0)

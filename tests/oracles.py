@@ -25,7 +25,6 @@ from operator import mul
 
 import bhk.picard as picard
 from bhk import (
-    AgedElement,
     Characteristic,
     DelsarteMatrix,
     SymmetrySubgroup,
@@ -192,9 +191,9 @@ def _scaled(coords, t: int, d: int):
     return tuple(t * c % d for c in coords)
 
 
-def transcendental_set_by_element(group, char: Characteristic) -> tuple[AgedElement, ...]:
+def transcendental_set_by_element(group, char: Characteristic) -> tuple:
     """Aged elements that fail the average-age-two test, straight from the
-    definition, with the test run on every element.
+    definition, with the test run on every element, in sorted order.
 
     Characteristic zero keeps a when some unit multiple t a has age != 2.
     Characteristic p keeps a when for some unit t the ages over the p-power
@@ -203,40 +202,38 @@ def transcendental_set_by_element(group, char: Characteristic) -> tuple[AgedElem
     d = group.modulus
     if char.positive and d % char.p == 0:
         raise CharDividesD(f"characteristic {char.p} divides the exponent {d}")
-    aged = [AgedElement(e, age(d, e)) for e in group.elements if 0 not in e]
-    lookup = dict(aged)
+    lookup = {e: age(d, e) for e in group.elements if 0 not in e}
     units = _units(d)
     out = []
     if not char.positive:
-        for a in aged:
-            if any(lookup[_scaled(a.coords, t, d)] != 2 for t in units):
+        for a in lookup:
+            if any(lookup[_scaled(a, t, d)] != 2 for t in units):
                 out.append(a)
         return tuple(out)
     f = multiplicative_order(char.p, d)
     powers = [pow(char.p, j, d) for j in range(f)]
-    for a in aged:
+    for a in lookup:
         for t in units:
-            total = sum(lookup[_scaled(a.coords, t * pj, d)] for pj in powers)
+            total = sum(lookup[_scaled(a, t * pj, d)] for pj in powers)
             if total != 2 * f:
                 out.append(a)
                 break
     return tuple(out)
 
 
-def transcendental_set(group, char: Characteristic) -> tuple[AgedElement, ...]:
-    """The direct route's transcendental set of one group: the aged elements
-    that fail the average-age-two test, decided once per unit orbit
+def transcendental_set(group, char: Characteristic) -> tuple:
+    """The direct route's transcendental set of one group: the aged elements,
+    sorted, that fail the average-age-two test, decided once per unit orbit
     (`picard._direct_route`)."""
     powers = picard._p_powers(char, group.modulus)
     return picard._direct_route(*picard._unit_orbits(group), powers, group.modulus)
 
 
-def transcendental_set_orbits(group, char: Characteristic) -> tuple[AgedElement, ...]:
+def transcendental_set_orbits(group, char: Characteristic) -> tuple:
     """The same set via orbits: the union of the unit orbits that pass
     `picard._orbit_contributes`, sorted."""
     picard._check_char(char, group.modulus)
-    ages, orbits = picard._unit_orbits(group)
-    return tuple(AgedElement(c, ages[c]) for c in picard._orbit_route(ages, orbits, char, group.modulus))
+    return picard._orbit_route(*picard._unit_orbits(group), char, group.modulus)
 
 
 # The matrix layer's checks as written before each became one pass, kept

@@ -55,7 +55,7 @@ def _group_of(m, name):
 
 
 def _mirror(m, group_name, p=0):
-    return Workspace(m.matrix, Characteristic(p), _group_of(m, group_name)).mirror
+    return Workspace(m.matrix, Characteristic(p), _group_of(m, group_name).generators).mirror
 
 
 def test_criterion_1_golden_chain_example():
@@ -131,7 +131,7 @@ def test_criterion_3_three_method_agreement():
         for m, group in fixtures:
             chars = [0] + [p for p in primes_below(100) if m.exponent % p != 0]
             for p in chars:
-                mp = Workspace(m.matrix, Characteristic(p), group).mirror
+                mp = Workspace(m.matrix, Characteristic(p), group.generators).mirror
                 report = picard_report(mp)  # raises MethodMismatch on disagreement
                 assert len(set(report.methods.values())) == 1
                 cases += 1

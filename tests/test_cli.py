@@ -778,8 +778,12 @@ def _records():
 
 @pytest.mark.parametrize("name", sorted(_records()))
 def test_records_are_immutable(name):
+    """Fields cannot be set, nor new attributes added; Characteristic is an
+    int whose fields are its two properties."""
     record = _records()[name]
     assert type(record).__name__ == name
-    for field in record._fields:
+    for field in getattr(record, "_fields", ("p", "positive")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = None

@@ -21,32 +21,35 @@ from test_smoothness import CY_NOT_QS_ROWS
 
 
 def _workspace(m, group_name="J", p=0):
-    group = j_subgroup(m) if group_name == "J" else sl_subgroup(aut_group(m))
+    group = "J" if group_name == "J" else sl_subgroup(aut_group(m)).generators
     return Workspace(m.matrix, Characteristic(p), group)
 
 
 def test_make_pair_rejects_modulus_mismatch(a_ex, a_f):
-    with pytest.raises(SemanticError):
-        Workspace(a_ex.matrix, CHAR0, j_subgroup(a_f)).pair
+    """Generators carry no modulus: those of J on the Fermat quartic, read
+    mod 168 on the chain, lie outside SL."""
+    with pytest.raises(SemanticError, match=r"generator \[1, 1, 1, 1\] is outside"):
+        Workspace(a_ex.matrix, CHAR0, j_subgroup(a_f).generators).pair
 
 
 def test_make_pair_rejects_non_calabi_yau():
     m = build(NONCY_LOOP_ROWS)
     group = subgroup_generated(m.exponent, [(1, 14, 0, 0)])
     with pytest.raises(SemanticError):
-        Workspace(m.matrix, CHAR0, group).pair
+        Workspace(m.matrix, CHAR0, group.generators).pair
 
 
 def test_make_pair_rejects_group_without_grading_element(a_ex):
-    aut = aut_group(a_ex)
-    no_j = next(e for e in aut.elements if sum(e) % a_ex.exponent != 0)
-    with pytest.raises(SemanticError):
-        Workspace(a_ex.matrix, CHAR0, subgroup_generated(168, [no_j])).pair
+    """An element of order 3 in SL spans a group inside SL without J."""
+    sl = sl_subgroup(aut_group(a_ex))
+    no_j = next(e for e in sl.elements if any(e) and all(3 * c % a_ex.exponent == 0 for c in e))
+    with pytest.raises(SemanticError, match="group does not contain the grading element"):
+        Workspace(a_ex.matrix, CHAR0, (no_j,)).pair
 
 
 def test_make_pair_rejects_group_outside_sl(a_ex):
     with pytest.raises(SemanticError):
-        Workspace(a_ex.matrix, CHAR0, aut_group(a_ex)).pair
+        Workspace(a_ex.matrix, CHAR0, aut_group(a_ex).generators).pair
 
 
 def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
@@ -60,9 +63,9 @@ def test_workspace_rejects_generator_outside_sl_before_building_sl(a_ex):
 
 
 def test_workspace_rejects_a_given_group_outside_sl_before_building_sl(a_ex):
-    """A given SymmetrySubgroup is checked by `in_sl` on its generators, as
-    a group from a document is, so SL is never built for it."""
-    ws = Workspace(A_EX_ROWS, CHAR0, aut_group(a_ex))
+    """The generators of Aut(A) are checked by `in_sl`, so SL is never
+    built for them."""
+    ws = Workspace(A_EX_ROWS, CHAR0, aut_group(a_ex).generators)
     with pytest.raises(SemanticError, match="is outside the coordinate-sum-zero kernel"):
         ws.pair
     assert "sl" not in vars(ws.primal)
@@ -135,7 +138,7 @@ def test_mirror_pair_golden(a_ex):
 
 def test_mirror_pair_requires_adequate_primal():
     m = build(CY_NOT_QS_ROWS)
-    ws = Workspace(m.matrix, CHAR0, j_subgroup(m))
+    ws = Workspace(m.matrix, CHAR0, "J")
     pair = ws.pair
     assert not pair.adequacy.verdict
     with pytest.raises(NotAdequate) as exc:
@@ -166,7 +169,7 @@ def test_mirror_pair_reports_inadequate_mirror(a_ex, monkeypatch):
 
     monkeypatch.setattr(duality, "adequacy", doctored)
     with pytest.raises(MirrorNotAdequate) as exc:
-        Workspace(a_ex.matrix, CHAR0, j_subgroup(a_ex)).mirror
+        Workspace(a_ex.matrix, CHAR0, "J").mirror
     assert not exc.value.report.well_formed
     assert primal_report.verdict  # the primal side really is adequate
 
@@ -182,7 +185,7 @@ def test_double_dual_returns_group(a_ex, mixed_m):
         for name in ("J", "SL"):
             ws = _workspace(m, name)
             dual = ws.dual(ws.pair.group)
-            ws_t = Workspace(transpose(m, CHAR0).matrix, CHAR0, dual)
+            ws_t = Workspace(transpose(m, CHAR0).matrix, CHAR0, dual.generators)
             back = ws_t.dual(ws_t.pair.group)
             assert back == ws.pair.group
 
@@ -240,14 +243,15 @@ def test_dual_of_trivial_and_full_groups(a_ex, a_f, loop_m, mixed_m):
 
 
 def test_dual_is_bounded_before_it_is_built(a_ex, monkeypatch):
-    """|G^T| = |det| / |G| is known before the dual is filtered, and a dual
-    above the enumeration limit is rejected without building it."""
+    """G^T lies in SL of A^T, the dual of J, whose order |det| / |J| is
+    bounded before it is solved, so a dual above the enumeration limit is
+    rejected without building it."""
     import bhk.symmetry as symmetry
 
     j = j_subgroup(a_ex)
     monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", 20)
     monkeypatch.setattr(symmetry, "kernel_mod", None)  # never reached
-    with pytest.raises(TooLarge, match="the dual group has 24 elements"):
+    with pytest.raises(TooLarge, match="SL has 24 elements"):
         Workspace(a_ex.matrix, CHAR0).dual(j)
 
 
@@ -266,22 +270,20 @@ def test_dual_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
     """Every dual of a group above J is filtered from SL of the transpose,
     which is the one solve, so a wrong solve is caught by `sl_group`'s own
     checks, also when a larger group's dual is asked for: a solve over the
-    rows of a group without j gives a generator outside SL, and a solve with
-    no solutions gives too small an SL."""
+    row (1, 3, 0, 0) in place of the column sums (1, 1, 1, 1) of B gives a
+    generator outside SL, and a solve with no solutions gives too small an
+    SL."""
     import bhk.symmetry as symmetry
 
     j = j_subgroup(a_f)
     groups = enumerate_intermediate(j, sl_subgroup(aut_group(a_f)))
     above = groups[-1]
-    without_j = subgroup_generated(a_f.exponent, [(1, 3, 0, 0)])
-    assert not j <= without_j
     real = symmetry.kernel_mod
-    wrong_rows = without_j.generators
-    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(wrong_rows, d))
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda s, d: real((1, 3, 0, 0), d))
     for group in (j, above):
         with pytest.raises(InternalCheckError, match="an SL generator is outside the coordinate-sum-zero kernel"):
             Workspace(a_f.matrix, CHAR0).dual(group)
-    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: ())
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda s, d: ())
     for group in (j, above):
         with pytest.raises(InternalCheckError, match=r"\|SL\| d / gcd\(d, s\) = 1 \* 4 differs from"):
             Workspace(a_f.matrix, CHAR0).dual(group)

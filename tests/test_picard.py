@@ -9,9 +9,7 @@ import bhk.picard as picard
 from bhk import (
     Characteristic,
     Workspace,
-    aged_elements,
     enumerate_intermediate,
-    grading_set,
     j_element,
     j_subgroup,
     picard_report,
@@ -20,11 +18,8 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from bhk.errors import (
-    CharDividesD,
-    HNotInMd,
-    MethodMismatch,
-)
+from bhk.errors import CharDividesD, InternalCheckError, MethodMismatch
+from bhk.picard import aged_elements, grading_set
 from conftest import CHAR0, aged, cy_catalog_small, primes_below
 from oracles import (
     aut_group,
@@ -37,7 +32,7 @@ from oracles import (
 
 def _mirror(m, group_name="J", p=0):
     char = Characteristic(p)
-    group = j_subgroup(m) if group_name == "J" else sl_subgroup(aut_group(m))
+    group = "J" if group_name == "J" else sl_subgroup(aut_group(m)).generators
     return Workspace(m.matrix, char, group).mirror
 
 
@@ -65,9 +60,11 @@ def test_aged_element_counts(a_ex, a_f):
 
 
 def test_aged_elements_need_zero_sums(a_ex):
+    """Every group the age table reads lies in SL or SL of A^T, each checked
+    where it is built, so an element off SL is a fault, not bad input."""
     aut = aut_group(a_ex)
     bad = next(e for e in aut.elements if sum(e) % a_ex.exponent != 0)
-    with pytest.raises(HNotInMd):
+    with pytest.raises(InternalCheckError, match="coordinate sum"):
         aged_elements(subgroup_generated(168, [bad]))
 
 
@@ -89,14 +86,13 @@ def test_transcendental_set_char0_goldens(a_ex, a_f):
     assert len(transcendental_set(sl_subgroup(aut_group(mt)), CHAR0)) == 4
     assert len(transcendental_set(j_subgroup(mt), CHAR0)) == 4
     f_set = transcendental_set(sl_subgroup(aut_group(a_f)), CHAR0)
-    assert [a.coords for a in f_set] == [(1, 1, 1, 1), (3, 3, 3, 3)]
+    assert f_set == ((1, 1, 1, 1), (3, 3, 3, 3))
 
 
 def test_transcendental_set_is_unit_multiples_of_grading(a_ex):
     j = j_element(a_ex)
-    expected = sorted(tuple(n * c % 168 for c in j) for n in range(1, 7))
-    got = [a.coords for a in transcendental_set(j_subgroup(a_ex), CHAR0)]
-    assert got == expected
+    expected = tuple(sorted(tuple(n * c % 168 for c in j) for n in range(1, 7)))
+    assert transcendental_set(j_subgroup(a_ex), CHAR0) == expected
 
 
 def test_transcendental_set_positive_characteristic(a_ex):
@@ -185,8 +181,7 @@ def test_grading_set_goldens(a_ex):
 def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
     """Every group between J and SL of every small-catalog matrix, in each
     characteristic of {0, 5, 7, 11, 13} not dividing d: the per-orbit direct
-    route equals the per-element definition, and its coordinates are the
-    grading route's set."""
+    route equals the per-element definition and the grading route's set."""
     cases = 0
     for m in cy_catalog_small():
         groups = enumerate_intermediate(j_subgroup(m), sl_group(m))
@@ -198,7 +193,7 @@ def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
             for group in groups:
                 got = transcendental_set(group, char)
                 assert got == transcendental_set_by_element(group, char)
-                assert tuple(a.coords for a in got) == expected
+                assert got == expected
                 cases += 1
     assert cases >= 1900
 

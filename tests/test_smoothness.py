@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhk.smoothness as smoothness
-from bhk import Atom, Characteristic, adequacy, atomic_decomposition
+from bhk import Atom, Characteristic, adequacy
+from bhk.smoothness import atomic_decomposition
 from bhk.errors import NotInvertiblePotential
 from conftest import (
     A_EX_ROWS,

@@ -80,10 +80,10 @@ def test_sl_group_cross_checks_catch_a_wrong_solve(a_f, monkeypatch):
     import bhk.symmetry as symmetry
 
     real = symmetry.kernel_mod
-    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: real(rows, d)[:-1])
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda s, d: real(s, d)[:-1])
     with pytest.raises(InternalCheckError, match="differs from"):
         sl_group(a_f)
-    monkeypatch.setattr(symmetry, "kernel_mod", lambda rows, d: (*real(rows, d), (1, 0, 0, 0)))
+    monkeypatch.setattr(symmetry, "kernel_mod", lambda s, d: (*real(s, d), (1, 0, 0, 0)))
     with pytest.raises(InternalCheckError, match="outside"):
         sl_group(a_f)
 
@@ -140,13 +140,20 @@ def test_subgroup_generated_needs_four_coordinates():
         subgroup_generated(5, [(1, 2, 3)])
 
 
-def test_subgroup_membership_checks_modulus(a_ex):
+def test_subgroup_membership_checks_modulus(a_ex, monkeypatch):
+    import bhk.duality as duality
+
     sl = sl_subgroup(aut_group(a_ex))
     assert (48, 72, 24, 24) in sl
     assert (48 + 168, 72, 24, 24) not in sl  # members are reduced mod d
-    # a group compares as its element set, so the workspace checks the modulus
-    with pytest.raises(SemanticError, match="group modulus 84 does not match the exponent 168"):
-        Workspace(A_EX_ROWS, CHAR0, subgroup_generated(84, [(48, 72, 24, 24)])).pair
+    # a group compares as its element set, so the workspace takes none: a
+    # subgroup of (Z/84)^4 is refused before any group is built from it
+    spec = subgroup_generated(84, [(48, 72, 24, 24)])
+    built = []
+    monkeypatch.setattr(duality, "subgroup_generated", lambda *args: built.append(args))
+    with pytest.raises(TypeError, match="tuple of generators, got SymmetrySubgroup"):
+        Workspace(A_EX_ROWS, CHAR0, spec).pair
+    assert built == []
 
 
 def test_generators_regenerate(a_ex, a_f, loop_m, mixed_m):
