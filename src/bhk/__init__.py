@@ -22,7 +22,6 @@ from .errors import (
     NegativeEntry,
     NonpositiveWeight,
     NotAdequate,
-    NotInvertiblePotential,
     ParseError,
     RowWithoutZero,
     SemanticError,
@@ -65,7 +64,6 @@ __all__ = [
     "NegativeEntry",
     "NonpositiveWeight",
     "NotAdequate",
-    "NotInvertiblePotential",
     "ParseError",
     "PicardReport",
     "RowWithoutZero",

@@ -32,10 +32,6 @@ class NonpositiveWeight(InputError):
     """The weight system has a zero or negative entry."""
 
 
-class NotInvertiblePotential(InputError):
-    """The rows do not match any disjoint union of Fermat, chain, and loop shapes."""
-
-
 class CharDividesD(InputError):
     """The characteristic divides the exponent d."""
 

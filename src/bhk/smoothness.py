@@ -1,6 +1,7 @@
 """Quasi-smoothness via atomic shapes (Fermat, chain, loop), well-formedness,
 and the combined adequacy verdict for a pair. An atom is one `Atom` tuple
-(kind, variables, exponents), and a decomposition is a tuple of them."""
+(kind, variables, exponents), and a decomposition is a tuple of them, or None
+when the rows do not split into atoms."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .delsarte import Characteristic, DelsarteMatrix
-from .errors import NotInvertiblePotential
 
 
 class Atom(NamedTuple):
@@ -34,71 +34,44 @@ class AdequacyReport(NamedTuple):
     atoms: tuple[Atom, ...] | None = None  # the decomposition behind quasi_smooth
 
 
-def _row_shape(row) -> tuple[int, int | None] | None:
-    """The row's own variable and its successor, or None.
+def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...] | None:
+    """The rows as disjoint Fermat, chain, and loop atoms covering all four
+    variables, sorted by least variable, or None when they are not.
 
-    A row is y_v^e (no successor) or y_v^e y_w with e >= 2 (successor w); v
-    is its own variable. Any other row, including y_v y_w, has none.
+    A row is y_v^e (own variable v, no successor) or y_v^e y_w with e >= 2
+    (successor w); any other row, including y_v y_w, has no shape. The rows
+    must own distinct variables and name distinct successors. Each variable no
+    row names heads a chain (a Fermat atom if it has no successor); the
+    variables left lie on loops, each walked from its least variable.
     """
-    support = [j for j in range(4) if row[j] != 0]
-    if len(support) == 1:
-        return support[0], None
-    if len(support) == 2:
-        for v, w in (support, support[::-1]):
-            if row[v] >= 2 and row[w] == 1:
-                return v, w
-    return None
-
-
-def _assemble(succ, exps):
-    """Split a successor map with in-degree at most one into atoms, or None."""
-    indeg = {v: 0 for v in range(4)}
-    for v, w in succ.items():
-        if w is not None:
-            indeg[w] += 1
-    if any(c > 1 for c in indeg.values()):
+    succ: dict[int, int | None] = {}
+    exps: dict[int, int] = {}
+    for row in m.matrix:
+        support = [j for j in range(4) if row[j] != 0]
+        if len(support) == 1:
+            v, w = support[0], None
+        elif len(support) == 2:
+            v, w = support if row[support[1]] == 1 else support[::-1]
+            if row[v] < 2 or row[w] != 1:
+                return None
+        else:
+            return None
+        succ[v], exps[v] = w, row[v]
+    named = {w for w in succ.values() if w is not None}
+    if len(succ) < 4 or len(named) < sum(w is not None for w in succ.values()):
         return None
     atoms: list[Atom] = []
     seen: set[int] = set()
-    for v in range(4):
-        if indeg[v] == 0 and v not in seen:
-            path = [v]
-            seen.add(v)
-            while succ[path[-1]] is not None:
-                path.append(succ[path[-1]])
-                seen.add(path[-1])
-            kind = "fermat" if len(path) == 1 else "chain"
-            atoms.append(Atom(kind, tuple(path), tuple(exps[x] for x in path)))
-    for v in range(4):
-        if v not in seen:
-            cycle = [v]
-            seen.add(v)
-            while succ[cycle[-1]] not in (None, v):
-                cycle.append(succ[cycle[-1]])
-                seen.add(cycle[-1])
-            start = cycle.index(min(cycle))
-            cycle = cycle[start:] + cycle[:start]
-            atoms.append(Atom("loop", tuple(cycle), tuple(exps[x] for x in cycle)))
+    for start in sorted(range(4), key=named.__contains__):  # heads first, each part increasing
+        if start in seen:
+            continue
+        path = [start]
+        while succ[path[-1]] not in (None, start):
+            path.append(succ[path[-1]])
+        seen.update(path)
+        kind = "loop" if start in named else "chain" if len(path) > 1 else "fermat"
+        atoms.append(Atom(kind, tuple(path), tuple(exps[v] for v in path)))
     return tuple(sorted(atoms, key=lambda atom: min(atom.variables)))
-
-
-def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...]:
-    """Decompose the rows into disjoint Fermat, chain, and loop atoms covering
-    all four variables, sorted by least variable.
-
-    Each row has at most one own variable, so the rows fix the only candidate
-    row-to-variable bijection; raises NotInvertiblePotential when there is
-    none or its successor map does not split into atoms.
-    """
-    shapes = [_row_shape(row) for row in m.matrix]
-    if None not in shapes and len({v for v, _ in shapes}) == 4:
-        exps = {v: row[v] for (v, _), row in zip(shapes, m.matrix)}
-        result = _assemble(dict(shapes), exps)
-        if result is not None:
-            return result
-    raise NotInvertiblePotential(
-        f"rows {m.matrix} do not decompose into Fermat, chain, and loop shapes"
-    )
 
 
 def _triple_gcds_ok(q) -> bool:
@@ -127,14 +100,14 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
     weight and to the exponent d.
     """
     diagnostics: list[str] = []
-    atoms = None
-    try:
-        atoms = atomic_decomposition(m)
-        qs = True
+    atoms = atomic_decomposition(m)
+    qs = atoms is not None
+    if qs:
         diagnostics.append(f"atomic shapes: {_describe_atoms(atoms)}")
-    except NotInvertiblePotential as err:
-        qs = False
-        diagnostics.append(f"not quasi-smooth: {err}")
+    else:
+        diagnostics.append(
+            f"not quasi-smooth: rows {m.matrix} do not decompose into Fermat, chain, and loop shapes"
+        )
 
     triple_ok = _triple_gcds_ok(m.weights)
     wf = triple_ok and _pair_supports_ok(m)

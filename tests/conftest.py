@@ -16,7 +16,6 @@ from bhk import (
     build_delsarte,
     is_calabi_yau,
     j_element,
-    j_subgroup,
     subgroup_generated,
     transpose,
 )

@@ -12,8 +12,9 @@ two set-level Picard routes, run on one group (`transcendental_set` and
 partition, so that tests can run each route on any group; the commands run
 them only inside `picard.transcendental_sets`. And the matrix layer's
 checks as they were written before they were made one pass each
-(`reference_build_delsarte` and the functions under it), which the
-equivalence tests compare the library against.
+(`reference_build_delsarte` and the functions under it), and the atomic
+decomposition as it was written in three steps (`reference_atomic_decomposition`),
+which the equivalence tests compare the library against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from operator import mul
 
 import bhk.picard as picard
 from bhk import (
+    Atom,
     Characteristic,
     DelsarteMatrix,
     SymmetrySubgroup,
@@ -334,3 +336,73 @@ def pair_supports_ok(m: DelsarteMatrix) -> bool:
                 if not covered:
                     return False
     return True
+
+
+# The atomic decomposition as written before it became one walk, kept verbatim
+# but for returning None where it raised: `smoothness.atomic_decomposition`
+# must return what `reference_atomic_decomposition` returns.
+
+
+def _row_shape(row) -> tuple[int, int | None] | None:
+    """The row's own variable and its successor, or None.
+
+    A row is y_v^e (no successor) or y_v^e y_w with e >= 2 (successor w); v
+    is its own variable. Any other row, including y_v y_w, has none.
+    """
+    support = [j for j in range(4) if row[j] != 0]
+    if len(support) == 1:
+        return support[0], None
+    if len(support) == 2:
+        for v, w in (support, support[::-1]):
+            if row[v] >= 2 and row[w] == 1:
+                return v, w
+    return None
+
+
+def _assemble(succ, exps):
+    """Split a successor map with in-degree at most one into atoms, or None."""
+    indeg = {v: 0 for v in range(4)}
+    for v, w in succ.items():
+        if w is not None:
+            indeg[w] += 1
+    if any(c > 1 for c in indeg.values()):
+        return None
+    atoms: list[Atom] = []
+    seen: set[int] = set()
+    for v in range(4):
+        if indeg[v] == 0 and v not in seen:
+            path = [v]
+            seen.add(v)
+            while succ[path[-1]] is not None:
+                path.append(succ[path[-1]])
+                seen.add(path[-1])
+            kind = "fermat" if len(path) == 1 else "chain"
+            atoms.append(Atom(kind, tuple(path), tuple(exps[x] for x in path)))
+    for v in range(4):
+        if v not in seen:
+            cycle = [v]
+            seen.add(v)
+            while succ[cycle[-1]] not in (None, v):
+                cycle.append(succ[cycle[-1]])
+                seen.add(cycle[-1])
+            start = cycle.index(min(cycle))
+            cycle = cycle[start:] + cycle[:start]
+            atoms.append(Atom("loop", tuple(cycle), tuple(exps[x] for x in cycle)))
+    return tuple(sorted(atoms, key=lambda atom: min(atom.variables)))
+
+
+def reference_atomic_decomposition(m) -> tuple[Atom, ...] | None:
+    """Decompose the rows into disjoint Fermat, chain, and loop atoms covering
+    all four variables, sorted by least variable, or None.
+
+    Each row has at most one own variable, so the rows fix the only candidate
+    row-to-variable bijection; None when there is none or its successor map
+    does not split into atoms.
+    """
+    shapes = [_row_shape(row) for row in m.matrix]
+    if None not in shapes and len({v for v, _ in shapes}) == 4:
+        exps = {v: row[v] for (v, _), row in zip(shapes, m.matrix)}
+        result = _assemble(dict(shapes), exps)
+        if result is not None:
+            return result
+    return None

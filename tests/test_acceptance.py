@@ -28,7 +28,6 @@ from bhk import (
 from conftest import (
     A_EX_ROWS,
     A_F_ROWS,
-    CHAR0,
     LOOP_ROWS,
     MIXED_ROWS,
     build,

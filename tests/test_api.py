@@ -1,6 +1,6 @@
 """The public API: every exported name resolves, every exported function has
-a reader, and README's quick start runs and prints the values its comments
-show."""
+a reader, every imported name has a reader, and README's quick start runs and
+prints the values its comments show."""
 
 from __future__ import annotations
 
@@ -42,6 +42,27 @@ def test_every_exported_function_has_a_reader():
         if not any(name in called for module, called in calls.items() if module != home):
             unread.append(name)
     assert unread == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; a name listed in `__all__`
+    counts as read, and `from __future__` imports are not names."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    """No module in `src/bhk` or `tests` imports a name it never reads."""
+    paths = [*Path(bhk.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unread = {path.name: names for path in sorted(paths) if (names := _unread_imports(path))}
+    assert unread == {}
 
 
 def _quick_start() -> str:

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import random
-
+import time
+from itertools import permutations, product
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhk.smoothness as smoothness
 from bhk import Atom, Characteristic, adequacy
 from bhk.smoothness import atomic_decomposition
-from bhk.errors import NotInvertiblePotential
 from conftest import (
     A_EX_ROWS,
     A_F_ROWS,
@@ -23,7 +22,7 @@ from conftest import (
     NONCY_LOOP_ROWS,
     build,
 )
-from oracles import pair_supports_ok, triple_gcds_ok
+from oracles import pair_supports_ok, reference_atomic_decomposition, triple_gcds_ok
 
 # Calabi-Yau but not quasi-smooth: the first row mixes three variables.
 CY_NOT_QS_ROWS = ((2, 1, 1, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 1, 4))
@@ -82,8 +81,44 @@ def test_loop_starts_at_least_variable():
 def test_not_invertible_rejected():
     m = build(CY_NOT_QS_ROWS)
     assert not adequacy(m, None, CHAR0).quasi_smooth
-    with pytest.raises(NotInvertiblePotential):
-        atomic_decomposition(m)
+    assert atomic_decomposition(m) is None
+
+
+def _shaped_row(v, w, e, f) -> tuple:
+    """y_v^e, or y_v^e y_w^f when w is not None."""
+    row = [0, 0, 0, 0]
+    row[v] = e
+    if w is not None:
+        row[w] = f
+    return tuple(row)
+
+
+def test_decomposition_matches_the_reference_on_every_row_shape():
+    """Every set of four rows, each with an own variable v and a successor w
+    (None or another variable), so own variables and successors may repeat:
+    16^4 = 65,536 sets. A seeded draw gives each row its own exponent from
+    {1, 2, 3, 5} and its successor's from {1, 1, 1, 2}. The one-walk
+    decomposition equals the three-step reference, in the drawn row order and
+    shuffled."""
+    shapes = [(v, w) for v in range(4) for w in (None, *(x for x in range(4) if x != v))]
+    # each shape's 16 rows, indexed by four bits: two pick e, two pick f
+    rows_of = [
+        [_shaped_row(v, w, (1, 2, 3, 5)[k & 3], (1, 1, 1, 2)[k >> 2]) for k in range(16)] for v, w in shapes
+    ]
+    orders = list(permutations(range(4)))
+    rng = random.Random(25)
+    started = time.perf_counter()
+    count = 0
+    for picks in product(range(16), repeat=4):
+        bits = rng.getrandbits(16)
+        rows = tuple(rows_of[s][bits >> 4 * i & 15] for i, s in enumerate(picks))
+        expected = reference_atomic_decomposition(SimpleNamespace(matrix=rows))
+        assert atomic_decomposition(SimpleNamespace(matrix=rows)) == expected, rows
+        shuffled = tuple(rows[i] for i in rng.choice(orders))
+        assert atomic_decomposition(SimpleNamespace(matrix=shuffled)) == expected, shuffled
+        count += expected is not None
+    assert 0 < count < 65536
+    assert time.perf_counter() - started < 3.0
 
 
 def test_exponent_one_pair_never_matches():

@@ -20,7 +20,7 @@ from bhk import (
 )
 from bhk.errors import InternalCheckError, SemanticError, TooLarge
 from bhk.symmetry import _join, _multiples, _span
-from conftest import A_EX_ROWS, CHAR0, LOOP_ROWS, MIXED_ROWS, NONCY_LOOP_ROWS, build, cy_catalog_small
+from conftest import A_EX_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
 from oracles import aut_group, greedy_generators, lattice_by_joins, reference_closure, sl_subgroup
 
 
