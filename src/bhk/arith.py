@@ -1,10 +1,12 @@
 """Exact integer primitives: 4x4 matrix coercion and transposition,
-determinants and adjugates, totients, multiplicative orders, and solutions of
-linear congruences mod d. Integers only: no rationals, no floating point."""
+determinants and adjugates, totients, multiplicative orders, the primes up to
+a bound, and solutions of linear congruences mod d. Integers only: no
+rationals, no floating point."""
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 from typing import Sequence
 
 Vector4 = tuple[int, int, int, int]
@@ -49,6 +51,19 @@ def euler_phi(n: int) -> int:
     if rest > 1:
         result -= result // rest
     return result
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n in increasing order, by the sieve of Eratosthenes;
+    none when n < 2."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
 
 
 def multiplicative_order(p: int, m: int) -> int:

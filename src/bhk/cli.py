@@ -16,8 +16,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .arith import Matrix4, matrix4
-from .delsarte import Characteristic, DelsarteMatrix, is_prime
+from .arith import Matrix4, matrix4, primes_up_to
+from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair, Workspace
 from .errors import (
     InputError,
@@ -215,16 +215,14 @@ def _picard_section(mp: MirrorPair, method: str) -> dict:
     return doc
 
 
-def _scan_section(ws: Workspace, primes_up_to: int) -> dict:
-    if primes_up_to > MAX_PRIMES_UP_TO:
-        raise SemanticError(f"--primes-up-to {primes_up_to} exceeds the limit {MAX_PRIMES_UP_TO}")
-    mp = ws.mirror
-    primes = [p for p in range(2, primes_up_to + 1) if is_prime(p)]
-    report = prime_scan(mp, primes)
+def _scan_section(ws: Workspace, n: int) -> dict:
+    if n > MAX_PRIMES_UP_TO:
+        raise SemanticError(f"--primes-up-to {n} exceeds the limit {MAX_PRIMES_UP_TO}")
+    report = prime_scan(ws.mirror, primes_up_to(n))
     return {
         "degree": report.degree,
         "mirror_degree": report.mirror_degree,
-        "primes_up_to": primes_up_to,
+        "primes_up_to": n,
         "rows": [r._asdict() for r in report.rows],
         "skipped": [{"prime": p, "reason": reason} for p, reason in report.skipped],
         "supersingular_primal_residues": list(report.supersingular_primal_residues),

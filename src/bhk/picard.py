@@ -11,7 +11,11 @@ PicardReport. The direct and orbit routes read one partition of the aged
 elements into unit orbits, `_unit_orbits`, built once per side, and run their
 own test on each orbit. A fault in that partition would move both routes'
 sets alike, so they could still agree with each other; the grading route,
-built from j and h alone, shares no code with the partition and catches it."""
+built from j and h alone, shares no code with the partition and catches it.
+
+The characteristic enters once, as the unit u = p mod d by which Frobenius
+acts on the characters (`_unit`), u = 1 in characteristic zero: every route,
+the grading set and the closed form run one code path on u."""
 
 from __future__ import annotations
 
@@ -46,18 +50,18 @@ def aged_elements(group: SymmetrySubgroup) -> dict[Coords, int]:
     return ages
 
 
-def _check_char(char: Characteristic, d: int) -> None:
-    if char.positive and d % char.p == 0:
-        raise CharDividesD(f"characteristic {char.p} divides the exponent {d}")
+def _unit(char: Characteristic, d: int) -> int:
+    """u = p mod d in characteristic p, 1 in characteristic zero;
+    CharDividesD when p divides d."""
+    p = char.p
+    if p and d % p == 0:
+        raise CharDividesD(f"characteristic {p} divides the exponent {d}")
+    return p % d if p else 1
 
 
-def _p_powers(char: Characteristic, d: int) -> list[int]:
-    """p^j mod d for j below f = ord(p mod d), or [1] in characteristic zero;
-    CharDividesD, before any order is taken, when p divides d."""
-    _check_char(char, d)
-    if not char.positive:
-        return [1]
-    return [pow(char.p, j, d) for j in range(multiplicative_order(char.p, d))]
+def _powers(u: int, d: int) -> list[int]:
+    """u^j mod d for j below f = ord(u mod d); [1] at u = 1."""
+    return [pow(u, j, d) for j in range(multiplicative_order(u, d))]
 
 
 def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[Coords]]]:
@@ -85,11 +89,9 @@ def _unit_orbits(group: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[
 
 def _direct_contributes(orbit: list[Coords], ages: Mapping[Coords, int], powers: Sequence[int], d: int) -> bool:
     """The direct route's test on one unit orbit: for some element c, the ages
-    of p^j c over the powers p^j do not sum to twice their number. That sum is
-    the same for every element of a coset c <p>, so one element per coset is
-    tested."""
-    if len(powers) == 1:
-        return any(ages[c] != 2 for c in orbit)
+    of u^j c over the powers u^j do not sum to twice their number. That sum is
+    the same for every element of a coset c <u>, so one element per coset is
+    tested; at u = 1 each coset is {c}, and the test reads age(c) != 2."""
     rest = set(orbit)
     while rest:
         c0, c1, c2, c3 = rest.pop()
@@ -106,22 +108,20 @@ def _direct_route(
     """The transcendental set: the aged elements, sorted, of the orbits that
     pass `_direct_contributes`, the average-age-two test.
 
-    Characteristic zero keeps a when some unit multiple t a has age != 2.
-    Characteristic p keeps a when for some unit t the ages over the p-power
-    orbit of t a do not sum to twice the orbit-walk length f = ord(p mod d).
-    The test ranges over every unit t, so its verdict is the same on the whole
-    unit orbit {t a}, which it keeps or drops as one.
+    It keeps a when for some unit t the ages over the u-power orbit of t a do
+    not sum to twice the orbit-walk length f = ord(u mod d); at u = 1, when
+    some unit multiple t a has age != 2. The test ranges over every unit t, so
+    its verdict is the same on the whole unit orbit {t a}, which it keeps or
+    drops as one.
     """
     return tuple(sorted(c for orbit in orbits if _direct_contributes(orbit, ages, powers, d) for c in orbit))
 
 
-def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Characteristic, d: int) -> bool:
-    """The orbit route's test on one unit orbit. Characteristic zero: the
-    orbit holds an age-one element. Characteristic p: some p-power suborbit
-    {p^k c} has unequal counts of age-one and age-three elements."""
-    if not char.positive:
-        return any(ages[c] == 1 for c in orbit)
-    p = char.p
+def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], u: int, d: int) -> bool:
+    """The orbit route's test on one unit orbit: some u-power suborbit
+    {u^k c} has unequal counts of age-one and age-three elements. At u = 1
+    each suborbit is {c}, so the test reads "some age is 1 or 3", which is
+    "some age is 1": the orbit holds -c with every c, and age(-c) = 4 - age(c)."""
     rest = set(orbit)
     while rest:
         c = first = rest.pop()
@@ -129,7 +129,7 @@ def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Ch
         while True:
             sub_ages.append(ages[c])
             c0, c1, c2, c3 = c
-            c = (p * c0 % d, p * c1 % d, p * c2 % d, p * c3 % d)
+            c = (u * c0 % d, u * c1 % d, u * c2 % d, u * c3 % d)
             if c == first:
                 break
             rest.discard(c)
@@ -138,11 +138,9 @@ def _orbit_contributes(orbit: list[Coords], ages: Mapping[Coords, int], char: Ch
     return False
 
 
-def _orbit_route(
-    ages: Mapping[Coords, int], orbits: list[list[Coords]], char: Characteristic, d: int
-) -> tuple[Coords, ...]:
+def _orbit_route(ages: Mapping[Coords, int], orbits: list[list[Coords]], u: int, d: int) -> tuple[Coords, ...]:
     """The elements, sorted, of the orbits that pass `_orbit_contributes`."""
-    return tuple(sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, char, d) for c in orbit))
+    return tuple(sorted(c for orbit in orbits if _orbit_contributes(orbit, ages, u, d) for c in orbit))
 
 
 def transcendental_sets(mp: MirrorPair) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
@@ -150,17 +148,18 @@ def transcendental_sets(mp: MirrorPair) -> tuple[tuple[Coords, ...], tuple[Coord
     checked element for element against the grading route (the set of G^T
     against grading_set(A^T), the set of G against grading_set(A)) and against
     the orbit route on the same group. Both routes on a group read one unit-orbit
-    partition, built once per side."""
-    char = mp.primal.char
+    partition, built once per side. Both sides have the same d, so one unit u
+    serves both."""
+    d = mp.primal.group.modulus
+    u = _unit(mp.primal.char, d)
+    powers = _powers(u, d)
     sets = []
     for side, name in ((mp.mirror, "dual group"), (mp.primal, "group")):
-        d = side.group.modulus
-        powers = _p_powers(char, d)
         ages, orbits = _unit_orbits(side.group)
         direct = _direct_route(ages, orbits, powers, d)
         for route, found in (
-            ("grading", grading_set(side.matrix, char)),
-            ("orbit", _orbit_route(ages, orbits, char, d)),
+            ("grading", grading_set(side.matrix, u)),
+            ("orbit", _orbit_route(ages, orbits, u, d)),
         ):
             if found != direct:
                 raise MethodMismatch(
@@ -171,38 +170,32 @@ def transcendental_sets(mp: MirrorPair) -> tuple[tuple[Coords, ...], tuple[Coord
     return sets[0], sets[1]
 
 
-def _closed_rho(p: int, h: int) -> int:
-    """rho of a side whose transcendental set has phi(h) elements in
-    characteristic zero: 22 (supersingular) when p > 0 and some power of p is
-    -1 mod h, else 22 - phi(h)."""
-    return 22 if p and minus_one_power_exists(p, h) else 22 - euler_phi(h)
+def _closed_rho(u: int, h: int) -> int:
+    """rho of a side of degree h under the unit u: 22 (supersingular) when
+    some power of u is -1 mod h, else 22 - phi(h). At u = 1 no power is -1
+    mod h, since h >= 4 for a K3 surface."""
+    return 22 if minus_one_power_exists(u, h) else 22 - euler_phi(h)
 
 
 def picard_closed_form(mp: MirrorPair) -> tuple[int, int]:
-    """(rho primal, rho mirror) from the degrees alone.
-
-    Characteristic zero gives 22 - phi(h_T) and 22 - phi(h). In positive
-    characteristic the surface is supersingular (rho = 22) exactly when some
-    power of p is -1 mod the relevant degree.
-    """
-    p = mp.primal.char.p
-    return _closed_rho(p, mp.mirror.matrix.degree), _closed_rho(p, mp.primal.matrix.degree)
+    """(rho primal, rho mirror) from the degrees alone: `_closed_rho` of the
+    unit u at h_T and at h; 22 - phi(h_T) and 22 - phi(h) at u = 1."""
+    u = _unit(mp.primal.char, mp.primal.matrix.exponent)
+    return _closed_rho(u, mp.mirror.matrix.degree), _closed_rho(u, mp.primal.matrix.degree)
 
 
-def grading_set(m: DelsarteMatrix, char: Characteristic) -> tuple[Coords, ...]:
-    """The transcendental set the paper's theorem predicts for every group
-    between J and SL of a Calabi-Yau matrix, as sorted coordinates.
-
-    In characteristic zero it is {k j : gcd(k, h) = 1}, for j the grading
-    element and h the degree; in characteristic p it is empty when some power
-    of p is -1 mod h, and the same set otherwise. Built from j and h alone,
-    enumerating no group.
+def grading_set(m: DelsarteMatrix, u: int) -> tuple[Coords, ...]:
+    """The transcendental set the paper's theorem predicts under the unit u
+    for every group between J and SL of a Calabi-Yau matrix, as sorted
+    coordinates: empty when some power of u is -1 mod the degree h, else
+    {k j : gcd(k, h) = 1}, for j the grading element. Built from j and h
+    alone, enumerating no group; SemanticError (from j) at every u when the
+    matrix is not Calabi-Yau.
     """
     d, h = m.exponent, m.degree
-    _check_char(char, d)
-    if char.positive and minus_one_power_exists(char.p, h):
-        return ()
     j0, j1, j2, j3 = j_element(m)
+    if minus_one_power_exists(u, h):
+        return ()
     units = [k for k in range(1, h) if gcd(k, h) == 1]
     return tuple(sorted((k * j0 % d, k * j1 % d, k * j2 % d, k * j3 % d) for k in units))
 
@@ -269,7 +262,7 @@ def prime_scan(mp: MirrorPair, primes) -> ScanReport:
     """Closed-form Picard numbers for each prime, with skipped primes listed.
 
     A prime is skipped when it divides the exponent d or any weight on either
-    side, since the pair is not adequate there.
+    side, since the pair is not adequate there. Any other p is its own unit u.
     """
     m = mp.primal.matrix
     mt = mp.mirror.matrix

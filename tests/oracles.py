@@ -226,16 +226,16 @@ def transcendental_set_by_element(group, char: Characteristic) -> tuple:
 def transcendental_set(group, char: Characteristic) -> tuple:
     """The direct route's transcendental set of one group: the aged elements,
     sorted, that fail the average-age-two test, decided once per unit orbit
-    (`picard._direct_route`)."""
-    powers = picard._p_powers(char, group.modulus)
-    return picard._direct_route(*picard._unit_orbits(group), powers, group.modulus)
+    (`picard._direct_route`), under the unit u of the characteristic."""
+    d = group.modulus
+    return picard._direct_route(*picard._unit_orbits(group), picard._powers(picard._unit(char, d), d), d)
 
 
 def transcendental_set_orbits(group, char: Characteristic) -> tuple:
     """The same set via orbits: the union of the unit orbits that pass
     `picard._orbit_contributes`, sorted."""
-    picard._check_char(char, group.modulus)
-    return picard._orbit_route(*picard._unit_orbits(group), char, group.modulus)
+    d = group.modulus
+    return picard._orbit_route(*picard._unit_orbits(group), picard._unit(char, d), d)
 
 
 # The matrix layer's checks as written before each became one pass, kept

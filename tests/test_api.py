@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, every exported function has
-a reader, every imported name has a reader, and README's quick start runs and
-prints the values its comments show."""
+a reader, every imported name has a reader, no function re-imports a name
+its module imports, and README's quick start runs and prints the values its
+comments show."""
 
 from __future__ import annotations
 
@@ -44,13 +45,17 @@ def test_every_exported_function_has_a_reader():
     assert unread == []
 
 
+def _imported_names(node) -> set[str]:
+    return {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+
+
 def _unread_imports(path: Path) -> list[str]:
     """Names a module imports but never reads; a name listed in `__all__`
     counts as read, and `from __future__` imports are not names."""
     imported, read = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+            imported.update(_imported_names(node))
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -63,6 +68,33 @@ def test_every_imported_name_is_read():
     paths = [*Path(bhk.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     unread = {path.name: names for path in sorted(paths) if (names := _unread_imports(path))}
     assert unread == {}
+
+
+def _shadowing_reimports(source: str) -> list[str]:
+    """`function: name` for each name a function imports again although its
+    module already imports it at the top."""
+    tree = ast.parse(source)
+    top = set().union(*(_imported_names(n) for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{fn.name}: {name}" for name in sorted(_imported_names(node) & top)]
+    return found
+
+
+def test_no_function_reimports_a_module_level_name():
+    """No function in `src/bhk` or `tests` re-imports a name its module
+    already imports at the top; the inner import would only shadow it."""
+    paths = [*Path(bhk.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    found = {p.name: names for p in sorted(paths) if (names := _shadowing_reimports(p.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_reimport_check_sees_a_shadowing_reimport():
+    source = "from conftest import CHAR0\n\n\ndef test_x():\n    from conftest import CHAR0\n\n    return CHAR0\n"
+    assert _shadowing_reimports(source) == ["test_x: CHAR0"]
 
 
 def _quick_start() -> str:

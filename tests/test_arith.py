@@ -19,8 +19,10 @@ from bhk.arith import (
     matrix4,
     minus_one_power_exists,
     multiplicative_order,
+    primes_up_to,
     transpose_rows,
 )
+from bhk.delsarte import is_prime
 from conftest import A_EX_ROWS, build
 from oracles import cofactor_det_adjugate, inverse, mat_mul
 
@@ -106,6 +108,13 @@ def test_minus_one_power_brute():
             continue
         brute = any(pow(p, e, m) == m - 1 or m <= 2 for e in range(1, m + 1))
         assert minus_one_power_exists(p, m) == brute
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1, 2, 3, 10_000])
+def test_primes_up_to_matches_is_prime(n):
+    """The sieve `bhk scan` lists its primes with, against the Miller-Rabin
+    test it replaced there; no primes, and no error, below 2."""
+    assert primes_up_to(n) == [p for p in range(n + 1) if is_prime(p)]
 
 
 def _random_matrix(rng):

@@ -3,6 +3,9 @@ methods, and the prime scan, against frozen independently computed values."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import gcd
+
 import pytest
 
 import bhk.picard as picard
@@ -18,9 +21,9 @@ from bhk import (
     subgroup_generated,
     transpose,
 )
-from bhk.errors import CharDividesD, InternalCheckError, MethodMismatch
+from bhk.errors import CharDividesD, InternalCheckError, MethodMismatch, SemanticError
 from bhk.picard import aged_elements, grading_set
-from conftest import CHAR0, aged, cy_catalog_small, primes_below
+from conftest import CHAR0, aged, build, cy_catalog, cy_catalog_small, primes_below
 from oracles import (
     aut_group,
     sl_subgroup,
@@ -166,16 +169,36 @@ def test_method_mismatch_on_corrupted_age(a_f, monkeypatch):
         picard_report(mp).methods
 
 
+def test_unit_goldens():
+    """The characteristic enters the Picard layer as u = p mod d, u = 1 in
+    characteristic zero, and CharDividesD when p divides d."""
+    assert picard._unit(CHAR0, 168) == 1
+    assert picard._unit(Characteristic(5), 168) == 5
+    assert picard._unit(Characteristic(173), 168) == 5
+    with pytest.raises(CharDividesD):
+        picard._unit(Characteristic(7), 168)
+    assert picard._powers(1, 168) == [1]
+    assert picard._powers(5, 168) == [1, 5, 25, 125, 121, 101]
+
+
 def test_grading_set_goldens(a_ex):
     mt = transpose(a_ex, CHAR0)
     j, jt = j_element(a_ex), j_element(mt)
-    assert grading_set(a_ex, CHAR0) == tuple(sorted(tuple(k * c % 168 for c in j) for k in range(1, 7)))
-    assert grading_set(mt, CHAR0) == tuple(sorted(tuple(k * c % 168 for c in jt) for k in (1, 3, 5, 7)))
+    assert grading_set(a_ex, 1) == tuple(sorted(tuple(k * c % 168 for c in j) for k in range(1, 7)))
+    assert grading_set(mt, 1) == tuple(sorted(tuple(k * c % 168 for c in jt) for k in (1, 3, 5, 7)))
     # 5^3 = -1 mod 7 empties the set of A; no power of 5 is -1 mod 8.
-    assert grading_set(a_ex, Characteristic(5)) == ()
-    assert grading_set(mt, Characteristic(5)) == grading_set(mt, CHAR0)
-    with pytest.raises(CharDividesD):
-        grading_set(a_ex, Characteristic(7))
+    assert grading_set(a_ex, 5) == ()
+    assert grading_set(mt, 5) == grading_set(mt, 1)
+
+
+def test_grading_set_needs_calabi_yau_at_every_unit():
+    """diag(12, 12, 12, 12) has weights 1 and degree 12, so it is not
+    Calabi-Yau; 11 = -1 mod 12 would empty the set, but the grading element
+    is read first, at u = 11 as at u = 1."""
+    m = build([[12, 0, 0, 0], [0, 12, 0, 0], [0, 0, 12, 0], [0, 0, 0, 12]])
+    for u in (11, 1):
+        with pytest.raises(SemanticError, match="Calabi-Yau"):
+            grading_set(m, u)
 
 
 def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
@@ -189,7 +212,7 @@ def test_transcendental_set_matches_definition_and_grading_on_small_catalog():
             if p and m.exponent % p == 0:
                 continue
             char = Characteristic(p)
-            expected = grading_set(m, char)
+            expected = grading_set(m, picard._unit(char, m.exponent))
             for group in groups:
                 got = transcendental_set(group, char)
                 assert got == transcendental_set_by_element(group, char)
@@ -244,9 +267,9 @@ def test_grading_route_catches_a_direct_route_testing_one_element_per_orbit(a_ex
 def test_direct_route_catches_a_grading_route_missing_a_unit(a_ex, monkeypatch):
     real = picard.grading_set
 
-    def without_minus_j(m, char):
+    def without_minus_j(m, u):
         minus_j = tuple(-c % m.exponent for c in j_element(m))
-        return tuple(c for c in real(m, char) if c != minus_j)
+        return tuple(c for c in real(m, u) if c != minus_j)
 
     monkeypatch.setattr(picard, "grading_set", without_minus_j)
     for p in (0, 11):
@@ -260,8 +283,8 @@ def flip_age_one_flags(monkeypatch) -> None:
     flag flipped (ages 1 -> 2 and others -> 1), as if it read age != 1."""
     real = picard._orbit_contributes
 
-    def flipped(orbit, ages, char, d):
-        return real(orbit, {c: 2 if a == 1 else 1 for c, a in ages.items()}, char, d)
+    def flipped(orbit, ages, u, d):
+        return real(orbit, {c: 2 if a == 1 else 1 for c, a in ages.items()}, u, d)
 
     monkeypatch.setattr(picard, "_orbit_contributes", flipped)
 
@@ -351,3 +374,88 @@ def test_supersingular_residue_tables():
     # Degenerate moduli: every unit works since -1 = 1 there.
     assert _supersingular_residues(1) == (1,)
     assert _supersingular_residues(2) == (1,)
+
+
+@lru_cache(maxsize=None)
+def _unit_classes(d: int) -> tuple[tuple[int, ...], ...]:
+    """The units mod d grouped by the cyclic subgroup of (Z/d)^x each one
+    generates, in increasing order. Every prime p not dividing d has p mod d
+    in exactly one class, and the Picard routes read p only through the
+    subgroup <p mod d>. Each subgroup is walked here, not read from
+    `picard._powers`."""
+    classes: dict[frozenset, list[int]] = {}
+    for v in range(1, d):
+        if gcd(v, d) == 1:
+            subgroup, x = {1}, v
+            while x not in subgroup:
+                subgroup.add(x)
+                x = x * v % d
+            classes.setdefault(frozenset(subgroup), []).append(v)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def _unit_class_disagreements(m, group: str) -> tuple[int, list[str]]:
+    """The check behind `bhk scan`'s residue lists, on one matrix and group:
+    each side's unit-orbit partition is built once, and for the least unit u
+    of each class the direct route must equal the orbit route and
+    `grading_set(side, u)`, 22 minus the set sizes must equal the closed form
+    `_closed_rho(u, h)` of each side, and rho = 22 exactly when v mod h lies
+    in `_supersingular_residues(h)`, for every unit v of the class. Returns
+    the number of classes and each disagreement found."""
+    mp = Workspace(m.matrix, CHAR0, group).mirror
+    d = m.exponent
+    sides = [(side.matrix, *picard._unit_orbits(side.group)) for side in (mp.mirror, mp.primal)]
+    degrees = [side.matrix.degree for side in (mp.mirror, mp.primal)]
+    residues = [picard._supersingular_residues(h) for h in degrees]
+    classes = _unit_classes(d)
+    found = []
+    for cls in classes:
+        u = cls[0]
+        rhos = []
+        for matrix, ages, orbits in sides:
+            direct = picard._direct_route(ages, orbits, picard._powers(u, d), d)
+            if direct != picard._orbit_route(ages, orbits, u, d) or direct != grading_set(matrix, u):
+                found.append(f"{m.matrix} {group} u={u}: the routes disagree in degree {matrix.degree}")
+            rhos.append(22 - len(direct))
+        for rho, h, listed in zip(rhos, degrees, residues):
+            if rho != picard._closed_rho(u, h):
+                found.append(f"{m.matrix} {group} u={u}: rho {rho} but closed form {picard._closed_rho(u, h)}")
+            if any((v % h in listed) != (rho == 22) for v in cls):
+                found.append(f"{m.matrix} {group} u={u}: residues mod {h} {listed} but rho {rho}")
+    return len(classes), found
+
+
+def test_scan_residue_lists_hold_over_every_unit_class():
+    """Every catalog matrix with G in {J, SL}: one run of the routes per
+    cyclic subgroup <u> of (Z/d)^x covers every prime that does not divide d,
+    so `bhk scan`'s rows and residue lists are checked for every such prime."""
+    classes, found = 0, []
+    for m in cy_catalog():
+        for group in ("J", "SL"):
+            n, bad = _unit_class_disagreements(m, group)
+            classes += n
+            found += bad
+    assert found == []
+    assert classes >= 6000
+
+
+def test_unit_class_check_catches_a_residue_doctored_in_minus_one_power_exists(a_ex, monkeypatch):
+    """Flipping minus_one_power_exists at any one residue r mod h or h_T (7
+    and 8 on the chain) moves the grading set, the closed form or the
+    residue list of some class away from the direct route."""
+    real = picard.minus_one_power_exists
+
+    def flipped_at(h, r):
+        return lambda u, n: real(u, n) != (n == h and u % n == r)
+
+    for h in (7, 8):
+        for r in (r for r in range(1, h) if gcd(r, h) == 1):
+            monkeypatch.setattr(picard, "minus_one_power_exists", flipped_at(h, r))
+            assert _unit_class_disagreements(a_ex, "J")[1], (h, r)
+
+
+def test_unit_class_check_catches_powers_stuck_at_one(a_ex, monkeypatch):
+    """A `_powers` that returns [1] for every u runs the characteristic-zero
+    test in every class, which the orbit route, walking u itself, refutes."""
+    monkeypatch.setattr(picard, "_powers", lambda u, d: [1])
+    assert _unit_class_disagreements(a_ex, "J")[1]

@@ -100,9 +100,6 @@ def test_sl_group_is_bounded_before_it_is_built(monkeypatch):
 
 
 def test_grading_element_goldens(a_ex, a_f, loop_m, mixed_m):
-    from bhk import transpose
-    from conftest import CHAR0
-
     assert j_element(a_ex) == (48, 72, 24, 24)
     assert j_subgroup(a_ex).order == 7
     assert j_element(a_f) == (1, 1, 1, 1)
