@@ -342,28 +342,25 @@ def _render(doc: dict, fmt: str) -> str:
     `json.dumps(doc, sort_keys=True, indent=2)`, written by `_write_json`
     instead: with `indent` set, `json.dumps` leaves CPython's C encoder for
     its pure-Python one, which cost more than any single stage of a small
-    report. The writer appends every piece of the text to one list, joined
-    once here."""
+    report. The text format is the lines of `_flatten`. Each writer appends
+    every piece of the text to one list, joined once here."""
     if fmt == "json":
         pieces: list[str] = []
         _write_json(doc, "\n", pieces)
         return "".join(pieces)
-    return "\n".join(_flatten(doc))
+    lines: list[str] = []
+    _flatten(doc, "", lines)
+    return "\n".join(lines)
 
 
 def _write_json(value, newline: str, pieces: list[str]) -> None:
     """Append the JSON text of a value to pieces, keys sorted, each level
     indented two spaces more than `newline`, the line break plus the
     enclosing indentation. Only the types the sections produce are written:
-    dicts with str keys, lists, str, int, bool and None; any other type
-    raises TypeError, as in `json.dumps`. Strings go through the same
-    escaping function `json.dumps` uses."""
+    dicts with str keys, lists, and the leaves of `_scalar`; any other type
+    raises TypeError, as in `json.dumps`."""
     kind = type(value)
-    if kind is str:
-        pieces.append(encode_basestring_ascii(value))
-    elif kind is int:
-        pieces.append(str(value))
-    elif kind is dict:
+    if kind is dict:
         if not value:
             pieces.append("{}")
             return
@@ -387,25 +384,42 @@ def _write_json(value, newline: str, pieces: list[str]) -> None:
             _write_json(x, inner, pieces)
             opening = "," + inner
         pieces.append(newline + "]")
-    elif value is None:
-        pieces.append("null")
-    elif kind is bool:
-        pieces.append("true" if value else "false")
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        pieces.append(_scalar(value))
 
 
-def _flatten(value, prefix: str = "") -> list[str]:
-    lines: list[str] = []
-    if isinstance(value, dict):
+def _scalar(value) -> str:
+    """The JSON text of a str, int, bool or None, tested by exact type, so
+    True stays `true` beside 1; any other type raises TypeError. Strings go
+    through the same escaping function `json.dumps` uses."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _flatten(value, prefix: str, lines: list[str]) -> None:
+    """Append the `--format text` lines of a value to lines: one `path =
+    leaf` line per scalar, dotted paths with dict keys sorted and list
+    indices, a list of scalars written whole as `[a, b]`, and an empty dict
+    writing nothing. Leaves are written as `_write_json` writes them."""
+    kind = type(value)
+    if kind is dict:
         for k in sorted(value):
-            lines.extend(_flatten(value[k], f"{prefix}{k}."))
-    elif isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value):
+            _flatten(value[k], f"{prefix}{k}.", lines)
+    elif kind is list and any(type(x) in (dict, list) for x in value):
         for i, x in enumerate(value):
-            lines.extend(_flatten(x, f"{prefix}{i}."))
+            _flatten(x, f"{prefix}{i}.", lines)
+    elif kind is list:
+        lines.append(f"{prefix.rstrip('.')} = [{', '.join(map(_scalar, value))}]")
     else:
-        lines.append(f"{prefix.rstrip('.')} = {json.dumps(value, sort_keys=True)}")
-    return lines
+        lines.append(f"{prefix.rstrip('.')} = {_scalar(value)}")
 
 
 def _read(path) -> str:

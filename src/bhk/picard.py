@@ -262,13 +262,16 @@ def prime_scan(mp: MirrorPair, primes) -> ScanReport:
     """Closed-form Picard numbers for each prime, with skipped primes listed.
 
     A prime is skipped when it divides the exponent d or any weight on either
-    side, since the pair is not adequate there. Any other p is its own unit u.
+    side, since the pair is not adequate there. Any other p is its own unit u,
+    and `_closed_rho` reads u only mod the degree, so it is evaluated once
+    per pair of residues (p mod h_T, p mod h).
     """
     m = mp.primal.matrix
     mt = mp.mirror.matrix
     h, h_t = m.degree, mt.degree
     rows = []
     skipped = []
+    closed: dict[tuple[int, int], tuple[int, int]] = {}
     for p in sorted(set(primes)):
         if m.exponent % p == 0:
             skipped.append((p, f"divides the exponent {m.exponent}"))
@@ -276,12 +279,15 @@ def prime_scan(mp: MirrorPair, primes) -> ScanReport:
         if any(q % p == 0 for q in m.weights) or any(q % p == 0 for q in mt.weights):
             skipped.append((p, "divides a weight"))
             continue
-        rho_primal, rho_mirror = _closed_rho(p, h_t), _closed_rho(p, h)
+        residues = (p % h_t, p % h)
+        if residues not in closed:
+            closed[residues] = (_closed_rho(residues[0], h_t), _closed_rho(residues[1], h))
+        rho_primal, rho_mirror = closed[residues]
         rows.append(
             ScanRow(
                 prime=p,
-                residue_primal=p % h_t,
-                residue_mirror=p % h,
+                residue_primal=residues[0],
+                residue_mirror=residues[1],
                 rho_primal=rho_primal,
                 rho_mirror=rho_mirror,
                 supersingular_primal=rho_primal == 22,

@@ -3,7 +3,7 @@ membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
 SL itself from a one-row solve that never enumerates Aut (the one solve of
 the package; the dual groups are filtered from SL of A^T), the
 grading element j, and enumeration of the groups between J and SL, by one
-join per cyclic subgroup of SL/J on the cosets of J. An element is a plain
+join per coset of J in SL, on the cosets of J. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
 of its elements. J is listed directly as the multiples k j, 0 <= k < h,
 as j has order h. Every other group is built by one primitive, the join
@@ -16,12 +16,12 @@ that spans it, without building that last join."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import AbstractSet, Iterable, Sequence
 
-from .arith import euler_phi, kernel_mod
+from .arith import kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
 from .errors import InternalCheckError, SemanticError, TooLarge
 
@@ -100,8 +100,8 @@ class SymmetrySubgroup(frozenset):
     descriptions of the same subgroup compare equal regardless of their
     generators, and of their modulus. `elements` (sorted) and `generators`
     (the given ones, or else the greedy walk over `elements`) are computed
-    when first read. `covers` is None, except on the groups of
-    `enumerate_intermediate`.
+    when first read. The groups of `enumerate_intermediate` are given their
+    `elements` and `covers`; on any other group `covers` is None.
     """
 
     covers: tuple[SymmetrySubgroup, Coords] | None = None
@@ -210,38 +210,8 @@ def j_subgroup(m: DelsarteMatrix) -> SymmetrySubgroup:
     return SymmetrySubgroup(d, [(k * j0 % d, k * j1 % d, k * j2 % d, k * j3 % d) for k in range(m.degree)], (j,))
 
 
-def _cosets(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> tuple[dict[Coords, int], list[list[Coords]]]:
-    """(index, cosets): the cosets x + J of J in SL, in the order of their
-    least elements x, each listed from x, and the position in that list of
-    each element's coset. J itself, the coset of 0, comes first."""
-    d = sl.modulus
-    index: dict[Coords, int] = {}
-    cosets = []
-    for x0, x1, x2, x3 in sl.elements:
-        if (x0, x1, x2, x3) not in index:
-            coset = [
-                ((x0 + j0) % d, (x1 + j1) % d, (x2 + j2) % d, (x3 + j3) % d) for j0, j1, j2, j3 in j_group.elements
-            ]
-            index.update(dict.fromkeys(coset, len(cosets)))
-            cosets.append(coset)
-    return index, cosets
-
-
-def _generator_classes(row: Sequence[int]) -> tuple[int, list[int]]:
-    """(n, C) for the coset q + J whose addition maps coset i to coset
-    row[i]: n is its order in SL/J, and C the cosets k q + J with
-    gcd(k, n) = 1, those that generate the same cyclic subgroup of SL/J."""
-    multiples = [0]
-    k_q = row[0]
-    while k_q:
-        multiples.append(k_q)
-        k_q = row[k_q]
-    n = len(multiples)
-    return n, [c for k, c in enumerate(multiples) if gcd(k, n) == 1]
-
-
 def _join_cosets(row: Sequence[int], group: frozenset[int]) -> frozenset[int]:
-    """H + <q> for a subgroup H of SL/J, given as its coset positions, and
+    """H + <q> for a subgroup H of SL/J, given as its coset numbers, and
     the coset q + J whose addition is `row`: `_join` on cosets, each step
     one lookup per coset."""
     out = set(group)
@@ -256,54 +226,52 @@ def _join_cosets(row: Sequence[int], group: frozenset[int]) -> frozenset[int]:
 def enumerate_intermediate(j_group: SymmetrySubgroup, sl: SymmetrySubgroup) -> list[SymmetrySubgroup]:
     """All subgroups G with J <= G <= SL, ordered by size then element list.
 
-    SL is split into the cosets of J once, and the walk runs on SL/J, each
-    coset by its position. It joins one representative q per cyclic
-    subgroup J + <q> to every group found so far, adding q by one
-    precomputed row, coset -> coset + q. Walking the cosets in order of
-    their least elements, each unmarked coset's least element q is a
-    representative, and marks the cosets that generate J + <q> mod J (only
-    those: J + <2q> needs its own representative). After representatives
-    q_1, ..., q_k the groups found are the J + <S> for S a subset of them,
-    so after all of them they are every G, as G is the sum of the J + <e>
-    over its elements e, each equal to J + <q> for a representative q in G.
-    Each group is lifted to its elements once, as the union of its cosets.
-    Each G but J has `covers`, a pair (H, q) with G = H + <q>, where H is
-    a largest group returned below G and q the least element of G outside
-    it. Nothing lies strictly between H and G, so G/H has prime order and
-    any such q generates it.
+    One pass over SL's sorted elements numbers the cosets of J: each element
+    not yet numbered starts the next coset, its translates by J, so each
+    coset is numbered in the order of its least element, its representative
+    q, and J, the coset of 0, is 0. The walk runs on SL/J, each coset by its
+    number. It joins each representative q in turn to every group found so
+    far, adding q by one row, coset -> coset + q. After q_1, ..., q_k the
+    groups found are the J + <S> for S a subset of them, so after all of
+    them they are every G, as G is J + <S> for S the representatives in G.
+    Each group is lifted to its elements once, by filtering SL's sorted
+    elements by coset number, so it keeps them, already sorted, as its
+    `elements`. Each G but J has `covers`, a pair (H, q) with G = H + <q>,
+    where H is a largest group returned below G and q the least element of
+    G outside it. Nothing lies strictly between H and G, so G/H has prime
+    order and any such q generates it.
 
     Cross-checked on every call: the cosets have |J| elements each and
-    cover SL, and the generator classes partition SL/J minus J, so
-    1 + sum over q of phi(n_q) is the number of cosets.
+    cover SL.
     """
     if not j_group <= sl:
         raise ValueError("J is not contained in SL")
     d = sl.modulus
-    index, cosets = _cosets(j_group, sl)
-    if len(cosets) * j_group.order != sl.order:
-        raise InternalCheckError(
-            f"{len(cosets)} cosets of J of {j_group.order} elements each, |SL| = {sl.order}"
-        )
-    reps = [coset[0] for coset in cosets]
+    index: dict[Coords, int] = {}
+    position = []
+    reps = []
+    for x in sl.elements:
+        if x not in index:
+            x0, x1, x2, x3 = x
+            translates = [((x0 + j0) % d, (x1 + j1) % d, (x2 + j2) % d, (x3 + j3) % d) for j0, j1, j2, j3 in j_group]
+            index.update(dict.fromkeys(translates, len(reps)))
+            reps.append(x)
+        position.append(index[x])
+    if len(reps) * j_group.order != sl.order:
+        raise InternalCheckError(f"{len(reps)} cosets of J of {j_group.order} elements each, |SL| = {sl.order}")
     found = {frozenset([0])}
-    marked = {0}
-    covered = 1
-    for i, q in enumerate(reps):
-        if i in marked:
-            continue
-        q0, q1, q2, q3 = q
+    for i, (q0, q1, q2, q3) in enumerate(reps[1:], 1):
         row = [index[(x0 + q0) % d, (x1 + q1) % d, (x2 + q2) % d, (x3 + q3) % d] for x0, x1, x2, x3 in reps]
-        n, generating = _generator_classes(row)
-        marked.update(generating)
-        covered += euler_phi(n)
         for group in list(found):
             if i not in group:
                 found.add(_join_cosets(row, group))
-    if covered != len(cosets):
-        raise InternalCheckError(f"generator classes of SL/J cover {covered} of its {len(cosets)} cosets")
-    lifted = {key: SymmetrySubgroup(d, chain.from_iterable(cosets[i] for i in key)) for key in found}
     by_size = sorted(found, key=len)
-    for k, key in enumerate(by_size[1:], 1):
-        below = max((h for h in by_size[:k] if h < key), key=len)
-        lifted[key].covers = (lifted[below], reps[min(key - below)])
+    lifted: dict[frozenset[int], SymmetrySubgroup] = {}
+    for k, key in enumerate(by_size):
+        elements = tuple(compress(sl.elements, map(key.__contains__, position)))
+        group = lifted[key] = SymmetrySubgroup(d, elements)
+        group.elements = elements
+        if k:
+            below = max((h for h in by_size[:k] if h < key), key=len)
+            group.covers = (lifted[below], reps[min(key - below)])
     return sorted(lifted.values(), key=lambda g: (g.order, g.elements))

@@ -19,6 +19,7 @@ which the equivalence tests compare the library against.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -183,6 +184,31 @@ def lattice_by_joins(j_group, sl) -> set:
                 known[key] = joined
                 frontier.append((key, joined))
     return set(known)
+
+
+def state_space_dimension(weights, h, elements) -> Fraction:
+    """Vafa's dimension of the orbifold state space of the Landau-Ginzburg
+    model of weights q_i and degree h under the diagonal group of the given
+    elements (coordinates, 0 where an element fixes a variable):
+
+        (1/|G|) sum over g, k in G of the product over the i with g_i = 0
+        of h/q_i - 1 if k_i = 0, else -1.
+
+    For the BHK pairs of K3 surfaces it is 24, the Euler number of a K3
+    (Chiodo-Ruan, 2011). It reads no group structure and nothing of `bhk`;
+    elements are counted by their zero pattern, so the double sum runs over
+    at most 16 x 16 patterns. h/q_i is a fraction off Fermat atoms."""
+    patterns = Counter(tuple(c == 0 for c in g) for g in elements)
+    fixed_dims = [Fraction(h, q) - 1 for q in weights]
+    total = Fraction(0)
+    for g_zero, g_count in patterns.items():
+        for k_zero, k_count in patterns.items():
+            term = Fraction(g_count * k_count)
+            for i, fixed in enumerate(g_zero):
+                if fixed:
+                    term *= fixed_dims[i] if k_zero[i] else -1
+            total += term
+    return total / sum(patterns.values())
 
 
 def _units(d: int) -> list[int]:

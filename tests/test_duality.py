@@ -16,7 +16,7 @@ from bhk.duality import Workspace, _image, _pairings
 from bhk.symmetry import enumerate_intermediate
 from bhk.errors import CharDividesDet, InternalCheckError, MirrorNotAdequate, NotAdequate, SemanticError, TooLarge
 from conftest import A_EX_ROWS, A_F_ROWS, CHAR0, NONCY_LOOP_ROWS, build, cy_catalog_small
-from oracles import aut_group, dual_by_filter, pairing, sl_subgroup
+from oracles import aut_group, dual_by_filter, pairing, sl_subgroup, state_space_dimension
 from test_smoothness import CY_NOT_QS_ROWS
 
 
@@ -357,3 +357,16 @@ def test_symmetric_matrix_has_one_side():
     chain = Workspace(A_EX_ROWS, CHAR0)
     assert chain.transpose is not chain.primal
     assert chain.transpose.matrix.matrix == tuple(zip(*A_EX_ROWS))
+
+
+def test_every_lattice_pair_has_the_state_space_of_a_k3(catalog):
+    """Every G between J and SL on A, and its dual on A^T, gives the orbifold
+    state space of dimension 24, the Euler number of a K3, over both sides
+    of the catalog: an independent check of each group `enumerate_intermediate`
+    lists and of each dual `Workspace.lattice` derives from it."""
+    for m in catalog:
+        ws = Workspace(m.matrix, CHAR0, "J")
+        primal, mirror = ws.primal.matrix, ws.transpose.matrix
+        for group, dual in ws.lattice:
+            assert state_space_dimension(primal.weights, primal.degree, group) == 24, (m.matrix, group.generators)
+            assert state_space_dimension(mirror.weights, mirror.degree, dual) == 24, (m.matrix, dual.generators)

@@ -1,5 +1,6 @@
-"""The report writer behind `--format json` against `json.dumps(doc,
-sort_keys=True, indent=2)`, its reference, which appears here only."""
+"""The report writers against their references, which appear here only:
+`--format json` against `json.dumps(doc, sort_keys=True, indent=2)`, and
+`--format text` against the flattener that called `json.dumps` per leaf."""
 
 from __future__ import annotations
 
@@ -39,6 +40,19 @@ documents = st.recursive(
 
 def _reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _reference_flatten(value, prefix: str = "") -> list[str]:
+    lines: list[str] = []
+    if isinstance(value, dict):
+        for k in sorted(value):
+            lines.extend(_reference_flatten(value[k], f"{prefix}{k}."))
+    elif isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value):
+        for i, x in enumerate(value):
+            lines.extend(_reference_flatten(x, f"{prefix}{i}."))
+    else:
+        lines.append(f"{prefix.rstrip('.')} = {json.dumps(value, sort_keys=True)}")
+    return lines
 
 
 @settings(max_examples=500, deadline=None)
@@ -91,6 +105,21 @@ def test_writer_rejects_any_other_type(doc, bad, data):
     json.dumps would write a float or a tuple."""
     with pytest.raises(TypeError):
         cli._render(_plant(doc, bad, data), "json")
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents)
+def test_text_writer_matches_reference_flatten(doc):
+    assert cli._render(doc, "text") == "\n".join(_reference_flatten(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, _foreign, st.data())
+def test_text_writer_rejects_any_other_type(doc, bad, data):
+    """A float, tuple, set or bytes anywhere raises TypeError in the text
+    form too, where the reference would write a float or a tuple."""
+    with pytest.raises(TypeError):
+        cli._render(_plant(doc, bad, data), "text")
 
 
 def test_writer_rejects_non_str_keys():

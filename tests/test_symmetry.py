@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bhk import (
+    SymmetrySubgroup,
     Workspace,
     enumerate_intermediate,
     j_element,
@@ -276,35 +277,21 @@ def test_intermediate_lattice_on_random_quotients(case):
     _assert_covers(lattice)
 
 
-def test_partition_check_catches_an_overmarking(a_f, monkeypatch):
-    """Marking all of J + <e>, not just its generators, skips J + <2e>; the
-    generator classes then no longer add up to |SL/J|."""
-    import bhk.symmetry as symmetry
-
-    real = symmetry._generator_classes
-
-    def whole_cyclic_group(row):
-        n, _ = real(row)
-        return n, symmetry._join_cosets(row, frozenset([0]))
-
-    monkeypatch.setattr(symmetry, "_generator_classes", whole_cyclic_group)
-    with pytest.raises(InternalCheckError, match="generator classes"):
-        enumerate_intermediate(j_subgroup(a_f), sl_group(a_f))
+def test_coset_count_check_catches_a_lost_coset(a_ex, a_f, loop_m, mixed_m):
+    """A J with one nonzero element dropped lies in SL but is no group: its
+    translates no longer split SL into cosets of |J| elements each."""
+    for m in (a_ex, a_f, loop_m, mixed_m):
+        j, sl = j_subgroup(m), sl_group(m)
+        for e in j - {(0, 0, 0, 0)}:
+            with pytest.raises(InternalCheckError, match="cosets of J"):
+                enumerate_intermediate(SymmetrySubgroup(j.modulus, j - {e}), sl)
 
 
-def test_coset_count_check_catches_a_lost_coset(a_f, monkeypatch):
-    """Cosets of J that do not cover SL no longer have |SL| elements in all."""
-    import bhk.symmetry as symmetry
-
-    real = symmetry._cosets
-
-    def without_last(j_group, sl):
-        index, cosets = real(j_group, sl)
-        return index, cosets[:-1]
-
-    monkeypatch.setattr(symmetry, "_cosets", without_last)
-    with pytest.raises(InternalCheckError, match="cosets of J"):
-        enumerate_intermediate(j_subgroup(a_f), sl_group(a_f))
+def test_intermediate_groups_keep_the_sorted_elements_of_sl(a_f):
+    """Each group is filtered from SL's sorted elements, which it keeps as
+    its element list, so no group is sorted again."""
+    for g in enumerate_intermediate(j_subgroup(a_f), sl_group(a_f)):
+        assert vars(g)["elements"] == tuple(sorted(g))
 
 
 def test_intermediate_requires_containment(a_ex, a_f):
