@@ -11,9 +11,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from errno import ELOOP, ENOENT, ENOTDIR
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from stat import S_ISFIFO
 from typing import NamedTuple, Sequence
 
 from .arith import Matrix4, matrix4, primes_up_to
@@ -437,40 +438,43 @@ def _read(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
 
 
-def _same_file(path, stat: os.stat_result) -> bool:
-    """Whether the path names the file of the stat; False when it cannot be stat'ed."""
-    try:
-        return os.path.samestat(os.stat(path), stat)
-    except OSError:
-        return False
-
-
 def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
-    """NDJSON, one line per file, whatever `--format` says. The output file is
-    opened before any document runs, so an unwritable one fails first, and
-    is never read as a document, even when it is a *.json in the directory."""
-    base = Path(directory)
-    if not base.is_dir():
-        return _report(SemanticError(f"not a directory: {directory}"))
-    paths = sorted(base.glob("*.json"), key=lambda p: p.name)
+    """NDJSON, one line per entry named *.json, dot-files and directories
+    included, in name order, whatever `--format` says. The output file is
+    opened before any document runs, so an unwritable one fails first, and is
+    never read as a document, even when it is a *.json in the directory. A
+    FIFO, whose open would wait for a writer, is an input error, never opened."""
+    try:
+        with os.scandir(directory) as listing:
+            entries = sorted((e for e in listing if e.name.endswith(".json")), key=lambda e: e.name)
+    except OSError as err:
+        if err.errno in (ENOENT, ENOTDIR, ELOOP):
+            return _report(SemanticError(f"not a directory: {directory}"))
+        return _report(SemanticError(f"cannot list {directory}: {err.strerror}"))
     try:
         out = open(out_path, "w") if out_path else nullcontext(None if quiet else sys.stdout)
     except OSError as err:
         return _report(SemanticError(f"cannot write {out_path}: {err.strerror}"))
-    if out_path:  # an output file among the documents, left by an earlier run, is not one
-        written = os.fstat(out.fileno())
-        paths = [p for p in paths if not _same_file(p, written)]
+    written = os.fstat(out.fileno()) if out_path else None
     worst = EXIT_OK
     with out as sink:
-        for path in paths:
+        for entry in entries:
             try:
-                doc, _ = run_command("picard", parse_input(_read(path)))
-                entry = {"file": path.name, "report": doc, "status": "ok"}
+                stat = entry.stat()  # symlinks followed, kept by the entry
+            except OSError:  # a broken symlink, whose read reports it
+                stat = None
+            if stat and written and os.path.samestat(stat, written):
+                continue  # the output file, left among the documents by an earlier run
+            try:
+                if stat and S_ISFIFO(stat.st_mode):
+                    raise ParseError(f"{entry.path}: is a FIFO, which batch does not open")
+                doc, _ = run_command("picard", parse_input(_read(entry.path)))
+                line = {"file": entry.name, "report": doc, "status": "ok"}
             except Exception as err:  # one document's failure, of any kind, is its line
                 worst = max(worst, _error_status(err))
-                entry = {"file": path.name, "status": "error", **_error_document(err)}
+                line = {"file": entry.name, "status": "error", **_error_document(err)}
             if sink is not None:
-                sink.write(json.dumps(entry, sort_keys=True) + "\n")
+                sink.write(json.dumps(line, sort_keys=True) + "\n")
     return worst
 
 

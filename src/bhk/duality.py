@@ -138,13 +138,17 @@ class Workspace:
         Calabi-Yau matrix. |SL| is bounded first, as J, SL and G all lie in
         SL. G <= SL is decided without building SL, by `in_sl` on the
         generators of G (before any group beyond J is built), and trivially
-        for SL."""
+        for SL. G = SL is SL's elements without the solve's generators, so
+        its reported generators are the greedy walk over those elements."""
         spec = self._group_spec
         m = self.primal.matrix
         self.primal.sl_order  # raises TooLarge when SL, and so G, is over the limit
         jg = self.primal.j
         if spec == "SL":
-            return self.primal.sl
+            sl = self.primal.sl
+            group = SymmetrySubgroup(sl.modulus, sl)
+            group.elements = sl.elements
+            return group
         for g in jg.generators if spec == "J" else spec:
             coords = tuple(x % m.exponent for x in g)
             if not in_sl(m, coords):

@@ -9,9 +9,11 @@ of its elements. J is listed directly as the multiples k j, 0 <= k < h,
 as j has order h. Every other group is built by one primitive, the join
 G + <g> of a subgroup with one element, on elements or on the cosets of J.
 On elements it steps the multiples k g until one lies in G, then adds every
-coset G + k g in one pass. A group's reported generators are a greedy walk over
-its sorted elements, which knows the group's order and so stops at the pick
-that spans it, without building that last join."""
+coset G + k g in one pass. J keeps j as its generator, SL the solve's
+generators that enlarged it, and a generated group the ones it was given;
+any other group's generators are a greedy walk over its sorted elements,
+which knows the group's order and so stops at the pick that spans it,
+without building that last join."""
 
 from __future__ import annotations
 
@@ -171,7 +173,8 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     Every point of Aut is B x mod d for some x in (Z/d)^4, with coordinate
     sum s . x, where s holds the column sums of B. So SL is the image under
     x -> B x mod d of the generators that `kernel_mod` gives of the solutions
-    of s . x = 0 mod d, and the group they span. Its order is bounded before
+    of s . x = 0 mod d, and the group they span, whose `generators` are
+    those of them that enlarged it (`_span`). Its order is bounded before
     it is built (`check_sl_order`), and cross-checked on every call: each
     generator lies in SL, and |SL| d / gcd(d, s) = |det|, since s . x takes
     d / gcd(d, s) values on Aut.
@@ -179,7 +182,7 @@ def sl_group(m: DelsarteMatrix) -> SymmetrySubgroup:
     d, b = m.exponent, m.b_matrix
     s, index = check_sl_order(m)
     gens = [tuple([sum(map(mul, row, x)) % d for row in b]) for x in kernel_mod(s, d)]
-    sl = SymmetrySubgroup(d, _span(d, gens)[0])
+    sl = SymmetrySubgroup(d, *_span(d, gens))
     if not all(in_sl(m, g) for g in gens):
         raise InternalCheckError("an SL generator is outside the coordinate-sum-zero kernel")
     if sl.order * index != abs(m.det):

@@ -88,19 +88,41 @@ def solves(monkeypatch) -> list:
 CHAIN = {"matrix": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 6, 1], [0, 0, 0, 7]], "group": "J"}
 
 
-def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, calls, solves):
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The order of every group walked greedily for its generators: `_span`
+    given the order of the group it walks."""
+    import bhk.symmetry as symmetry
+
+    real = symmetry._span
+    orders: list = []
+
+    def spying(modulus, gens, order=None):
+        if order is not None:
+            orders.append(order)
+        return real(modulus, gens, order)
+
+    monkeypatch.setattr(symmetry, "_span", spying)
+    return orders
+
+
+def test_picard_solves_sl_of_the_transpose_and_the_dual_of_j_once(tmp_path, capsys, calls, solves, walks):
     """The row sums of B are j, so SL of A^T, which is the dual of J, is the
     solve over the row j; on the chain with J the other is SL of A. The
-    dual of SL is filtered from the dual of J, not solved: each of the 24
-    elements of the dual of J is paired once with the one generator of SL."""
+    dual of SL is filtered from the dual of J, not solved, by the two
+    generators the solve of SL of A kept, which no greedy walk recomputes."""
     _run(tmp_path, capsys, "picard", CHAIN)
     j, j_t = (48, 72, 24, 24), (84, 42, 21, 21)
     assert len(solves) == 2
     assert solves.count(j) == 1
     assert solves.count(j_t) == 1  # SL of A: the column sums of B are j of A^T
-    # the 24 elements of the dual of J against the generator of SL; the dual
-    # of J is SL^T itself, filtered by no element
-    assert calls["paired elements"] == 24
+    # the 24 elements of the dual of J against the first generator of SL, then
+    # the 8 left against the second; the dual of J is SL^T itself, filtered by
+    # no element
+    assert calls["paired elements"] == 32
+    # only the dual of J, whose generators the report prints, is walked; SL of
+    # A, of order 21, is not
+    assert walks == [24]
     assert calls["transpose"] == 1  # A != A^T
     assert calls["det_adjugate"] == 1  # A^T reuses det(A) and adj(A)
     assert calls["atomic_decomposition"] == 2  # one adequacy report per side

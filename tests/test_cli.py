@@ -3,6 +3,7 @@ determinism, and batch processing."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -617,6 +618,93 @@ def test_batch_reports_unreadable_entry(tmp_path, capsys):
     assert entries[1]["error"]["category"] == "input"
 
 
+def test_batch_lists_every_json_entry_by_name(tmp_path):
+    """Every entry whose name ends in .json runs, in name order: dot-files, a
+    bare .json, a name with a space, a directory and a broken symlink
+    included, other suffixes and cases left out, and the output file left by
+    an earlier run skipped."""
+    for name in (".h.json", ".json", "a.json", "c d.json", "Y.JSON", "b.jsonx"):
+        _write(tmp_path, name, A_EX_DOC)
+    (tmp_path / "x.json").mkdir()
+    (tmp_path / "br.json").symlink_to("missing")
+    out = tmp_path / "out.json"
+    out.write_text("left by an earlier run\n")
+    assert cli.main(["batch", str(tmp_path), "--out", str(out)]) == 1
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [
+        (".h.json", "ok"),
+        (".json", "ok"),
+        ("a.json", "ok"),
+        ("br.json", "error"),
+        ("c d.json", "ok"),
+        ("x.json", "error"),
+    ]
+    assert all(e["error"]["category"] == "input" for e in entries if e["status"] == "error")
+    assert entries[3]["error"]["message"].startswith("[Errno 2] ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_batch_reports_a_fifo_without_opening_it(tmp_path):
+    """A FIFO named *.json would block its open until a writer came; it is one
+    input error line, and the documents beside it still run. A child runs the
+    batch, so a blocked open fails the test by its timeout."""
+    _write(tmp_path, "a.json", A_EX_DOC)
+    os.mkfifo(tmp_path / "p.json")
+    out = tmp_path / "out.ndjson"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhk.cli", "batch", str(tmp_path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(e["file"], e["status"]) for e in entries] == [("a.json", "ok"), ("p.json", "error")]
+    assert (entries[1]["error"]["kind"], entries[1]["error"]["category"]) == ("ParseError", "input")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_single_document_is_read_from_a_pipe(capsys):
+    """Single-file commands still read pipes, as in `bhk picard <(...)`."""
+    r, w = os.pipe()
+    try:
+        os.write(w, json.dumps(A_EX_DOC).encode())
+        os.close(w)
+        assert cli.main(["picard", f"/dev/fd/{r}"]) == 0
+    finally:
+        os.close(r)
+    assert json.loads(capsys.readouterr().out)["picard"]["rho_primal"] == 18
+
+
+@pytest.mark.parametrize("denied", [("scandir",), ("stat", "scandir")])
+def test_batch_unlistable_directory_is_an_input_error(tmp_path, capsys, monkeypatch, denied):
+    """A directory that cannot be listed, or not even stat'ed, is one input
+    error, reported before the output file is opened. The denial is
+    monkeypatched, so the test holds for a user who may read everything."""
+    _write(tmp_path, "a.json", A_EX_DOC)
+    target = str(tmp_path)
+
+    def deny(real):
+        def call(path, *args, **kwargs):
+            if os.fspath(path) == target:
+                raise PermissionError(errno.EACCES, "Permission denied", target)
+            return real(path, *args, **kwargs)
+
+        return call
+
+    for name in denied:
+        monkeypatch.setattr(os, name, deny(getattr(os, name)))
+    out = tmp_path / "out.ndjson"
+    assert cli.main(["batch", target, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["category"]) == ("SemanticError", "input")
+    assert err["message"] == f"cannot list {target}: Permission denied"
+    assert not out.exists()
+
+
 def test_non_utf8_document_is_a_parse_error(tmp_path, capsys):
     (tmp_path / "in.json").write_bytes(b'{"matrix": "\xff"}')
     assert cli.main(["picard", str(tmp_path / "in.json")]) == 1
@@ -693,25 +781,35 @@ def test_batch_isolates_a_document_without_end(tmp_path, capsys):
 
 
 def test_batch_missing_directory(tmp_path, capsys):
-    assert cli.main(["batch", str(tmp_path / "nowhere")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["category"] == "input"
+    """A missing path, a file and a symlink loop are each not a directory."""
+    (tmp_path / "file.json").write_text("{}")
+    (tmp_path / "loop").symlink_to("loop")
+    for name in ("nowhere", "file.json", "loop"):
+        target = str(tmp_path / name)
+        assert cli.main(["batch", target]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["category"], err["message"]) == ("input", f"not a directory: {target}")
 
 
 # ---------------------------------------------------------------------------
 # console entry point
 
 
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _child_env() -> dict:
+    """The environment of a child that imports the same bhk as this process, installed or not."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))}
+
+
 def test_console_entry_point(tmp_path):
     path = _write(tmp_path, "in.json", A_EX_DOC)
-    # The child must import the same bhk as this process, installed or not.
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "bhk.cli", "--quiet", "picard", path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
@@ -723,8 +821,6 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
     the read end of the pipe is closed before the child starts, so its first
     write to stdout fails, and the child exits 1 with nothing on stderr."""
     path = _write(tmp_path, "in.json", A_EX_DOC)
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -732,7 +828,7 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
             [sys.executable, "-m", "bhk.cli", command, path if command == "picard" else str(tmp_path)],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         )
     finally:
         os.close(write_end)
@@ -740,18 +836,25 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
     assert proc.returncode == 1
 
 
+def _loaded_by_import(modules: set[str]) -> list[str]:
+    """Those of the modules that `import bhk.cli` loads in a child run with
+    -I -S: no environment, no site-packages, so nothing but bhk imports anything."""
+    code = f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); import bhk.cli; print(*sorted({modules!r} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Every command pays for `import bhk.cli` once; `dataclasses`, and the
     `inspect` it imports, cost more than the rest of that import together."""
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {package_root!r}); import bhk.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    # -I -S: no environment, no site-packages, so nothing but bhk imports anything
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _loaded_by_import({"dataclasses", "inspect"}) == []
+
+
+def test_import_loads_no_pathlib():
+    """The batch listing is one os.scandir pass, so `import bhk.cli` loads
+    neither `pathlib` nor the modules only it brings in."""
+    assert _loaded_by_import({"pathlib", "fnmatch", "urllib.parse", "ipaddress"}) == []
 
 
 # ---------------------------------------------------------------------------
