@@ -1,18 +1,49 @@
 """Exact integer primitives: 4x4 matrix coercion and transposition,
 determinants and adjugates, totients, multiplicative orders, the primes up to
 a bound, and solutions of linear congruences mod d. Integers only: no
-rationals, no floating point."""
+rationals, no floating point. Also `Record`, the tuple base of the package's
+result records."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import compress
 from math import gcd, isqrt
-from typing import Sequence
 
 Vector4 = tuple[int, int, int, int]
 Matrix4 = tuple[Vector4, Vector4, Vector4, Vector4]
 
 IDENTITY4: Matrix4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+class Record(tuple):
+    """A tuple with named fields. A subclass lists them in `_fields`, the
+    defaults of trailing ones in `_field_defaults`, and reads field i through
+    `property(itemgetter(i))`; it is built from the fields by position or by
+    name. Each record is a plain class statement: `typing.NamedTuple` and
+    `collections.namedtuple` build every class with an `eval`, which cost
+    more than the rest of the package's import. A build by name costs
+    several times one by position, so the package builds by position."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _field_defaults: dict = {}
+
+    def __new__(cls, *values, **named):
+        fields = cls._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values) :]
+            if len(values) > len(fields) or named.keys() - rest:
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+            try:
+                values += tuple(map({**cls._field_defaults, **named}.__getitem__, rest))
+            except KeyError as err:
+                raise TypeError(f"{cls.__name__}() is missing the field {err.args[0]!r}") from None
+        return tuple.__new__(cls, values)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self))
 
 
 def matrix4(rows: Sequence[Sequence[int]]) -> Matrix4:

@@ -10,14 +10,14 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from collections.abc import Sequence
 from errno import ELOOP, ENOENT, ENOTDIR
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from stat import S_ISFIFO
-from typing import NamedTuple, Sequence
 
-from .arith import Matrix4, matrix4, primes_up_to
+from .arith import Record, matrix4, primes_up_to
 from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair, Workspace
 from .errors import (
@@ -48,12 +48,14 @@ MAX_PRIMES_UP_TO = 10**6
 MAX_DOCUMENT_BYTES = 1 << 20
 
 
-class InputSpec(NamedTuple):
+class InputSpec(Record):
     """Parsed input document: matrix rows, group selector, characteristic."""
 
-    matrix: Matrix4
-    group_spec: str | tuple
-    characteristic: int
+    __slots__ = ()
+    _fields = ("matrix", "group_spec", "characteristic")
+    matrix = property(itemgetter(0))  # Matrix4
+    group_spec = property(itemgetter(1))  # str | tuple
+    characteristic = property(itemgetter(2))  # int
 
 
 def parse_input(text: str) -> InputSpec:
@@ -106,7 +108,7 @@ def parse_input(text: str) -> InputSpec:
     char = data.get("characteristic", 0)
     if not isinstance(char, int) or isinstance(char, bool) or char < 0:
         raise ParseError(f"field 'characteristic': expected a nonnegative integer, got {char!r}")
-    return InputSpec(matrix=matrix, group_spec=group_spec, characteristic=char)
+    return InputSpec(matrix, group_spec, char)
 
 
 def _echo(spec: InputSpec) -> dict:
@@ -281,11 +283,17 @@ _SECTIONS = {
 }
 
 
-class _Command(NamedTuple):
-    help: str
-    sections: tuple[str, ...]
-    characteristic: int | None = None  # overrides the document's
-    status_from_verdict: bool = False  # exit 1 when the pair is not adequate, read after the sections
+class _Command(Record):
+    """A command: its help line, the sections it prints, and how it departs
+    from the document and from exit status 0."""
+
+    __slots__ = ()
+    _fields = ("help", "sections", "characteristic", "status_from_verdict")
+    _field_defaults = {"characteristic": None, "status_from_verdict": False}
+    help = property(itemgetter(0))  # str
+    sections = property(itemgetter(1))  # tuple[str, ...]
+    characteristic = property(itemgetter(2))  # int | None: overrides the document's
+    status_from_verdict = property(itemgetter(3))  # bool: exit 1 when the pair is not adequate, read after the sections
 
 
 _COMMANDS = {
@@ -452,12 +460,13 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
             return _report(SemanticError(f"not a directory: {directory}"))
         return _report(SemanticError(f"cannot list {directory}: {err.strerror}"))
     try:
-        out = open(out_path, "w") if out_path else nullcontext(None if quiet else sys.stdout)
+        out = open(out_path, "w") if out_path else None
     except OSError as err:
         return _report(SemanticError(f"cannot write {out_path}: {err.strerror}"))
+    sink = out if out_path else None if quiet else sys.stdout
     written = os.fstat(out.fileno()) if out_path else None
     worst = EXIT_OK
-    with out as sink:
+    try:
         for entry in entries:
             try:
                 stat = entry.stat()  # symlinks followed, kept by the entry
@@ -475,6 +484,9 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
                 line = {"file": entry.name, "status": "error", **_error_document(err)}
             if sink is not None:
                 sink.write(json.dumps(line, sort_keys=True) + "\n")
+    finally:
+        if out_path:
+            out.close()
     return worst
 
 
@@ -522,16 +534,22 @@ def _run_one(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; exit status 1 when the reader of stdout has gone, as
-    in `bhk picard c.json | head -c 300`. Stdout is flushed here so that a
-    closed pipe fails inside the handler, which then points stdout at the
-    null device, so the flush at shutdown cannot fail again."""
+    in `bhk picard c.json | head -c 300`, and, with an error document on
+    stderr, when a write to stdout or to batch's `--out` fails otherwise, as
+    on a full disk. Stdout is flushed here so that its write fails inside
+    the handler, which then points stdout at the null device, so the flush
+    at shutdown cannot fail again."""
     args = build_parser().parse_args(argv)
+    out_path = args.out if args.command == "batch" else None
     try:
-        status = _run_batch(args.directory, args.out, args.quiet) if args.command == "batch" else _run_one(args)
+        status = _run_batch(args.directory, out_path, args.quiet) if args.command == "batch" else _run_one(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INPUT
+    except OSError as err:  # a failed write: every other error is caught where it is raised
+        if not out_path:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(err, BrokenPipeError):  # no reader left to tell
+            return EXIT_INPUT
+        return _report(SemanticError(f"cannot write {out_path or 'stdout'}: {err.strerror}"))
     return status
 
 

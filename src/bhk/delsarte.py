@@ -3,10 +3,11 @@ and the integral matrix B = d A^(-1)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from operator import itemgetter
 
-from .arith import Matrix4, Vector4, det_adjugate, matrix4, transpose_rows
+from .arith import Matrix4, Record, det_adjugate, matrix4, transpose_rows
 from .errors import (
     CharDividesDet,
     InternalCheckError,
@@ -68,20 +69,22 @@ class Characteristic(int):
         return self > 0
 
 
-class DelsarteMatrix(NamedTuple):
+class DelsarteMatrix(Record):
     """A validated matrix of exponents together with its cached derived data.
 
     weights q and degree h satisfy A q = h (1,1,1,1) with gcd(q) = 1; the
     exponent d is the least positive integer making B = d A^(-1) integral.
     """
 
-    matrix: Matrix4
-    det: int
-    adjugate: Matrix4
-    weights: Vector4
-    degree: int
-    exponent: int
-    b_matrix: Matrix4
+    __slots__ = ()
+    _fields = ("matrix", "det", "adjugate", "weights", "degree", "exponent", "b_matrix")
+    matrix = property(itemgetter(0))  # Matrix4
+    det = property(itemgetter(1))  # int
+    adjugate = property(itemgetter(2))  # Matrix4
+    weights = property(itemgetter(3))  # Vector4
+    degree = property(itemgetter(4))  # int
+    exponent = property(itemgetter(5))  # int
+    b_matrix = property(itemgetter(6))  # Matrix4
 
 
 def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> DelsarteMatrix:
@@ -127,9 +130,7 @@ def _derive(m: Matrix4, det: int, adj: Matrix4, char: Characteristic) -> Delsart
     d = lcm(*[abs(det) // gcd(det, x) for row in adj for x in row])
     b = tuple([tuple([d * x // det for x in row]) for row in adj])
     _check_construction(m, det, q, h, d, b)
-    return DelsarteMatrix(
-        matrix=m, det=det, adjugate=adj, weights=q, degree=h, exponent=d, b_matrix=b
-    )
+    return DelsarteMatrix(m, det, adj, q, h, d, b)
 
 
 def _check_construction(m, det, q, h, d, b):

@@ -11,18 +11,19 @@ list of elements a against one A b."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
 
-from .arith import transpose_rows
-from .delsarte import Characteristic, DelsarteMatrix, build_delsarte, transpose
+from .arith import Record, transpose_rows
+from .delsarte import DelsarteMatrix, build_delsarte, transpose
 from .errors import (
     InternalCheckError,
     MirrorNotAdequate,
     NotAdequate,
     SemanticError,
 )
-from .smoothness import AdequacyReport, adequacy
+from .smoothness import adequacy
 from .symmetry import (
     SymmetrySubgroup,
     check_sl_order,
@@ -35,18 +36,24 @@ from .symmetry import (
 )
 
 
-class BhkPair(NamedTuple):
+class BhkPair(Record):
     """A validated (matrix, group) pair at a fixed characteristic."""
 
-    matrix: DelsarteMatrix
-    group: SymmetrySubgroup
-    char: Characteristic
-    adequacy: AdequacyReport
+    __slots__ = ()
+    _fields = ("matrix", "group", "char", "adequacy")
+    matrix = property(itemgetter(0))  # DelsarteMatrix
+    group = property(itemgetter(1))  # SymmetrySubgroup
+    char = property(itemgetter(2))  # Characteristic
+    adequacy = property(itemgetter(3))  # AdequacyReport
 
 
-class MirrorPair(NamedTuple):
-    primal: BhkPair
-    mirror: BhkPair
+class MirrorPair(Record):
+    """A pair (A, G) and its mirror (A^T, G^T)."""
+
+    __slots__ = ()
+    _fields = ("primal", "mirror")
+    primal = property(itemgetter(0))  # BhkPair
+    mirror = property(itemgetter(1))  # BhkPair
 
 
 def _image(matrix, b) -> tuple[int, ...]:
@@ -162,7 +169,7 @@ class Workspace:
     def pair(self) -> BhkPair:
         """The pair (A, G), with its adequacy report attached."""
         m, group = self.primal.matrix, self.group
-        return BhkPair(matrix=m, group=group, char=self.char, adequacy=adequacy(m, group, self.char))
+        return BhkPair(m, group, self.char, adequacy(m, group, self.char))
 
     def dual(self, group: SymmetrySubgroup) -> SymmetrySubgroup:
         """Annihilator of a subgroup G of Aut(A) with J <= G inside Aut(A^T),
@@ -259,5 +266,4 @@ class Workspace:
                 f"transposed pair is not adequate: {'; '.join(report.diagnostics)}",
                 report=report,
             )
-        mirror = BhkPair(matrix=mt, group=dual, char=self.char, adequacy=report)
-        return MirrorPair(primal=pair, mirror=mirror)
+        return MirrorPair(pair, BhkPair(mt, dual, self.char, report))

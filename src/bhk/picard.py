@@ -19,10 +19,11 @@ the grading set and the closed form run one code path on u."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from math import gcd
-from typing import Mapping, NamedTuple, Sequence
+from operator import itemgetter
 
-from .arith import euler_phi, minus_one_power_exists, multiplicative_order
+from .arith import Record, euler_phi, minus_one_power_exists, multiplicative_order
 from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair
 from .errors import CharDividesD, InternalCheckError, MethodMismatch
@@ -200,12 +201,18 @@ def grading_set(m: DelsarteMatrix, u: int) -> tuple[Coords, ...]:
     return tuple(sorted((k * j0 % d, k * j1 % d, k * j2 % d, k * j3 % d) for k in units))
 
 
-class PicardReport(NamedTuple):
-    rho_primal: int
-    rho_mirror: int
-    methods: Mapping[str, tuple[int, int]]
-    set_sizes: tuple[int, int]
-    characteristic: int
+class PicardReport(Record):
+    """The Picard numbers of a pair and its mirror, each route's
+    (rho_primal, rho_mirror) in `methods`, and the sizes of the two
+    transcendental sets."""
+
+    __slots__ = ()
+    _fields = ("rho_primal", "rho_mirror", "methods", "set_sizes", "characteristic")
+    rho_primal = property(itemgetter(0))  # int
+    rho_mirror = property(itemgetter(1))  # int
+    methods = property(itemgetter(2))  # Mapping[str, tuple[int, int]]
+    set_sizes = property(itemgetter(3))  # tuple[int, int]
+    characteristic = property(itemgetter(4))  # int
 
 
 def picard_report(mp: MirrorPair) -> PicardReport:
@@ -224,32 +231,51 @@ def picard_report(mp: MirrorPair) -> PicardReport:
     for rho in counted:
         if not 0 <= rho <= 22:
             raise InternalCheckError(f"rho = {rho} is outside [0, 22]")
-    return PicardReport(
-        rho_primal=counted[0],
-        rho_mirror=counted[1],
-        methods=values,
-        set_sizes=(len(sets[0]), len(sets[1])),
-        characteristic=mp.primal.char.p,
+    return PicardReport(*counted, values, (len(sets[0]), len(sets[1])), mp.primal.char.p)
+
+
+class ScanRow(Record):
+    """The closed-form Picard numbers of a pair and its mirror at one prime,
+    from its residues mod the two degrees."""
+
+    __slots__ = ()
+    _fields = (
+        "prime",
+        "residue_primal",
+        "residue_mirror",
+        "rho_primal",
+        "rho_mirror",
+        "supersingular_primal",
+        "supersingular_mirror",
     )
+    prime = property(itemgetter(0))  # int
+    residue_primal = property(itemgetter(1))  # int
+    residue_mirror = property(itemgetter(2))  # int
+    rho_primal = property(itemgetter(3))  # int
+    rho_mirror = property(itemgetter(4))  # int
+    supersingular_primal = property(itemgetter(5))  # bool
+    supersingular_mirror = property(itemgetter(6))  # bool
 
 
-class ScanRow(NamedTuple):
-    prime: int
-    residue_primal: int
-    residue_mirror: int
-    rho_primal: int
-    rho_mirror: int
-    supersingular_primal: bool
-    supersingular_mirror: bool
+class ScanReport(Record):
+    """A prime scan: one row per prime scanned, the primes skipped with their
+    reasons, and the residues at which each side is supersingular."""
 
-
-class ScanReport(NamedTuple):
-    degree: int
-    mirror_degree: int
-    rows: tuple[ScanRow, ...]
-    skipped: tuple[tuple[int, str], ...]
-    supersingular_primal_residues: tuple[int, ...]
-    supersingular_mirror_residues: tuple[int, ...]
+    __slots__ = ()
+    _fields = (
+        "degree",
+        "mirror_degree",
+        "rows",
+        "skipped",
+        "supersingular_primal_residues",
+        "supersingular_mirror_residues",
+    )
+    degree = property(itemgetter(0))  # int
+    mirror_degree = property(itemgetter(1))  # int
+    rows = property(itemgetter(2))  # tuple[ScanRow, ...]
+    skipped = property(itemgetter(3))  # tuple[tuple[int, str], ...]
+    supersingular_primal_residues = property(itemgetter(4))  # tuple[int, ...]
+    supersingular_mirror_residues = property(itemgetter(5))  # tuple[int, ...]
 
 
 def _supersingular_residues(m: int) -> tuple[int, ...]:
@@ -283,22 +309,7 @@ def prime_scan(mp: MirrorPair, primes) -> ScanReport:
         if residues not in closed:
             closed[residues] = (_closed_rho(residues[0], h_t), _closed_rho(residues[1], h))
         rho_primal, rho_mirror = closed[residues]
-        rows.append(
-            ScanRow(
-                prime=p,
-                residue_primal=residues[0],
-                residue_mirror=residues[1],
-                rho_primal=rho_primal,
-                rho_mirror=rho_mirror,
-                supersingular_primal=rho_primal == 22,
-                supersingular_mirror=rho_mirror == 22,
-            )
-        )
+        rows.append(ScanRow(p, *residues, rho_primal, rho_mirror, rho_primal == 22, rho_mirror == 22))
     return ScanReport(
-        degree=h,
-        mirror_degree=h_t,
-        rows=tuple(rows),
-        skipped=tuple(skipped),
-        supersingular_primal_residues=_supersingular_residues(h_t),
-        supersingular_mirror_residues=_supersingular_residues(h),
+        h, h_t, tuple(rows), tuple(skipped), _supersingular_residues(h_t), _supersingular_residues(h)
     )

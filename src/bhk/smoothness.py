@@ -6,12 +6,13 @@ when the rows do not split into atoms."""
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from operator import itemgetter
 
+from .arith import Record
 from .delsarte import Characteristic, DelsarteMatrix
 
 
-class Atom(NamedTuple):
+class Atom(Record):
     """One atomic shape over some of the four variables.
 
     `kind` is "fermat" (y^e, one variable), "chain" (y_0^{e_0} y_1 + ... +
@@ -19,19 +20,27 @@ class Atom(NamedTuple):
     y_0, listed from the least variable); `exponents` runs along `variables`.
     """
 
-    kind: str
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("kind", "variables", "exponents")
+    kind = property(itemgetter(0))  # str
+    variables = property(itemgetter(1))  # tuple[int, ...]
+    exponents = property(itemgetter(2))  # tuple[int, ...]
 
 
-class AdequacyReport(NamedTuple):
-    quasi_smooth: bool
-    well_formed: bool
-    weight_triple_gcd_ok: bool
-    char_ok: bool
-    verdict: bool
-    diagnostics: tuple[str, ...]
-    atoms: tuple[Atom, ...] | None = None  # the decomposition behind quasi_smooth
+class AdequacyReport(Record):
+    """The adequacy checks of a matrix at a characteristic, `verdict` their
+    conjunction, and `diagnostics` the lines that describe them."""
+
+    __slots__ = ()
+    _fields = ("quasi_smooth", "well_formed", "weight_triple_gcd_ok", "char_ok", "verdict", "diagnostics", "atoms")
+    _field_defaults = {"atoms": None}
+    quasi_smooth = property(itemgetter(0))  # bool
+    well_formed = property(itemgetter(1))  # bool
+    weight_triple_gcd_ok = property(itemgetter(2))  # bool
+    char_ok = property(itemgetter(3))  # bool
+    verdict = property(itemgetter(4))  # bool
+    diagnostics = property(itemgetter(5))  # tuple[str, ...]
+    atoms = property(itemgetter(6))  # tuple[Atom, ...] | None: the decomposition behind quasi_smooth
 
 
 def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...] | None:
@@ -137,15 +146,7 @@ def adequacy(m: DelsarteMatrix, group, char: Characteristic) -> AdequacyReport:
         diagnostics.append(f"group order {group.order}")
 
     verdict = qs and wf and char_ok
-    return AdequacyReport(
-        quasi_smooth=qs,
-        well_formed=wf,
-        weight_triple_gcd_ok=triple_ok,
-        char_ok=char_ok,
-        verdict=verdict,
-        diagnostics=tuple(diagnostics),
-        atoms=atoms,
-    )
+    return AdequacyReport(qs, wf, triple_ok, char_ok, verdict, tuple(diagnostics), atoms)
 
 
 def _describe_atoms(atoms: tuple[Atom, ...]) -> str:

@@ -17,11 +17,11 @@ without building that last join."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence, Set
 from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import mul
-from typing import AbstractSet, Iterable, Sequence
 
 from .arith import kernel_mod
 from .delsarte import DelsarteMatrix, is_calabi_yau
@@ -43,7 +43,7 @@ def check_order(order: int, name: str) -> None:
         raise TooLarge(f"{name} has {order} elements, more than the limit {MAX_GROUP_ORDER}")
 
 
-def _multiples(modulus: int, group: AbstractSet[Coords], g: Coords) -> list[Coords]:
+def _multiples(modulus: int, group: Set[Coords], g: Coords) -> list[Coords]:
     """g, 2 g, ..., (n - 1) g for a subgroup G and a reduced g, each stepped
     from the one before by adding g, where n is the order of g modulo G: the
     first k with k g in G."""
@@ -57,7 +57,7 @@ def _multiples(modulus: int, group: AbstractSet[Coords], g: Coords) -> list[Coor
     return out
 
 
-def _join(modulus: int, group: AbstractSet[Coords], multiples: list[Coords]) -> set[Coords]:
+def _join(modulus: int, group: Set[Coords], multiples: list[Coords]) -> set[Coords]:
     """G + <g> for a subgroup G, given the multiples k g outside G of a
     reduced g (`_multiples`): G and its cosets G + k g, all added in one
     pass."""

@@ -3,6 +3,7 @@ determinism, and batch processing."""
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -836,13 +837,56 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, command):
     assert proc.returncode == 1
 
 
-def _loaded_by_import(modules: set[str]) -> list[str]:
-    """Those of the modules that `import bhk.cli` loads in a child run with
-    -I -S: no environment, no site-packages, so nothing but bhk imports anything."""
-    code = f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); import bhk.cli; print(*sorted({modules!r} & set(sys.modules)))"
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args", [("picard", "in.json"), ("batch", "."), ("batch", ".", "--out", "/dev/full")], ids=" ".join
+)
+def test_failed_write_is_one_error_document(tmp_path, args):
+    """A write to stdout or to batch's `--out` that fails otherwise than on a
+    closed pipe, here on a full disk, is one error document on stderr, exit
+    1, as an unopenable `--out` is, and no traceback."""
+    _write(tmp_path, "in.json", A_EX_DOC)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhk.cli", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=tmp_path,
+            env=_child_env(),
+        )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    target = args[-1] if "--out" in args else "stdout"
+    message = f"cannot write {target}: {os.strerror(errno.ENOSPC)}"
+    assert json.loads(line) == {"error": {"kind": "SemanticError", "category": "input", "message": message}}
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The modules loaded once a child run with -I -S has run the statement:
+    no environment, no site-packages, so nothing but the statement imports anything."""
+    code = f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); {statement}; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return set(proc.stdout.split())
+
+
+def _loaded_by_import(modules: set[str]) -> list[str]:
+    """Those of the modules that `import bhk.cli` loads."""
+    return sorted(modules & _modules_after("import bhk.cli"))
+
+
+def test_import_loads_only_what_the_standard_modules_it_uses_load():
+    """Beyond what its standard-library imports load themselves, `import
+    bhk.cli` loads only bhk, `collections.abc` and `__future__`: the records
+    are plain classes and the annotations strings, so neither `typing` nor
+    `contextlib` is loaded. Computed by difference, so the set holds on every
+    Python version."""
+    stdlib = _modules_after("import argparse, json, os, math, functools, itertools, operator, errno, stat")
+    extra = _modules_after("import bhk.cli") - stdlib
+    allowed = {"bhk", "collections.abc", "__future__"}
+    unexpected = sorted(m for m in extra if m not in allowed and not m.startswith("bhk."))
+    assert not unexpected, f"import bhk.cli also loads {', '.join(unexpected)}"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -876,7 +920,121 @@ def _records():
         "ScanReport": scan,
         "InputSpec": cli.parse_input(json.dumps(A_EX_DOC)),
         "_Command": cli._COMMANDS["picard"],
+        "Atom": ws.pair.adequacy.atoms[0],
     }
+
+
+# record -> its fields, in order, and their defaults
+RECORD_FIELDS = {
+    "DelsarteMatrix": (("matrix", "det", "adjugate", "weights", "degree", "exponent", "b_matrix"), {}),
+    "Atom": (("kind", "variables", "exponents"), {}),
+    "AdequacyReport": (
+        ("quasi_smooth", "well_formed", "weight_triple_gcd_ok", "char_ok", "verdict", "diagnostics", "atoms"),
+        {"atoms": None},
+    ),
+    "BhkPair": (("matrix", "group", "char", "adequacy"), {}),
+    "MirrorPair": (("primal", "mirror"), {}),
+    "PicardReport": (("rho_primal", "rho_mirror", "methods", "set_sizes", "characteristic"), {}),
+    "ScanRow": (
+        (
+            "prime",
+            "residue_primal",
+            "residue_mirror",
+            "rho_primal",
+            "rho_mirror",
+            "supersingular_primal",
+            "supersingular_mirror",
+        ),
+        {},
+    ),
+    "ScanReport": (
+        (
+            "degree",
+            "mirror_degree",
+            "rows",
+            "skipped",
+            "supersingular_primal_residues",
+            "supersingular_mirror_residues",
+        ),
+        {},
+    ),
+    "InputSpec": (("matrix", "group_spec", "characteristic"), {}),
+    "_Command": (
+        ("help", "sections", "characteristic", "status_from_verdict"),
+        {"characteristic": None, "status_from_verdict": False},
+    ),
+}
+
+# record -> the first line of its docstring, for those documented before the
+# records were plain classes
+RECORD_DOCS = {
+    "DelsarteMatrix": "A validated matrix of exponents together with its cached derived data.",
+    "Atom": "One atomic shape over some of the four variables.",
+    "BhkPair": "A validated (matrix, group) pair at a fixed characteristic.",
+    "InputSpec": "Parsed input document: matrix rows, group selector, characteristic.",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_are_tuples_of_their_fields(name):
+    """Each record is a tuple equal to the plain tuple of its fields, in the
+    order of `_fields`; it is built from them by position or by name, with
+    its defaults; it has no instance `__dict__` and keeps its docstring."""
+    record = _records()[name]
+    cls = type(record)
+    fields, defaults = RECORD_FIELDS[name]
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    values = tuple(getattr(record, f) for f in fields)
+    assert isinstance(record, tuple)
+    assert record == values and [*record] == list(values)
+    assert cls(*values) == record == cls(**dict(zip(fields, values)))
+    required = len(fields) - len(defaults)
+    assert cls(*values[:required]) == (*values[:required], *defaults.values())
+    assert not hasattr(record, "__dict__")
+    assert "__doc__" in vars(cls) and cls.__doc__.strip()
+    assert cls.__doc__.startswith(RECORD_DOCS.get(name, ""))
+
+
+def test_records_reject_a_wrong_set_of_fields():
+    """A record built with a field missing, unknown, given twice or beyond the last is a TypeError."""
+    for build in (
+        lambda: cli.InputSpec(A_EX_ROWS, "J"),
+        lambda: cli.InputSpec(A_EX_ROWS, "J", 0, 1),
+        lambda: cli.InputSpec(A_EX_ROWS, "J", characteristic=0, extra=1),
+        lambda: cli.InputSpec(A_EX_ROWS, "J", 0, matrix=A_EX_ROWS),
+    ):
+        with pytest.raises(TypeError, match="InputSpec"):
+            build()
+
+
+def test_scan_row_as_dict():
+    assert _records()["ScanRow"]._asdict() == {
+        "prime": 5,
+        "residue_primal": 5,
+        "residue_mirror": 5,
+        "rho_primal": 18,
+        "rho_mirror": 22,
+        "supersingular_primal": False,
+        "supersingular_mirror": True,
+    }
+    assert list(_records()["ScanRow"]._asdict()) == list(RECORD_FIELDS["ScanRow"][0])
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_no_record_is_built_by_a_class_factory():
+    """Every record is a plain class statement: `typing.NamedTuple` and
+    `collections.namedtuple` build each class with an `eval` at import."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "NamedTuple" in map(_name, node.bases):
+                found.append(f"{path.name}: class {node.name}")
+            elif isinstance(node, ast.Call) and _name(node.func) == "namedtuple":
+                found.append(f"{path.name}:{node.lineno}: namedtuple()")
+    assert found == []
 
 
 @pytest.mark.parametrize("name", sorted(_records()))

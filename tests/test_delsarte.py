@@ -14,7 +14,7 @@ import bhk.cli as cli
 import bhk.delsarte as delsarte
 import bhk.duality as duality
 
-from bhk import Characteristic, build_delsarte, is_calabi_yau, j_element, transpose
+from bhk import Characteristic, DelsarteMatrix, build_delsarte, is_calabi_yau, j_element, transpose
 from bhk.delsarte import is_prime
 from bhk.arith import IDENTITY4, transpose_rows
 from bhk.errors import (
@@ -149,7 +149,8 @@ def test_identity_check_catches_a_transpose_given_the_untransposed_adjugate(tmp_
     real = delsarte.transpose
 
     def untransposed_adjugate(m, char):
-        return real(m._replace(adjugate=transpose_rows(m.adjugate)), char)
+        matrix, det, adjugate, weights, degree, exponent, b_matrix = m
+        return real(DelsarteMatrix(matrix, det, transpose_rows(adjugate), weights, degree, exponent, b_matrix), char)
 
     with pytest.raises(InternalCheckError, match="A B = B A = d I"):
         untransposed_adjugate(build(A_EX_ROWS), CHAR0)
