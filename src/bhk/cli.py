@@ -2,17 +2,26 @@
 batch; exit status 0 on success, 1 for input or adequacy errors, 2 when an
 internal cross-check fails or any other exception is raised. Each command
 computes only what its sections print: only the commands that print or
-decide on adequacy build an adequacy report."""
+decide on adequacy build an adequacy report.
+
+The command line is `bhk [--format json|text] [--quiet] COMMAND OPERAND`,
+the operand a file, or for `batch` a directory. The two global options come
+before the command; the command's own options come before or after its
+operand, as `--name value` or `--name=value`, each name spelt in full (no
+abbreviation such as `--meth`), and `--` ends the options, so an operand may
+start with `-`. `-h` or `--help` prints the help of the program, or of the
+command it follows, with exit status 0. A command line outside this grammar
+is a usage error: a `usage:` line and `bhk: error: ...` on stderr, exit
+status 2, and no JSON error document, which is written only for a document
+that fails. The one table `_COMMANDS` drives both the parsing and the help."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections.abc import Sequence
 from errno import ELOOP, ENOENT, ENOTDIR
-from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from stat import S_ISFIFO
@@ -34,6 +43,7 @@ TOOL_VERSION = "0.1.0"
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
+EXIT_USAGE = 2
 
 _ALLOWED_KEYS = {"matrix", "group", "characteristic"}
 
@@ -44,8 +54,12 @@ MAX_PRIMES_UP_TO = 10**6
 
 # Largest input document, in bytes: far above any real document (four rows,
 # a few generators), and small enough that a file without end, such as
-# /dev/zero, is rejected after one bounded read.
+# /dev/zero, is rejected after a bounded read.
 MAX_DOCUMENT_BYTES = 1 << 20
+
+# Largest single read of a document: a read allocates its whole size first,
+# so one read of MAX_DOCUMENT_BYTES + 1 cost a 1 MiB buffer per document.
+READ_CHUNK_BYTES = 1 << 16
 
 
 class InputSpec(Record):
@@ -283,18 +297,46 @@ _SECTIONS = {
 }
 
 
-class _Command(Record):
-    """A command: its help line, the sections it prints, and how it departs
-    from the document and from exit status 0."""
+class _Option(Record):
+    """A command-line option `--name`: its help line, its value (the tuple of
+    its choices, the name of a value that `convert` converts, or None for a
+    flag, which takes no value and is True when given), its default, and
+    whether it must be given."""
 
     __slots__ = ()
-    _fields = ("help", "sections", "characteristic", "status_from_verdict")
-    _field_defaults = {"characteristic": None, "status_from_verdict": False}
+    _fields = ("help", "value", "default", "required", "convert")
+    _field_defaults = {"default": None, "required": False, "convert": str}
     help = property(itemgetter(0))  # str
-    sections = property(itemgetter(1))  # tuple[str, ...]
+    value = property(itemgetter(1))  # tuple[str, ...] | str | None
+    default = property(itemgetter(2))
+    required = property(itemgetter(3))  # bool
+    convert = property(itemgetter(4))  # str or int: the value from its text
+
+
+_GLOBAL_OPTIONS = {
+    "--format": _Option("output format (default: json)", ("json", "text"), "json"),
+    "--quiet": _Option("suppress report output", None, False),
+}
+
+
+class _Command(Record):
+    """A command: its help line, the sections it prints (None for batch,
+    which prints one picard report per document of a directory), how it
+    departs from the document and from exit status 0, the name of its
+    operand, and its options by name."""
+
+    __slots__ = ()
+    _fields = ("help", "sections", "characteristic", "status_from_verdict", "operand", "options")
+    _field_defaults = {"characteristic": None, "status_from_verdict": False, "operand": "FILE", "options": {}}
+    help = property(itemgetter(0))  # str
+    sections = property(itemgetter(1))  # tuple[str, ...] | None
     characteristic = property(itemgetter(2))  # int | None: overrides the document's
     status_from_verdict = property(itemgetter(3))  # bool: exit 1 when the pair is not adequate, read after the sections
+    operand = property(itemgetter(4))  # str: a key of _OPERANDS
+    options = property(itemgetter(5))  # dict[str, _Option]
 
+
+_OPERANDS = {"FILE": "input JSON document", "DIR": "directory of input documents"}
 
 _COMMANDS = {
     "validate": _Command("adequacy report for one input document", ("adequacy",), status_from_verdict=True),
@@ -302,18 +344,39 @@ _COMMANDS = {
     "mirror": _Command("transposed matrix and dual group data", ("delsarte", "adequacy", "groups", "mirror")),
     "subgroups": _Command("all groups between J and SL with their duals", ("groups", "subgroups")),
     "picard": _Command(
-        "Picard numbers of the pair and its mirror", ("delsarte", "atoms", "adequacy", "groups", "mirror", "picard")
+        "Picard numbers of the pair and its mirror",
+        ("delsarte", "atoms", "adequacy", "groups", "mirror", "picard"),
+        options={
+            "--method": _Option(
+                "route to report: closed runs the closed form alone, the others every route cross-checked "
+                "(default: all)",
+                ("closed", "kelly", "orbit", "all"),
+                "all",
+            )
+        },
     ),
-    "scan": _Command("closed-form Picard numbers over a prime range", ("delsarte", "scan"), characteristic=0),
+    "scan": _Command(
+        "closed-form Picard numbers over a prime range",
+        ("delsarte", "scan"),
+        characteristic=0,
+        options={
+            "--primes-up-to": _Option(f"scan primes p <= N (N <= {MAX_PRIMES_UP_TO})", "N", required=True, convert=int)
+        },
+    ),
+    "batch": _Command(
+        "process every *.json in a directory, NDJSON output",
+        None,
+        operand="DIR",
+        options={"--out": _Option("write NDJSON here instead of stdout", "FILE")},
+    ),
 }
-_OPTIONS = ("method", "primes_up_to")
 
 
 def run_command(command: str, spec: InputSpec, **options) -> tuple[dict, int]:
     """Execute one command against a parsed input; returns (document, exit status)."""
-    if command not in _COMMANDS:
-        raise ValueError(f"unknown command: {command}")
-    cmd = _COMMANDS[command]
+    cmd = _COMMANDS.get(command)
+    if cmd is None or cmd.sections is None:
+        raise ValueError(f"not a command on one document: {command}")
     try:
         char = Characteristic(spec.characteristic if cmd.characteristic is None else cmd.characteristic)
     except ValueError as err:
@@ -433,14 +496,21 @@ def _flatten(value, prefix: str, lines: list[str]) -> None:
 
 def _read(path) -> str:
     """A document's text, decoded as a text-mode read decodes it; unreadable
-    files and files over MAX_DOCUMENT_BYTES are input errors. At most one
+    files and files over MAX_DOCUMENT_BYTES are input errors. The file is
+    read unbuffered, in reads of at most READ_CHUNK_BYTES, and at most one
     byte beyond the limit is read."""
     try:
-        with open(path, "rb") as f:
-            data = f.read(MAX_DOCUMENT_BYTES + 1)
-        if len(data) > MAX_DOCUMENT_BYTES:
+        chunks, size = [], 0
+        with open(path, "rb", buffering=0) as f:
+            while size <= MAX_DOCUMENT_BYTES:
+                chunk = f.read(min(READ_CHUNK_BYTES, MAX_DOCUMENT_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > MAX_DOCUMENT_BYTES:
             raise ParseError(f"{path}: document is larger than {MAX_DOCUMENT_BYTES} bytes")
-        text = data.decode("utf-8")
+        text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ParseError(str(err)) from err
     return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
@@ -490,59 +560,151 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
     return worst
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="bhk",
-        description="Validate BHK pairs, construct mirrors, and compute Picard numbers.",
-    )
-    parser.add_argument("--format", choices=("json", "text"), default="json", help="output format")
-    parser.add_argument("--quiet", action="store_true", help="suppress report output")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Usage(Exception):
+    """Ends `_parse` early: with a message, a usage error; without one, a
+    request for help. `command` is the command named before it, None when
+    none was."""
 
-    commands = {}
-    for name, cmd in _COMMANDS.items():
-        commands[name] = sub.add_parser(name, help=cmd.help)
-        commands[name].add_argument("file", help="input JSON document")
-    commands["picard"].add_argument(
-        "--method",
-        choices=("closed", "kelly", "orbit", "all"),
-        default="all",
-        help="route to report: closed runs the closed form alone, the others every route cross-checked (default: all)",
-    )
-    commands["scan"].add_argument(
-        "--primes-up-to", type=int, required=True, metavar="N", help=f"scan primes p <= N (N <= {MAX_PRIMES_UP_TO})"
-    )
-
-    p = sub.add_parser("batch", help="process every *.json in a directory, NDJSON output")
-    p.add_argument("directory", help="directory of input documents")
-    p.add_argument("--out", default=None, metavar="FILE", help="write NDJSON here instead of stdout")
-    return parser
+    def __init__(self, command: str | None, message: str | None = None):
+        super().__init__(message)
+        self.command = command
+        self.message = message
 
 
-def _run_one(args: argparse.Namespace) -> int:
-    options = {k: v for k, v in vars(args).items() if k in _OPTIONS}
+def _parse(argv: Sequence[str]) -> tuple[dict, str, str, dict]:
+    """(global options, command, operand, command options) of a command line,
+    in the grammar the module docstring states. Each option is keyed by its
+    name without the leading dashes, `-` read as `_`, and has its default
+    when not given. Raises _Usage."""
+    command = operand = None
+    table = _GLOBAL_OPTIONS  # the options that may come next
+    given = {}
+    ended = False  # after `--`
+    tokens = iter(argv)
+    for token in tokens:
+        if ended or token == "-" or token[:1] != "-":
+            if command is None:
+                if token not in _COMMANDS:
+                    raise _Usage(None, f"invalid command: {token!r} (choose from {', '.join(_COMMANDS)})")
+                command, table = token, _COMMANDS[token].options
+            elif operand is None:
+                operand = token
+            else:
+                raise _Usage(command, f"unrecognized arguments: {token}")
+        elif token == "--":
+            ended = True
+        elif token in ("-h", "--help"):
+            raise _Usage(command)
+        else:
+            name, eq, value = token.partition("=")
+            option = table.get(name)
+            if option is None:
+                if command is not None and name in _GLOBAL_OPTIONS:
+                    raise _Usage(command, f"{name} must come before the command")
+                raise _Usage(command, f"unrecognized arguments: {token}")
+            if option.value is None:
+                if eq:
+                    raise _Usage(command, f"argument {name}: takes no value")
+                value = True
+            elif not eq and (value := next(tokens, None)) is None:
+                raise _Usage(command, f"argument {name}: expected one argument")
+            elif type(option.value) is tuple and value not in option.value:
+                choices = ", ".join(map(repr, option.value))
+                raise _Usage(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+            else:
+                try:
+                    value = option.convert(value)
+                except ValueError:
+                    message = f"argument {name}: invalid {option.convert.__name__} value: {value!r}"
+                    raise _Usage(command, message) from None
+            given[name] = value
+    if command is None:
+        raise _Usage(None, "the following arguments are required: COMMAND")
+    cmd = _COMMANDS[command]
+    missing = [cmd.operand] if operand is None else []
+    missing += [name for name, option in cmd.options.items() if option.required and name not in given]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    return _values(_GLOBAL_OPTIONS, given), command, operand, _values(cmd.options, given)
+
+
+def _values(table: dict, given: dict) -> dict:
+    return {name[2:].replace("-", "_"): given.get(name, option.default) for name, option in table.items()}
+
+
+def _term(name: str, option: _Option) -> str:
+    """An option as usage and help write it: `--name`, `--name N` or `--name {a,b}`."""
+    value = option.value
+    if value is None:
+        return name
+    return f"{name} {{{','.join(value)}}}" if type(value) is tuple else f"{name} {value}"
+
+
+def _usage_line(command: str | None) -> str:
+    if command is None:
+        prog, options, operand = "bhk", _GLOBAL_OPTIONS, "COMMAND ..."
+    else:
+        cmd = _COMMANDS[command]
+        prog, options, operand = f"bhk {command}", cmd.options, cmd.operand
+    terms = [_term(name, o) if o.required else f"[{_term(name, o)}]" for name, o in options.items()]
+    return " ".join(["usage:", prog, "[-h]", *terms, operand])
+
+
+def _help(command: str | None) -> str:
+    """The help of the program, or of one command: its usage line, its
+    summary, its commands or operand, and its options."""
+    if command is None:
+        summary = "Validate BHK pairs, construct mirrors, and compute Picard numbers."
+        heading, rows = "commands:", [(f"{n} {c.operand}", c.help) for n, c in _COMMANDS.items()]
+        options = _GLOBAL_OPTIONS
+    else:
+        cmd = _COMMANDS[command]
+        summary, heading, rows, options = cmd.help, "arguments:", [(cmd.operand, _OPERANDS[cmd.operand])], cmd.options
+    option_rows = [("-h, --help", "show this help and exit"), *((_term(n, o), o.help) for n, o in options.items())]
+    lines = [_usage_line(command), "", summary, "", heading, *_columns(rows), "", "options:", *_columns(option_rows)]
+    if command is None:
+        lines += ["", "Run `bhk COMMAND --help` for the options of a command."]
+    return "\n".join(lines)
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    """Help rows: each term and its text in two columns, the text on a line
+    of its own after a term too long for its column."""
+    return [f"  {term:<22}  {text}" if len(term) <= 22 else f"  {term}\n{'':26}{text}" for term, text in rows]
+
+
+def _run_one(command: str, path: str, options: dict, settings: dict) -> int:
     try:
-        doc, status = run_command(args.command, parse_input(_read(args.file)), **options)
+        doc, status = run_command(command, parse_input(_read(path)), **options)
     except Exception as err:  # reported as one error document, never a traceback
         return _report(err)
-    if not args.quiet:
-        print(_render(doc, args.format))
+    if not settings["quiet"]:
+        print(_render(doc, settings["format"]))
     return status
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; exit status 1 when the reader of stdout has gone, as
-    in `bhk picard c.json | head -c 300`, and, with an error document on
-    stderr, when a write to stdout or to batch's `--out` fails otherwise, as
-    on a full disk. Stdout is flushed here so that its write fails inside
-    the handler, which then points stdout at the null device, so the flush
-    at shutdown cannot fail again."""
-    args = build_parser().parse_args(argv)
-    out_path = args.out if args.command == "batch" else None
+    """Run one command; exit status 2 with a usage line on stderr when the
+    command line is outside the grammar. Exit status 1 when the reader of
+    stdout has gone, as in `bhk picard c.json | head -c 300`, and, with an
+    error document on stderr, when a write to stdout or to batch's `--out`
+    fails otherwise, as on a full disk. Stdout is flushed here so that its
+    write fails inside the handler, which then points stdout at the null
+    device, so the flush at shutdown cannot fail again."""
     try:
-        status = _run_batch(args.directory, out_path, args.quiet) if args.command == "batch" else _run_one(args)
+        settings, command, operand, options = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as usage:
+        if usage.message is None:
+            print(_help(usage.command))
+            return EXIT_OK
+        print(f"{_usage_line(usage.command)}\nbhk: error: {usage.message}", file=sys.stderr)
+        return EXIT_USAGE
+    out_path = options["out"] if command == "batch" else None
+    try:
+        if command == "batch":
+            status = _run_batch(operand, out_path, settings["quiet"])
+        else:
+            status = _run_one(command, operand, options, settings)
         sys.stdout.flush()
     except OSError as err:  # a failed write: every other error is caught where it is raised
         if not out_path:

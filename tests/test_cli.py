@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -754,6 +755,20 @@ def test_integer_beyond_the_conversion_limit_is_a_parse_error(tmp_path, capsys):
     assert entries[1]["error"]["kind"] == "ParseError"
 
 
+def test_reading_a_small_document_allocates_no_large_buffer(tmp_path):
+    """A document is read in reads of at most READ_CHUNK_BYTES, so a small
+    one costs no buffer of MAX_DOCUMENT_BYTES."""
+    path = _write(tmp_path, "in.json", A_EX_DOC)
+    tracemalloc.start()
+    try:
+        text = cli._read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(text) == A_EX_DOC
+    assert peak < 128 * 1024
+
+
 def test_oversized_document_is_a_parse_error(tmp_path, capsys):
     """A document is read up to one byte past MAX_DOCUMENT_BYTES, and one
     that long is refused, however valid its text; one at the limit is read."""
@@ -790,6 +805,135 @@ def test_batch_missing_directory(tmp_path, capsys):
         assert cli.main(["batch", target]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["category"], err["message"]) == ("input", f"not a directory: {target}")
+
+
+# ---------------------------------------------------------------------------
+# command-line grammar
+
+# argv, FILE standing for in.json and DIR naming a directory -> the call it
+# reaches: run_command's command and options, or _run_batch's directory,
+# --out file and --quiet
+ACCEPTED = [
+    (["picard", "FILE"], ("picard", {"method": "all"})),
+    (["picard", "FILE", "--method", "closed"], ("picard", {"method": "closed"})),
+    (["picard", "--method", "kelly", "FILE"], ("picard", {"method": "kelly"})),
+    (["picard", "--method=orbit", "FILE"], ("picard", {"method": "orbit"})),
+    (["picard", "FILE", "--method=closed"], ("picard", {"method": "closed"})),
+    (["--format", "text", "--quiet", "picard", "FILE"], ("picard", {"method": "all"})),
+    (["--format=text", "validate", "FILE"], ("validate", {})),
+    (["analyze", "FILE"], ("analyze", {})),
+    (["mirror", "FILE"], ("mirror", {})),
+    (["subgroups", "FILE"], ("subgroups", {})),
+    (["scan", "FILE", "--primes-up-to", "30"], ("scan", {"primes_up_to": 30})),
+    (["scan", "--primes-up-to=30", "FILE"], ("scan", {"primes_up_to": 30})),
+    (["picard", "--", "-in.json"], ("picard", {"method": "all"})),
+    (["picard", "--method", "closed", "--", "-in.json"], ("picard", {"method": "closed"})),
+    (["batch", "DIR"], ("DIR", None, False)),
+    (["batch", "DIR", "--out", "out.ndjson"], ("DIR", "out.ndjson", False)),
+    (["--quiet", "batch", "--out=out.ndjson", "DIR"], ("DIR", "out.ndjson", True)),
+]
+
+# argv -> the class of usage error it is
+USAGE_ERRORS = [
+    ([], "no command"),
+    (["--quiet"], "no command"),
+    (["frob", "FILE"], "unknown command"),
+    (["picard", "FILE", "--bogus"], "unknown option"),
+    (["picard", "--meth", "closed", "FILE"], "abbreviated option"),
+    (["picard", "-in.json"], "dash-leading file without --"),
+    (["picard"], "missing positional"),
+    (["batch"], "missing positional"),
+    (["batch", "--out", "out.ndjson"], "missing positional"),
+    (["picard", "FILE", "FILE"], "extra positional"),
+    (["picard", "FILE", "--method", "nope"], "bad choice"),
+    (["--format", "xml", "picard", "FILE"], "bad choice"),
+    (["picard", "FILE", "--method"], "option without its value"),
+    (["--quiet=yes", "picard", "FILE"], "flag with a value"),
+    (["scan", "FILE", "--primes-up-to", "x"], "non-integer --primes-up-to"),
+    (["scan", "FILE", "--primes-up-to=3.5"], "non-integer --primes-up-to"),
+    (["scan", "FILE"], "missing required option"),
+    (["picard", "FILE", "--quiet"], "global option after the command"),
+    (["picard", "FILE", "--format", "text"], "global option after the command"),
+]
+
+
+@pytest.fixture
+def recorded(tmp_path, monkeypatch):
+    """The calls main makes to run_command and _run_batch, with in.json and
+    -in.json holding A_EX_DOC in the working directory, and DIR a directory."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "in.json", A_EX_DOC)
+    _write(tmp_path, "-in.json", A_EX_DOC)
+    (tmp_path / "DIR").mkdir()
+    calls = []
+
+    def run_command(command, spec, **options):
+        calls.append((command, options, spec))
+        return {"x": 1}, cli.EXIT_OK
+
+    def run_batch(directory, out_path, quiet):
+        calls.append((directory, out_path, quiet))
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "run_command", run_command)
+    monkeypatch.setattr(cli, "_run_batch", run_batch)
+    return calls
+
+
+def _argv(argv: list[str]) -> list[str]:
+    return ["in.json" if a == "FILE" else a for a in argv]
+
+
+def _cases(table: list) -> list:
+    return [pytest.param(*case, id=" ".join(case[0]) or "(none)") for case in table]
+
+
+@pytest.mark.parametrize("argv, call", _cases(ACCEPTED))
+def test_accepted_command_line_reaches_its_call(argv, call, recorded, capsys):
+    assert cli.main(_argv(argv)) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    if "batch" in argv:
+        assert recorded == [call]
+    else:
+        assert recorded == [(*call, cli.parse_input(json.dumps(A_EX_DOC)))]
+
+
+@pytest.mark.parametrize("argv, kind", _cases(USAGE_ERRORS))
+def test_usage_error_exits_2_with_a_usage_line(argv, kind, recorded, capsys):
+    """A command line outside the grammar returns 2 from main, raises
+    nothing, runs nothing, and writes a usage line and one error line to
+    stderr and nothing to stdout."""
+    assert cli.main(_argv(argv)) == cli.EXIT_USAGE, kind
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: bhk ")
+    assert error.startswith("bhk: error: ")
+    assert recorded == []
+
+
+# argv -> the rows its help must have, each a line's first words
+HELP = [
+    (["--help"], [*cli._COMMANDS, "batch", "--format {json,text}", "--quiet"]),
+    (["-h", "picard", "FILE"], [*cli._COMMANDS, "batch"]),
+    (["picard", "--help"], ["FILE", "--method {closed,kelly,orbit,all}"]),
+    (["scan", "FILE", "-h"], ["FILE", "--primes-up-to N"]),
+    (["batch", "--help"], ["DIR", "--out FILE"]),
+]
+
+
+@pytest.mark.parametrize("argv, listed", _cases(HELP))
+def test_help_lists_the_commands_and_options(argv, listed, recorded, capsys):
+    """Help goes to stdout with exit 0, before anything runs: the program's
+    lists every command of the table, a command's its operand and options."""
+    assert cli.main(_argv(argv)) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: bhk ")
+    lines = captured.out.splitlines()
+    for term in listed:
+        assert any(line.split()[:len(term.split())] == term.split() for line in lines), term
+    assert recorded == []
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +1026,7 @@ def test_import_loads_only_what_the_standard_modules_it_uses_load():
     are plain classes and the annotations strings, so neither `typing` nor
     `contextlib` is loaded. Computed by difference, so the set holds on every
     Python version."""
-    stdlib = _modules_after("import argparse, json, os, math, functools, itertools, operator, errno, stat")
+    stdlib = _modules_after("import json, os, math, functools, itertools, operator, errno, stat")
     extra = _modules_after("import bhk.cli") - stdlib
     allowed = {"bhk", "collections.abc", "__future__"}
     unexpected = sorted(m for m in extra if m not in allowed and not m.startswith("bhk."))
@@ -899,6 +1043,22 @@ def test_import_loads_no_pathlib():
     """The batch listing is one os.scandir pass, so `import bhk.cli` loads
     neither `pathlib` nor the modules only it brings in."""
     assert _loaded_by_import({"pathlib", "fnmatch", "urllib.parse", "ipaddress"}) == []
+
+
+def test_import_loads_no_argparse(tmp_path):
+    """The command line is parsed from the command table, so neither
+    importing `bhk.cli` nor running a command, a batch or the help loads
+    `argparse`, or the `gettext` that only it brings in."""
+    path = _write(tmp_path, "in.json", A_EX_DOC)
+    argvs = [["--quiet", "picard", path], ["--quiet", "batch", str(tmp_path)], ["--help"]]
+    statement = (
+        "import os, bhk.cli; stdout = sys.stdout; sys.stdout = open(os.devnull, 'w'); "
+        f"statuses = [bhk.cli.main(argv) for argv in {argvs!r}]; sys.stdout.close(); sys.stdout = stdout; "
+        "assert statuses == [0, 0, 0], statuses"
+    )
+    modules = _modules_after(statement)
+    assert "bhk.cli" in modules  # the child ran to its end: no SystemExit came out of main
+    assert sorted({"argparse", "gettext"} & modules) == []
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +1080,7 @@ def _records():
         "ScanReport": scan,
         "InputSpec": cli.parse_input(json.dumps(A_EX_DOC)),
         "_Command": cli._COMMANDS["picard"],
+        "_Option": cli._COMMANDS["picard"].options["--method"],
         "Atom": ws.pair.adequacy.atoms[0],
     }
 
@@ -960,8 +1121,12 @@ RECORD_FIELDS = {
     ),
     "InputSpec": (("matrix", "group_spec", "characteristic"), {}),
     "_Command": (
-        ("help", "sections", "characteristic", "status_from_verdict"),
-        {"characteristic": None, "status_from_verdict": False},
+        ("help", "sections", "characteristic", "status_from_verdict", "operand", "options"),
+        {"characteristic": None, "status_from_verdict": False, "operand": "FILE", "options": {}},
+    ),
+    "_Option": (
+        ("help", "value", "default", "required", "convert"),
+        {"default": None, "required": False, "convert": str},
     ),
 }
 

@@ -1,8 +1,9 @@
 """Every function in `src/bhk` is entered by some command. The golden
 corpus, then one `batch --out` run over a document whose group is given by
-generators (the golden corpus has none), go through `cli.main` under a
-profile hook that records the code of each function entered; every function
-the package defines must be among them, but for the listed exceptions."""
+generators (the golden corpus has none), then the help of the program and of
+a command and one usage error, go through `cli.main` under a profile hook
+that records the code of each function entered; every function the package
+defines must be among them, but for the listed exceptions."""
 
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def _defined() -> dict[tuple[str, int], str]:
 
 
 def _run_commands(workdir: Path) -> None:
-    """The golden corpus, then `batch --out` over the generators document."""
+    """The golden corpus, then `batch --out` over the generators document,
+    then `--help`, `picard --help` and a `picard` without its file."""
     for i, case in enumerate(cases()):
         (workdir / str(i)).mkdir()
         replay(case, workdir / str(i))
@@ -52,10 +54,12 @@ def _run_commands(workdir: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["batch", str(batch), "--out", str(batch / "out.json")]) == cli.EXIT_OK
     assert json.loads((batch / "out.json").read_text())["status"] == "ok"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["--help"]) == cli.main(["picard", "--help"]) == cli.EXIT_OK
+        assert cli.main(["picard"]) == cli.EXIT_USAGE
 
 
 def test_every_function_is_entered_by_a_command(tmp_path):
-    cli.build_parser.cache_clear()  # else a parser built by an earlier test is reused
     entered = set()
 
     def hook(frame, event, arg):
