@@ -13,16 +13,24 @@ start with `-`. `-h` or `--help` prints the help of the program, or of the
 command it follows, with exit status 0. A command line outside this grammar
 is a usage error: a `usage:` line and `bhk: error: ...` on stderr, exit
 status 2, and no JSON error document, which is written only for a document
-that fails. The one table `_COMMANDS` drives both the parsing and the help."""
+that fails. The one table `_COMMANDS` drives both the parsing and the help.
+
+JSON goes through CPython's `_json` accelerator rather than the `json`
+package: documents are read by the C scanner `json.loads` runs (`_loads`),
+error documents and batch lines are written by the C encoder of
+`json.dumps(value, sort_keys=True)` (`_dumps`), and reports by `_render`,
+which escapes strings with `_json`'s function. So importing this module or
+running a command loads neither `json` nor the `re` and `enum` it imports;
+`json` is imported only to raise the error of a document that fails to
+parse."""
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from _json import encode_basestring_ascii, make_encoder, make_scanner
 from collections.abc import Sequence
 from errno import ELOOP, ENOENT, ENOTDIR
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from stat import S_ISFIFO
 
@@ -72,11 +80,45 @@ class InputSpec(Record):
     characteristic = property(itemgetter(2))  # int
 
 
+class _LoadsDefaults:
+    """The settings `json.loads` gives its C scanner, which reads them once."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}.__getitem__
+
+
+_scan = make_scanner(_LoadsDefaults)
+
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def _loads(text: str):
+    """`json.loads(text)`: the value of a text holding one JSON value between
+    JSON whitespace, read by the C scanner `json.loads` runs. Any other text,
+    one without a value, with a byte order mark, or with more after its
+    value, goes to `json.loads` itself, which raises its error; only then is
+    `json` imported. An error inside a value comes from the scanner, as in
+    `json.loads`."""
+    start = len(text) - len(text.lstrip(_JSON_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration:  # no value at start
+        pass
+    else:
+        if not text[end:].strip(_JSON_WHITESPACE):
+            return value
+    import json
+
+    return json.loads(text)
+
+
 def parse_input(text: str) -> InputSpec:
     """Parse one input document; strict about keys and shapes."""
     try:
-        data = json.loads(text)
-    # json raises RecursionError on deep nesting, and ValueError on an integer
+        data = _loads(text)
+    # the scanner raises RecursionError on deep nesting, and ValueError on an integer
     # longer than the interpreter converts (sys.get_int_max_str_digits)
     except (ValueError, RecursionError) as err:
         raise ParseError(f"invalid JSON: {err}") from err
@@ -405,7 +447,7 @@ def _error_status(err: Exception) -> int:
 
 def _report(err: Exception) -> int:
     """Write the error document to stderr; returns the exit status."""
-    print(json.dumps(_error_document(err), sort_keys=True), file=sys.stderr)
+    print(_dumps(_error_document(err)), file=sys.stderr)
     return _error_status(err)
 
 
@@ -414,8 +456,9 @@ def _render(doc: dict, fmt: str) -> str:
     `json.dumps(doc, sort_keys=True, indent=2)`, written by `_write_json`
     instead: with `indent` set, `json.dumps` leaves CPython's C encoder for
     its pure-Python one, which cost more than any single stage of a small
-    report. The text format is the lines of `_flatten`. Each writer appends
-    every piece of the text to one list, joined once here."""
+    report, and it needs no import of `json`. The text format is the lines
+    of `_flatten`. Each writer appends every piece of the text to one list,
+    joined once here."""
     if fmt == "json":
         pieces: list[str] = []
         _write_json(doc, "\n", pieces)
@@ -462,8 +505,10 @@ def _write_json(value, newline: str, pieces: list[str]) -> None:
 
 def _scalar(value) -> str:
     """The JSON text of a str, int, bool or None, tested by exact type, so
-    True stays `true` beside 1; any other type raises TypeError. Strings go
-    through the same escaping function `json.dumps` uses."""
+    True stays `true` beside 1; any other type raises the TypeError of
+    `json.dumps`, which is why `_dumps`'s encoder calls it for every object
+    it cannot write. Strings go through `_json`'s escaping function, the one
+    `json.dumps` uses."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -474,6 +519,18 @@ def _scalar(value) -> str:
     if value is None:
         return "null"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    """`json.dumps(value, sort_keys=True)`, from the C encoder it runs, with
+    its settings: markers, default, encoder, indent, key and item
+    separators, sort_keys, skipkeys, allow_nan. Objects other than str,
+    int, float, bool, None, lists, tuples and dicts go to `_scalar`, which
+    raises json's TypeError. The encoder is built per call, as json.dumps
+    builds it: its markers dict, which refuses a circular value, keeps the
+    open containers of a failed write."""
+    encode = make_encoder({}, _scalar, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+    return "".join(encode(value, 0))
 
 
 def _flatten(value, prefix: str, lines: list[str]) -> None:
@@ -553,7 +610,7 @@ def _run_batch(directory: str, out_path: str | None, quiet: bool) -> int:
                 worst = max(worst, _error_status(err))
                 line = {"file": entry.name, "status": "error", **_error_document(err)}
             if sink is not None:
-                sink.write(json.dumps(line, sort_keys=True) + "\n")
+                sink.write(_dumps(line) + "\n")
     finally:
         if out_path:
             out.close()

@@ -733,6 +733,26 @@ def test_batch_isolates_deeply_nested_document(tmp_path, capsys):
     assert entries[0]["error"]["kind"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"matrix": ', "Expecting value: line 1 column 12 (char 11)"),
+        ("{} x", "Extra data: line 1 column 4 (char 3)"),
+    ],
+    ids=["no value", "extra data"],
+)
+def test_malformed_document_reports_the_json_error(tmp_path, capsys, text, message):
+    """A document json cannot read is json.loads's error, word for word,
+    alone on stderr with exit 1, and as its line in a batch."""
+    (tmp_path / "bad.json").write_text(text)
+    error = {"kind": "ParseError", "category": "input", "message": f"invalid JSON: {message}"}
+    assert cli.main(["picard", str(tmp_path / "bad.json")]) == 1
+    assert capsys.readouterr() == ("", json.dumps({"error": error}, sort_keys=True) + "\n")
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    line = {"error": error, "file": "bad.json", "status": "error"}
+    assert capsys.readouterr() == (json.dumps(line, sort_keys=True) + "\n", "")
+
+
 LONG_INTEGER_DOC = '{"matrix": [[1%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % ("0" * 5000)
 
 
@@ -1026,7 +1046,7 @@ def test_import_loads_only_what_the_standard_modules_it_uses_load():
     are plain classes and the annotations strings, so neither `typing` nor
     `contextlib` is loaded. Computed by difference, so the set holds on every
     Python version."""
-    stdlib = _modules_after("import json, os, math, functools, itertools, operator, errno, stat")
+    stdlib = _modules_after("import _json, os, math, functools, itertools, operator, errno, stat")
     extra = _modules_after("import bhk.cli") - stdlib
     allowed = {"bhk", "collections.abc", "__future__"}
     unexpected = sorted(m for m in extra if m not in allowed and not m.startswith("bhk."))
@@ -1045,10 +1065,10 @@ def test_import_loads_no_pathlib():
     assert _loaded_by_import({"pathlib", "fnmatch", "urllib.parse", "ipaddress"}) == []
 
 
-def test_import_loads_no_argparse(tmp_path):
-    """The command line is parsed from the command table, so neither
-    importing `bhk.cli` nor running a command, a batch or the help loads
-    `argparse`, or the `gettext` that only it brings in."""
+def _loaded_by_commands(tmp_path, modules: set[str]) -> list[str]:
+    """Those of the modules loaded once `bhk.cli` is imported and `main` has
+    run `--quiet picard FILE`, `--quiet batch DIR` and `--help` on a valid
+    document, each with exit status 0."""
     path = _write(tmp_path, "in.json", A_EX_DOC)
     argvs = [["--quiet", "picard", path], ["--quiet", "batch", str(tmp_path)], ["--help"]]
     statement = (
@@ -1056,9 +1076,25 @@ def test_import_loads_no_argparse(tmp_path):
         f"statuses = [bhk.cli.main(argv) for argv in {argvs!r}]; sys.stdout.close(); sys.stdout = stdout; "
         "assert statuses == [0, 0, 0], statuses"
     )
-    modules = _modules_after(statement)
-    assert "bhk.cli" in modules  # the child ran to its end: no SystemExit came out of main
-    assert sorted({"argparse", "gettext"} & modules) == []
+    loaded = _modules_after(statement)
+    assert "bhk.cli" in loaded  # the child ran to its end: no SystemExit came out of main
+    return sorted(modules & loaded)
+
+
+def test_import_loads_no_argparse(tmp_path):
+    """The command line is parsed from the command table, so neither
+    importing `bhk.cli` nor running a command, a batch or the help loads
+    `argparse`, or the `gettext` that only it brings in."""
+    assert _loaded_by_commands(tmp_path, {"argparse", "gettext"}) == []
+
+
+def test_import_loads_no_json(tmp_path):
+    """Documents are read and lines written through `_json`, CPython's C
+    accelerator of `json`, so neither importing `bhk.cli` nor running a
+    command, a batch or the help on valid documents loads `json`, or the
+    `re` and `enum` it brings in."""
+    modules = {"json", "json.decoder", "json.encoder", "json.scanner", "re", "enum"}
+    assert _loaded_by_commands(tmp_path, modules) == []
 
 
 # ---------------------------------------------------------------------------
