@@ -2,13 +2,15 @@
 determinants and adjugates, totients, multiplicative orders, the primes up to
 a bound, and solutions of linear congruences mod d. Integers only: no
 rationals, no floating point. Also `Record`, the tuple base of the package's
-result records."""
+eleven result records, which builds each record's field accessors from its
+`_fields`."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress
 from math import gcd, isqrt
+from operator import itemgetter
 
 Vector4 = tuple[int, int, int, int]
 Matrix4 = tuple[Vector4, Vector4, Vector4, Vector4]
@@ -18,9 +20,10 @@ IDENTITY4: Matrix4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 class Record(tuple):
     """A tuple with named fields. A subclass lists them in `_fields`, the
-    defaults of trailing ones in `_field_defaults`, and reads field i through
-    `property(itemgetter(i))`; it is built from the fields by position or by
-    name. Each record is a plain class statement: `typing.NamedTuple` and
+    defaults of trailing ones in `_field_defaults`, and `__init_subclass__`
+    gives it the read-only `property(itemgetter(i))` of each field i, so a
+    field is named once; it is built from the fields by position or by name.
+    Each record is a plain class statement: `typing.NamedTuple` and
     `collections.namedtuple` build every class with an `eval`, which cost
     more than the rest of the package's import. A build by name costs
     several times one by position, so the package builds by position."""
@@ -28,6 +31,10 @@ class Record(tuple):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _field_defaults: dict = {}
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
     def __new__(cls, *values, **named):
         fields = cls._fields
@@ -121,7 +128,7 @@ def minus_one_power_exists(p: int, m: int) -> bool:
     if m <= 2:
         return True
     x = p % m
-    for _ in range(multiplicative_order(p, m)):
+    while x != 1:
         if x == m - 1:
             return True
         x = x * p % m

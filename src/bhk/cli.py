@@ -31,9 +31,9 @@ import sys
 from _json import encode_basestring_ascii, make_encoder, make_scanner
 from collections.abc import Sequence
 from errno import ELOOP, ENOENT, ENOTDIR
-from operator import itemgetter
 from stat import S_ISFIFO
 
+from . import __version__ as TOOL_VERSION
 from .arith import Record, matrix4, primes_up_to
 from .delsarte import Characteristic, DelsarteMatrix
 from .duality import MirrorPair, Workspace
@@ -45,8 +45,6 @@ from .errors import (
 )
 from .picard import picard_closed_form, picard_report, prime_scan
 from .smoothness import AdequacyReport, Atom
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,13 +69,12 @@ READ_CHUNK_BYTES = 1 << 16
 
 
 class InputSpec(Record):
-    """Parsed input document: matrix rows, group selector, characteristic."""
+    """Parsed input document: matrix rows, group selector, characteristic.
+    The rows are a Matrix4, the selector a name or a tuple of generators, and
+    the characteristic an int."""
 
     __slots__ = ()
     _fields = ("matrix", "group_spec", "characteristic")
-    matrix = property(itemgetter(0))  # Matrix4
-    group_spec = property(itemgetter(1))  # str | tuple
-    characteristic = property(itemgetter(2))  # int
 
 
 class _LoadsDefaults:
@@ -342,17 +339,13 @@ _SECTIONS = {
 class _Option(Record):
     """A command-line option `--name`: its help line, its value (the tuple of
     its choices, the name of a value that `convert` converts, or None for a
-    flag, which takes no value and is True when given), its default, and
-    whether it must be given."""
+    flag, which takes no value and is True when given), its default, whether
+    it must be given, and `convert`, str or int, which gives the value from
+    its text."""
 
     __slots__ = ()
     _fields = ("help", "value", "default", "required", "convert")
     _field_defaults = {"default": None, "required": False, "convert": str}
-    help = property(itemgetter(0))  # str
-    value = property(itemgetter(1))  # tuple[str, ...] | str | None
-    default = property(itemgetter(2))
-    required = property(itemgetter(3))  # bool
-    convert = property(itemgetter(4))  # str or int: the value from its text
 
 
 _GLOBAL_OPTIONS = {
@@ -362,20 +355,17 @@ _GLOBAL_OPTIONS = {
 
 
 class _Command(Record):
-    """A command: its help line, the sections it prints (None for batch,
-    which prints one picard report per document of a directory), how it
-    departs from the document and from exit status 0, the name of its
-    operand, and its options by name."""
+    """A command: its help line, the tuple of sections it prints (None for
+    batch, which prints one picard report per document of a directory), how
+    it departs from the document and from exit status 0, the name of its
+    operand, and its options by name, each an _Option. `characteristic`, an
+    int or None, overrides the document's; `status_from_verdict`, a bool,
+    makes exit status 1 when the pair is not adequate, read after the
+    sections; `operand` is a key of _OPERANDS."""
 
     __slots__ = ()
     _fields = ("help", "sections", "characteristic", "status_from_verdict", "operand", "options")
     _field_defaults = {"characteristic": None, "status_from_verdict": False, "operand": "FILE", "options": {}}
-    help = property(itemgetter(0))  # str
-    sections = property(itemgetter(1))  # tuple[str, ...] | None
-    characteristic = property(itemgetter(2))  # int | None: overrides the document's
-    status_from_verdict = property(itemgetter(3))  # bool: exit 1 when the pair is not adequate, read after the sections
-    operand = property(itemgetter(4))  # str: a key of _OPERANDS
-    options = property(itemgetter(5))  # dict[str, _Option]
 
 
 _OPERANDS = {"FILE": "input JSON document", "DIR": "directory of input documents"}

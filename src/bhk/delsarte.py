@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd, lcm
-from operator import itemgetter
 
 from .arith import Matrix4, Record, det_adjugate, matrix4, transpose_rows
 from .errors import (
@@ -74,17 +73,12 @@ class DelsarteMatrix(Record):
 
     weights q and degree h satisfy A q = h (1,1,1,1) with gcd(q) = 1; the
     exponent d is the least positive integer making B = d A^(-1) integral.
+    `matrix`, `adjugate` and `b_matrix` are Matrix4, `weights` a Vector4, and
+    `det`, `degree` and `exponent` ints.
     """
 
     __slots__ = ()
     _fields = ("matrix", "det", "adjugate", "weights", "degree", "exponent", "b_matrix")
-    matrix = property(itemgetter(0))  # Matrix4
-    det = property(itemgetter(1))  # int
-    adjugate = property(itemgetter(2))  # Matrix4
-    weights = property(itemgetter(3))  # Vector4
-    degree = property(itemgetter(4))  # int
-    exponent = property(itemgetter(5))  # int
-    b_matrix = property(itemgetter(6))  # Matrix4
 
 
 def build_delsarte(rows: Sequence[Sequence[int]], char: Characteristic) -> DelsarteMatrix:

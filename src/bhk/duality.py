@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from operator import itemgetter
 
 from .arith import Record, transpose_rows
 from .delsarte import DelsarteMatrix, build_delsarte, transpose
@@ -37,23 +36,19 @@ from .symmetry import (
 
 
 class BhkPair(Record):
-    """A validated (matrix, group) pair at a fixed characteristic."""
+    """A validated (matrix, group) pair at a fixed characteristic. Its
+    fields are a DelsarteMatrix, a SymmetrySubgroup, a Characteristic and the
+    pair's AdequacyReport."""
 
     __slots__ = ()
     _fields = ("matrix", "group", "char", "adequacy")
-    matrix = property(itemgetter(0))  # DelsarteMatrix
-    group = property(itemgetter(1))  # SymmetrySubgroup
-    char = property(itemgetter(2))  # Characteristic
-    adequacy = property(itemgetter(3))  # AdequacyReport
 
 
 class MirrorPair(Record):
-    """A pair (A, G) and its mirror (A^T, G^T)."""
+    """A pair (A, G) and its mirror (A^T, G^T), each a BhkPair."""
 
     __slots__ = ()
     _fields = ("primal", "mirror")
-    primal = property(itemgetter(0))  # BhkPair
-    mirror = property(itemgetter(1))  # BhkPair
 
 
 def _image(matrix, b) -> tuple[int, ...]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from math import gcd
-from operator import itemgetter
 
 from .arith import Record, euler_phi, minus_one_power_exists, multiplicative_order
 from .delsarte import Characteristic, DelsarteMatrix
@@ -202,17 +201,13 @@ def grading_set(m: DelsarteMatrix, u: int) -> tuple[Coords, ...]:
 
 
 class PicardReport(Record):
-    """The Picard numbers of a pair and its mirror, each route's
-    (rho_primal, rho_mirror) in `methods`, and the sizes of the two
-    transcendental sets."""
+    """The Picard numbers of a pair and its mirror, two ints, each route's
+    (rho_primal, rho_mirror) in `methods`, a mapping from the route's name,
+    the pair of sizes of the two transcendental sets, and the characteristic,
+    an int."""
 
     __slots__ = ()
     _fields = ("rho_primal", "rho_mirror", "methods", "set_sizes", "characteristic")
-    rho_primal = property(itemgetter(0))  # int
-    rho_mirror = property(itemgetter(1))  # int
-    methods = property(itemgetter(2))  # Mapping[str, tuple[int, int]]
-    set_sizes = property(itemgetter(3))  # tuple[int, int]
-    characteristic = property(itemgetter(4))  # int
 
 
 def picard_report(mp: MirrorPair) -> PicardReport:
@@ -236,7 +231,8 @@ def picard_report(mp: MirrorPair) -> PicardReport:
 
 class ScanRow(Record):
     """The closed-form Picard numbers of a pair and its mirror at one prime,
-    from its residues mod the two degrees."""
+    from its residues mod the two degrees, all ints, and whether each side is
+    supersingular there, two bools."""
 
     __slots__ = ()
     _fields = (
@@ -248,18 +244,12 @@ class ScanRow(Record):
         "supersingular_primal",
         "supersingular_mirror",
     )
-    prime = property(itemgetter(0))  # int
-    residue_primal = property(itemgetter(1))  # int
-    residue_mirror = property(itemgetter(2))  # int
-    rho_primal = property(itemgetter(3))  # int
-    rho_mirror = property(itemgetter(4))  # int
-    supersingular_primal = property(itemgetter(5))  # bool
-    supersingular_mirror = property(itemgetter(6))  # bool
 
 
 class ScanReport(Record):
-    """A prime scan: one row per prime scanned, the primes skipped with their
-    reasons, and the residues at which each side is supersingular."""
+    """A prime scan of a pair of degrees: a tuple of ScanRow, one per prime
+    scanned, the primes skipped as (prime, reason) pairs, and the tuples of
+    residues at which each side is supersingular."""
 
     __slots__ = ()
     _fields = (
@@ -270,12 +260,6 @@ class ScanReport(Record):
         "supersingular_primal_residues",
         "supersingular_mirror_residues",
     )
-    degree = property(itemgetter(0))  # int
-    mirror_degree = property(itemgetter(1))  # int
-    rows = property(itemgetter(2))  # tuple[ScanRow, ...]
-    skipped = property(itemgetter(3))  # tuple[tuple[int, str], ...]
-    supersingular_primal_residues = property(itemgetter(4))  # tuple[int, ...]
-    supersingular_mirror_residues = property(itemgetter(5))  # tuple[int, ...]
 
 
 def _supersingular_residues(m: int) -> tuple[int, ...]:

@@ -6,7 +6,6 @@ when the rows do not split into atoms."""
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
 
 from .arith import Record
 from .delsarte import Characteristic, DelsarteMatrix
@@ -17,30 +16,23 @@ class Atom(Record):
 
     `kind` is "fermat" (y^e, one variable), "chain" (y_0^{e_0} y_1 + ... +
     y_k^{e_k}, listed head to tail) or "loop" (y_0^{e_0} y_1 + ... + y_k^{e_k}
-    y_0, listed from the least variable); `exponents` runs along `variables`.
+    y_0, listed from the least variable); `exponents`, a tuple of ints, runs
+    along `variables`, a tuple of variable indices.
     """
 
     __slots__ = ()
     _fields = ("kind", "variables", "exponents")
-    kind = property(itemgetter(0))  # str
-    variables = property(itemgetter(1))  # tuple[int, ...]
-    exponents = property(itemgetter(2))  # tuple[int, ...]
 
 
 class AdequacyReport(Record):
-    """The adequacy checks of a matrix at a characteristic, `verdict` their
-    conjunction, and `diagnostics` the lines that describe them."""
+    """The adequacy checks of a matrix at a characteristic, four bools,
+    `verdict` their conjunction, `diagnostics` the lines that describe them,
+    and `atoms` the decomposition behind `quasi_smooth`: a tuple of Atom, or
+    None."""
 
     __slots__ = ()
     _fields = ("quasi_smooth", "well_formed", "weight_triple_gcd_ok", "char_ok", "verdict", "diagnostics", "atoms")
     _field_defaults = {"atoms": None}
-    quasi_smooth = property(itemgetter(0))  # bool
-    well_formed = property(itemgetter(1))  # bool
-    weight_triple_gcd_ok = property(itemgetter(2))  # bool
-    char_ok = property(itemgetter(3))  # bool
-    verdict = property(itemgetter(4))  # bool
-    diagnostics = property(itemgetter(5))  # tuple[str, ...]
-    atoms = property(itemgetter(6))  # tuple[Atom, ...] | None: the decomposition behind quasi_smooth
 
 
 def atomic_decomposition(m: DelsarteMatrix) -> tuple[Atom, ...] | None:

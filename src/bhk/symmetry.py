@@ -36,13 +36,6 @@ ZERO: Coords = (0, 0, 0, 0)
 MAX_GROUP_ORDER = 10_000
 
 
-def check_order(order: int, name: str) -> None:
-    """TooLarge when a group about to be enumerated has more than
-    MAX_GROUP_ORDER elements."""
-    if order > MAX_GROUP_ORDER:
-        raise TooLarge(f"{name} has {order} elements, more than the limit {MAX_GROUP_ORDER}")
-
-
 def _multiples(modulus: int, group: Set[Coords], g: Coords) -> list[Coords]:
     """g, 2 g, ..., (n - 1) g for a subgroup G and a reduced g, each stepped
     from the one before by adding g, where n is the order of g modulo G: the
@@ -163,7 +156,9 @@ def check_sl_order(m: DelsarteMatrix) -> tuple[list[int], int]:
     d, b = m.exponent, m.b_matrix
     s = [sum(col) for col in zip(*b)]
     index = d // gcd(d, *s)
-    check_order(abs(m.det) // index, "SL")
+    order = abs(m.det) // index
+    if order > MAX_GROUP_ORDER:
+        raise TooLarge(f"SL has {order} elements, more than the limit {MAX_GROUP_ORDER}")
     return s, index
 
 

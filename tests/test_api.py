@@ -111,3 +111,12 @@ def test_readme_quick_start_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_package_version_is_the_projects():
+    """`bhk.__version__`, which reports print as `tool_version`, is the
+    `[project]` version of pyproject.toml, read as text (3.10 has no tomllib)."""
+    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    [version] = re.findall(r'^version = "([^"]*)"$', project, re.MULTILINE)
+    assert version == bhk.__version__

@@ -2,7 +2,10 @@
 corpus, then one `batch --out` run over a document whose group is given by
 generators (the golden corpus has none), then the help of the program and of
 a command and one usage error, go through `cli.main` under a profile hook
-that records the code of each function entered; every function the package
+that records the code of each function entered. Every command first imports
+the package, so a fresh `import bhk.cli` in a bare child interpreter runs
+under the same hook, and the functions it enters, such as those that build
+the record classes, count as entered too. Every function the package
 defines must be among them, but for the listed exceptions."""
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import ast
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +63,40 @@ def _run_commands(workdir: Path) -> None:
         assert cli.main(["picard"]) == cli.EXIT_USAGE
 
 
+# Run by `python -I -S -c` with the directory holding the package as its
+# argument: prints "file line" for each function of the package that a fresh
+# `import bhk.cli` enters.
+IMPORT_PROFILE = """
+import sys
+root = sys.argv[1]
+sys.path.insert(0, root)
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(hook)
+import bhk.cli
+sys.setprofile(None)
+for code in entered:
+    if code.co_filename.startswith(root):
+        print(code.co_filename, code.co_firstlineno)
+"""
+
+
+def _entered_by_import() -> set[tuple[str, int]]:
+    """(module file, first line) of each function a fresh `import bhk.cli` enters."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROFILE, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (row.rpartition(" ") for row in proc.stdout.splitlines())
+    return {(Path(file).name, int(line)) for file, _, line in rows}
+
+
 def test_every_function_is_entered_by_a_command(tmp_path):
     entered = set()
 
@@ -73,5 +111,6 @@ def test_every_function_is_entered_by_a_command(tmp_path):
         sys.setprofile(None)
     prefix = str(PACKAGE)
     seen = {(Path(c.co_filename).name, c.co_firstlineno) for c in entered if c.co_filename.startswith(prefix)}
+    seen |= _entered_by_import()
     never = sorted((file, name) for (file, line), name in _defined().items() if (file, line) not in seen)
     assert never == sorted(NEVER_ENTERED)
