@@ -182,9 +182,13 @@ class Workspace:
         (SemanticError otherwise), and each generator of G lies in Aut(A),
         tested first; |G| |G^T| = |det| (`_annihilated`), and SL of A^T has
         `sl_group`'s own checks. As the pairing is perfect, these pin G^T
-        down. A^T is validated first, so an invalid transpose is reported as
-        the input error it is. G^T needs no bound of its own: it lies in SL
-        of A^T, which `sl_group` bounds before building it.
+        down. When G is SL, G^T must be J of the transpose (InternalCheckError
+        otherwise); G is taken to be SL, without building SL, when `in_sl`
+        holds for each generator of G, as `group` decides G <= SL, and |G| is
+        the counted |SL|, which raises TooLarge as `group` does. A^T is
+        validated first, so an invalid transpose is reported as the input
+        error it is. G^T needs no bound of its own: it lies in SL of A^T,
+        which `sl_group` bounds before building it.
         """
         m = self.primal.matrix
         if group.modulus != m.exponent:  # before the memo, as groups compare by their elements alone
@@ -201,7 +205,11 @@ class Workspace:
         if _image(m.matrix, j.generators[0]) != (d, d, d, d):
             raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
         elements = [g for g in group.generators if g not in j]
-        dual = self._duals[group] = self._annihilated(self.transpose.sl, group.order, elements)
+        dual = self._annihilated(self.transpose.sl, group.order, elements)
+        is_sl = all(in_sl(m, g) for g in group.generators) and group.order == self.primal.sl_order
+        if is_sl and dual != self.transpose.j:
+            raise InternalCheckError("the dual of SL differs from J of the transpose")
+        self._duals[group] = dual
         return dual
 
     def _annihilated(self, dual: SymmetrySubgroup, order: int, elements: Iterable[Sequence[int]]) -> SymmetrySubgroup:
@@ -226,8 +234,10 @@ class Workspace:
         other G is H + <e> for the pair (H, e) it `covers`, with H before
         it, and its dual is derived from H^T by `_annihilated`: the part of
         H^T that pairs to zero with e. Cross-checked on every call: J <= G
-        <= SL, and |G| |G^T| = |det| for each derived dual, which a dual
-        missing the pairing test with e would fail.
+        <= SL; |G| |G^T| = |det| for each derived dual, which a dual
+        missing the pairing test with e would fail; G -> G^T is injective
+        and reverses inclusion; and the dual of SL, the last G, is J of the
+        transpose.
         """
         self.transpose.matrix  # raises the input error of an invalid A^T
         j, sl = self.primal.j, self.primal.sl
@@ -240,7 +250,19 @@ class Workspace:
             else:
                 h, e = group.covers
                 duals[group] = self._annihilated(duals[h], group.order, [e])
-        return list(duals.items())
+        lattice = list(duals.items())
+        if len(set(duals.values())) != len(lattice):
+            raise InternalCheckError("G -> G^T is not injective on the intermediate groups")
+        for i, (g, g_dual) in enumerate(lattice):  # a group lies only in groups after it
+            for h, h_dual in lattice[i + 1 :]:
+                if g <= h and not h_dual <= g_dual:
+                    raise InternalCheckError("G -> G^T does not reverse inclusion on the intermediate groups")
+        sl_dual, jt = lattice[-1][1], self.transpose.j
+        if sl_dual != jt:
+            raise InternalCheckError(
+                f"the dual of SL, of order {sl_dual.order}, differs from J of the transpose, of order {jt.order}"
+            )
+        return lattice
 
     @cached_property
     def mirror(self) -> MirrorPair:

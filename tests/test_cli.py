@@ -19,9 +19,9 @@ import bhk.cli as cli
 from bhk.delsarte import Characteristic
 from bhk.duality import Workspace
 from bhk.errors import InternalCheckError, ParseError, SemanticError, TooLarge
-from bhk.symmetry import SymmetrySubgroup
 from bhk.picard import picard_report, prime_scan
 from conftest import A_EX_ROWS, A_F_ROWS
+from test_duality import doctor_duals, negate_second, repeat_a_dual, swap_two_duals
 from test_picard import flip_age_one_flags
 from test_smoothness import CY_NOT_QS_ROWS
 
@@ -176,36 +176,24 @@ def test_subgroups_golden():
     ]
 
 
-def _doctor_lattice(monkeypatch, doctor) -> None:
-    """Replace `Workspace.lattice` by doctor(ws, lattice) over the real one."""
-    real = Workspace.lattice.func
-    monkeypatch.setattr(Workspace, "lattice", property(lambda ws: doctor(ws, real(ws))))
+FERMAT_DOC = {"matrix": [list(r) for r in A_F_ROWS]}
 
 
 def test_subgroups_duality_check_catches_a_repeated_dual(monkeypatch):
-    """A lattice that gives SL the dual of J makes G -> G^T non-injective."""
-
-    def repeated(ws, lattice):
-        j_dual = lattice[0][1]
-        return [(g, j_dual if g == ws.primal.sl else dual) for g, dual in lattice]
-
-    _doctor_lattice(monkeypatch, repeated)
+    """A filter that gives a group of order 8 the dual of another makes
+    G -> G^T non-injective; every order identity still holds."""
+    doctor_duals(monkeypatch, repeat_a_dual())
     with pytest.raises(InternalCheckError, match="not injective"):
-        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
+        cli.run_command("subgroups", cli.parse_input(json.dumps(FERMAT_DOC)))
 
 
 def test_subgroups_duality_check_catches_swapped_duals(monkeypatch):
-    """Giving J the dual of SL and SL the dual of J keeps G -> G^T injective but
-    no longer inclusion-reversing."""
-
-    def swapped(ws, lattice):
-        duals = dict(lattice)
-        j, sl = ws.primal.j, ws.primal.sl
-        return [(g, duals[sl] if g == j else duals[j] if g == sl else dual) for g, dual in lattice]
-
-    _doctor_lattice(monkeypatch, swapped)
+    """Swapping the duals of two groups of order 8 keeps G -> G^T injective
+    but no longer inclusion-reversing: a group of order 16 over one of them
+    but not the other has a dual outside the swapped one."""
+    doctor_duals(monkeypatch, swap_two_duals())
     with pytest.raises(InternalCheckError, match="reverse inclusion"):
-        cli.run_command("subgroups", cli.parse_input(json.dumps(A_EX_DOC)))
+        cli.run_command("subgroups", cli.parse_input(json.dumps(FERMAT_DOC)))
 
 
 def test_subgroups_duality_check_requires_the_dual_of_sl_to_be_j_of_the_transpose(monkeypatch):
@@ -213,42 +201,19 @@ def test_subgroups_duality_check_requires_the_dual_of_sl_to_be_j_of_the_transpos
     for the Fermat quartic. Applied to every dual it keeps their orders, and
     G -> G^T injective and inclusion-reversing, but moves J^T = <(1,1,1,1)>
     to <(1,3,1,1)>; only the comparison with J of the transpose catches it."""
-
-    def negated(ws, lattice):
-        d = ws.primal.matrix.exponent
-
-        def negate(group):
-            return SymmetrySubgroup(d, [(a0, -a1 % d, a2, a3) for a0, a1, a2, a3 in group])
-
-        return [(g, negate(dual)) for g, dual in lattice]
-
-    _doctor_lattice(monkeypatch, negated)
+    doctor_duals(monkeypatch, negate_second, of_j=True)
     with pytest.raises(InternalCheckError, match="differs from J of the transpose"):
-        cli.run_command("subgroups", cli.parse_input(json.dumps({"matrix": [list(r) for r in A_F_ROWS]})))
+        cli.run_command("subgroups", cli.parse_input(json.dumps(FERMAT_DOC)))
 
 
-@pytest.mark.parametrize(
-    "doctored, message",
-    [
-        ("J", "the dual of J differs from SL of the transpose"),
-        ("SL", "the dual of SL differs from J of the transpose"),
-    ],
-)
-def test_mirror_section_checks_its_printed_equalities(monkeypatch, doctored, message):
-    """A dual solve that hands J the dual of SL, or SL the dual of J, turns
-    one printed equality false, which is an internal error, not a report."""
-    real = Workspace.dual
-
-    def swapped(ws, g):
-        j, sl = ws.primal.j, ws.primal.sl
-        if doctored == "J" and g == j:
-            return real(ws, sl)
-        if doctored == "SL" and g == sl:
-            return real(ws, j)
-        return real(ws, g)
-
-    monkeypatch.setattr(Workspace, "dual", swapped)
-    with pytest.raises(InternalCheckError, match=message):
+def test_mirror_section_checks_its_printed_equalities(monkeypatch):
+    """A filter that negates a coordinate of every dual above the dual of J
+    keeps |G| |G^T| = |det| but moves the dual of SL off J of the transpose,
+    which is an internal error, not a report. The dual of J is SL of the
+    transpose filtered by no element, so it has no equality of its own to
+    break."""
+    doctor_duals(monkeypatch, negate_second)
+    with pytest.raises(InternalCheckError, match="the dual of SL differs from J of the transpose"):
         cli.run_command("mirror", cli.parse_input(json.dumps(A_EX_DOC)))
 
 
@@ -606,6 +571,29 @@ def test_batch_unwritable_out_fails_before_any_document(tmp_path, capsys, monkey
     err = json.loads(captured.err)
     assert err["error"]["category"] == "input"
     assert err["error"]["message"].startswith("cannot write ")
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "before, out",
+    [([], ["--out", ""]), ([], ["--out="]), (["--quiet"], ["--out", ""])],
+    ids=["--out ''", "--out=", "--quiet --out ''"],
+)
+def test_batch_empty_out_path_is_an_input_error(tmp_path, capsys, monkeypatch, before, out):
+    """An empty --out is a path like any other, so its open fails before any
+    document runs: one error document on stderr, nothing on stdout, exit 1,
+    with or without --quiet."""
+    _write(tmp_path, "one.json", A_EX_DOC)
+    ran, real = [], cli.run_command
+    monkeypatch.setattr(cli, "run_command", lambda *a, **k: ran.append(a) or real(*a, **k))
+    assert cli.main([*before, "batch", str(tmp_path), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "category": "input",
+        "kind": "SemanticError",
+        "message": "cannot write : No such file or directory",
+    }
     assert ran == []
 
 

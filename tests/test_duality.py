@@ -306,6 +306,78 @@ def test_derived_dual_order_identity_catches_a_filter_skipping_a_generator(a_f, 
         Workspace(a_f.matrix, CHAR0).lattice
 
 
+def doctor_duals(monkeypatch, doctor, of_j=False) -> None:
+    """Make `duality._annihilator` return doctor(dual) for each dual it
+    filters by at least one image, and, with of_j, for the dual of J too,
+    which it filters by none. Each filter runs on the real dual it was given
+    a doctored one for, so every other dual stays right."""
+    import bhk.duality as duality
+
+    real = duality._annihilator
+    undoctored = []  # (doctored dual, real dual), matched by identity
+
+    def doctored(d, group, images):
+        group = next((dual for out, dual in undoctored if out is group), group)
+        dual = real(d, group, images)
+        if not images and not of_j:
+            return dual
+        out = SymmetrySubgroup(d, doctor(dual))
+        undoctored.append((out, dual))
+        return out
+
+    monkeypatch.setattr(duality, "_annihilator", doctored)
+
+
+def negate_second(group):
+    """The group with the second coordinate of each element negated: an
+    automorphism of (Z/d)^4, so it keeps every order and inclusion."""
+    d = group.modulus
+    return [(a0, -a1 % d, a2, a3) for a0, a1, a2, a3 in group]
+
+
+def two_duals_of_one_order():
+    """The duals of the first two groups of order 8 in the Fermat quartic's
+    lattice, which has three: the real duals a doctor can swap or repeat
+    without changing any order."""
+    return [dual for group, dual in Workspace(A_F_ROWS, CHAR0).lattice if group.order == 8][:2]
+
+
+def repeat_a_dual():
+    """A doctor giving the second of `two_duals_of_one_order` the first's dual."""
+    first, second = two_duals_of_one_order()
+    return lambda dual: first if dual == second else dual
+
+
+def swap_two_duals():
+    """A doctor swapping the duals of `two_duals_of_one_order`."""
+    first, second = two_duals_of_one_order()
+    return lambda dual: second if dual == first else first if dual == second else dual
+
+
+@pytest.mark.parametrize(
+    "doctor, of_j, build, message",
+    [
+        (repeat_a_dual, False, "lattice", "G -> G\\^T is not injective on the intermediate groups"),
+        (swap_two_duals, False, "lattice", "G -> G\\^T does not reverse inclusion on the intermediate groups"),
+        (lambda: negate_second, True, "lattice", "the dual of SL, of order 4, differs from J of the transpose, of order 4"),
+        (lambda: negate_second, False, "dual of SL", "the dual of SL differs from J of the transpose"),
+    ],
+    ids=["repeated", "swapped", "negated", "negated-dual-of-sl"],
+)
+def test_workspace_checks_the_duality_it_builds(monkeypatch, doctor, of_j, build, message):
+    """The lattice is checked where it is built: G -> G^T is injective, it
+    reverses inclusion, and the dual of SL is J of the transpose; so is the
+    dual of SL that `dual` gives. Repeating or swapping two duals of one
+    order keeps every order identity, as does negating a coordinate of every
+    dual, which keeps G -> G^T injective and inclusion-reversing but moves
+    J^T = <(1,1,1,1)> to <(1,3,1,1)>; negating the derived duals moves the
+    dual of SL alone."""
+    doctor_duals(monkeypatch, doctor(), of_j)
+    ws = Workspace(A_F_ROWS, CHAR0)
+    with pytest.raises(InternalCheckError, match=message):
+        ws.lattice if build == "lattice" else ws.dual(ws.primal.sl)
+
+
 @pytest.mark.parametrize("rows", [A_EX_ROWS, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42))])
 def test_dual_checks_each_generator_in_its_kernel(rows):
     """J + <(1,0,0,0)> is not in Aut(A): the kernel check names it before the order check runs."""

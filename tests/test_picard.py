@@ -33,6 +33,11 @@ from oracles import (
 )
 
 
+# d = 56, and the mirror weights are (14, 7, 4, 3): a prime that divides a
+# weight but not the exponent.
+WEIGHT_SKIP_ROWS = ((2, 0, 0, 0), (0, 4, 0, 0), (0, 0, 7, 1), (0, 0, 0, 8))
+
+
 def _mirror(m, group_name="J", p=0):
     char = Characteristic(p)
     group = "J" if group_name == "J" else sl_subgroup(aut_group(m)).generators
@@ -351,17 +356,30 @@ def test_prime_scan_goldens(a_ex):
     assert all(reason == "divides the exponent 168" for _, reason in report.skipped)
     assert report.supersingular_primal_residues == (7,)
     assert report.supersingular_mirror_residues == (3, 5, 6)
+    # 3 divides the mirror weight 3 of (14, 7, 4, 3) but not d = 56
+    report = prime_scan(_mirror(build(WEIGHT_SKIP_ROWS), "J"), primes_below(31))
+    assert (report.degree, report.mirror_degree) == (8, 28)
+    assert report.skipped == ((2, "divides the exponent 56"), (3, "divides a weight"), (7, "divides the exponent 56"))
+    assert [(r.prime, r.rho_primal, r.rho_mirror) for r in report.rows] == [
+        (5, 10, 18),
+        (11, 10, 18),
+        (13, 10, 18),
+        (17, 10, 18),
+        (19, 22, 18),
+        (23, 10, 22),
+        (29, 10, 18),
+    ]
 
 
 def test_prime_scan_matches_full_reports(a_ex):
-    mp0 = _mirror(a_ex, "J")
-    report = prime_scan(mp0, primes_below(40))
-    for row in report.rows:
-        mp = _mirror(a_ex, "J", row.prime)
-        assert picard_report(mp).rho_primal == row.rho_primal
-        assert picard_report(mp).rho_mirror == row.rho_mirror
-        assert row.supersingular_primal == (row.rho_primal == 22)
-        assert row.supersingular_mirror == (row.rho_mirror == 22)
+    for m in (a_ex, build(WEIGHT_SKIP_ROWS)):
+        report = prime_scan(_mirror(m, "J"), primes_below(40))
+        for row in report.rows:
+            mp = _mirror(m, "J", row.prime)
+            assert picard_report(mp).rho_primal == row.rho_primal
+            assert picard_report(mp).rho_mirror == row.rho_mirror
+            assert row.supersingular_primal == (row.rho_primal == 22)
+            assert row.supersingular_mirror == (row.rho_mirror == 22)
 
 
 def test_supersingular_residue_tables():
