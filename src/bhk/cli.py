@@ -58,6 +58,11 @@ MAX_PRIMES_UP_TO = 10**6
 # /dev/zero, is rejected after a bounded read.
 MAX_DOCUMENT_BYTES = 1 << 20
 
+# Deepest nesting of arrays and objects a document may have; a valid one
+# nests 4 deep (the document, its group, the generators, one generator).
+# The JSON scanner's own limit depends on the Python version and the stack.
+MAX_NESTING = 64
+
 # Largest single read of a document: a read allocates its whole size first,
 # so one read of MAX_DOCUMENT_BYTES + 1 cost a 1 MiB buffer per document.
 READ_CHUNK_BYTES = 1 << 16
@@ -106,14 +111,32 @@ def _loads(text: str):
     return json.loads(text)
 
 
+def _nests_deeper(value, depth: int) -> bool:
+    """Whether a parsed value nests arrays and objects more than `depth`
+    deep, walked one level at a time rather than by recursion."""
+    level = [value]
+    for _ in range(depth):
+        level = [x for v in level if isinstance(v, (list, dict)) for x in (v.values() if isinstance(v, dict) else v)]
+    return any(isinstance(v, (list, dict)) for v in level)
+
+
 def parse_input(text: str) -> InputSpec:
-    """Parse one input document; strict about keys and shapes."""
+    """Parse one input document; strict about keys and shapes. A document
+    that nests deeper than MAX_NESTING has one message on every Python
+    version: the scanner's RecursionError, and a deep value it read, are
+    both reported as nesting, the value walked only when the text holds
+    more than MAX_NESTING brackets."""
+    too_deep = f"document nests deeper than {MAX_NESTING} levels"
     try:
         data = _loads(text)
-    # the scanner raises RecursionError on deep nesting, and ValueError on an integer
-    # longer than the interpreter converts (sys.get_int_max_str_digits)
-    except (ValueError, RecursionError) as err:
+    except RecursionError as err:
+        raise ParseError(too_deep) from err
+    # json's errors are ValueErrors, as is that of an integer longer than the
+    # interpreter converts (sys.get_int_max_str_digits)
+    except ValueError as err:
         raise ParseError(f"invalid JSON: {err}") from err
+    if text.count("[") + text.count("{") > MAX_NESTING and _nests_deeper(data, MAX_NESTING):
+        raise ParseError(too_deep)
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - _ALLOWED_KEYS)

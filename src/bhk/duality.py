@@ -180,15 +180,10 @@ class Workspace:
 
         Cross-checked on every call: G has the exponent as its modulus
         (SemanticError otherwise), and each generator of G lies in Aut(A),
-        tested first; |G| |G^T| = |det| (`_annihilated`), and SL of A^T has
-        `sl_group`'s own checks. As the pairing is perfect, these pin G^T
-        down. When G is SL, G^T must be J of the transpose (InternalCheckError
-        otherwise); G is taken to be SL, without building SL, when `in_sl`
-        holds for each generator of G, as `group` decides G <= SL, and |G| is
-        the counted |SL|, which raises TooLarge as `group` does. A^T is
-        validated first, so an invalid transpose is reported as the input
-        error it is. G^T needs no bound of its own: it lies in SL of A^T,
-        which `sl_group` bounds before building it.
+        tested first; SL of A^T has `sl_group`'s own checks, and G^T those
+        of `_annihilated`. A^T is validated first, so an invalid transpose is
+        reported as the input error it is. G^T needs no bound of its own: it
+        lies in SL of A^T, which `sl_group` bounds before building it.
         """
         m = self.primal.matrix
         if group.modulus != m.exponent:  # before the memo, as groups compare by their elements alone
@@ -205,23 +200,29 @@ class Workspace:
         if _image(m.matrix, j.generators[0]) != (d, d, d, d):
             raise InternalCheckError("A j differs from d (1,1,1,1), so the dual of J is not SL of A^T")
         elements = [g for g in group.generators if g not in j]
-        dual = self._annihilated(self.transpose.sl, group.order, elements)
-        is_sl = all(in_sl(m, g) for g in group.generators) and group.order == self.primal.sl_order
-        if is_sl and dual != self.transpose.j:
-            raise InternalCheckError("the dual of SL differs from J of the transpose")
+        dual = self._annihilated(self.transpose.sl, group, elements)
         self._duals[group] = dual
         return dual
 
-    def _annihilated(self, dual: SymmetrySubgroup, order: int, elements: Iterable[Sequence[int]]) -> SymmetrySubgroup:
-        """The part of the dual H^T of some H that pairs to zero with each of
-        the elements, which is the dual of H + <elements>, of the given order,
-        by `_annihilator`. |G| |G^T| = |det| is checked, as the pairing is
-        perfect, which fails when the filter skips an element that G needs
-        beyond H."""
+    def _annihilated(
+        self, dual: SymmetrySubgroup, group: SymmetrySubgroup, elements: Iterable[Sequence[int]]
+    ) -> SymmetrySubgroup:
+        """G^T for G = H + <elements>, given the dual H^T of H: the part of
+        H^T that pairs to zero with each of the elements, by `_annihilator`.
+        Every dual the workspace builds is filtered here, and checked: |G|
+        |G^T| = |det|, as the pairing is perfect, which fails when the filter
+        skips an element that G needs beyond H; and, when G is SL, G^T = J of
+        the transpose (InternalCheckError otherwise). G is taken to be SL,
+        without building SL, when |G| is the counted |SL|, which raises
+        TooLarge as `group` does and is read first, and `in_sl` holds for each
+        generator of G, as `group` decides G <= SL."""
         m = self.primal.matrix
         dual = _annihilator(m.exponent, dual, [_image(m.matrix, e) for e in elements])
-        if order * dual.order != abs(m.det):
-            raise InternalCheckError(f"|G| |G^T| = {order} * {dual.order} differs from |det| = {abs(m.det)}")
+        if group.order * dual.order != abs(m.det):
+            raise InternalCheckError(f"|G| |G^T| = {group.order} * {dual.order} differs from |det| = {abs(m.det)}")
+        is_sl = group.order == self.primal.sl_order and all(in_sl(m, g) for g in group.generators)
+        if is_sl and dual != self.transpose.j:
+            raise InternalCheckError("the dual of SL differs from J of the transpose")
         return dual
 
     @cached_property
@@ -232,12 +233,10 @@ class Workspace:
         A^T is validated first, so an invalid transpose is reported before
         the lattice is enumerated. The dual of J is read by `dual`. Every
         other G is H + <e> for the pair (H, e) it `covers`, with H before
-        it, and its dual is derived from H^T by `_annihilated`: the part of
-        H^T that pairs to zero with e. Cross-checked on every call: J <= G
-        <= SL; |G| |G^T| = |det| for each derived dual, which a dual
-        missing the pairing test with e would fail; G -> G^T is injective
-        and reverses inclusion; and the dual of SL, the last G, is J of the
-        transpose.
+        it, and its dual is derived from H^T by `_annihilated`, as the part
+        of H^T that pairs to zero with e, and checked there. Cross-checked on
+        every call: J <= G <= SL, and G -> G^T is injective and reverses
+        inclusion.
         """
         self.transpose.matrix  # raises the input error of an invalid A^T
         j, sl = self.primal.j, self.primal.sl
@@ -249,7 +248,7 @@ class Workspace:
                 duals[group] = self.dual(group)
             else:
                 h, e = group.covers
-                duals[group] = self._annihilated(duals[h], group.order, [e])
+                duals[group] = self._annihilated(duals[h], group, [e])
         lattice = list(duals.items())
         if len(set(duals.values())) != len(lattice):
             raise InternalCheckError("G -> G^T is not injective on the intermediate groups")
@@ -257,11 +256,6 @@ class Workspace:
             for h, h_dual in lattice[i + 1 :]:
                 if g <= h and not h_dual <= g_dual:
                     raise InternalCheckError("G -> G^T does not reverse inclusion on the intermediate groups")
-        sl_dual, jt = lattice[-1][1], self.transpose.j
-        if sl_dual != jt:
-            raise InternalCheckError(
-                f"the dual of SL, of order {sl_dual.order}, differs from J of the transpose, of order {jt.order}"
-            )
         return lattice
 
     @cached_property

@@ -2,8 +2,9 @@
 membership tests for the kernel Aut and its coordinate-sum-zero subgroup SL,
 SL itself from a one-row solve that never enumerates Aut (the one solve of
 the package; the dual groups are filtered from SL of A^T), the
-grading element j, and enumeration of the groups between J and SL, by one
-join per coset of J in SL, on the cosets of J. An element is a plain
+grading element j, and enumeration of the groups between J and SL, on the
+cosets of J, by joining each coset representative in turn to every group
+found so far. An element is a plain
 tuple of four coordinates reduced to [0, d), and a group is the frozenset
 of its elements. J is listed directly as the multiples k j, 0 <= k < h,
 as j has order h. Every other group is built by one primitive, the join

@@ -706,17 +706,17 @@ def test_non_utf8_document_is_a_parse_error(tmp_path, capsys):
 
 
 def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
-    """An unclosed nesting, and closed ones 1,000, 2,000 and 10,000 deep,
-    bare and as the matrix, are each a ParseError, exit 1. Which message a
-    closed nesting gets depends on the Python version: the C scanner's depth
-    limit makes it invalid JSON on some versions, and it reads as a document
-    of the wrong shape on others."""
-    closed = ["[" * n + "]" * n for n in (1_000, 2_000, 10_000)]
+    """An unclosed nesting, and closed ones 65, 1,000, 2,000 and 10,000
+    deep, bare and as the matrix, are each a ParseError, exit 1, with one
+    message on every Python version, whether the C scanner stops at its own
+    depth limit, which depends on the version, or reads the value."""
+    closed = ["[" * n + "]" * n for n in (65, 1_000, 2_000, 10_000)]
     for text in ["[" * 100000, *closed, *(f'{{"matrix": {nested}}}' for nested in closed)]:
         (tmp_path / "deep.json").write_text(text)
         assert cli.main(["picard", str(tmp_path / "deep.json")]) == 1, text[:20]
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ParseError", text[:20]
+        assert err["error"]["message"] == "document nests deeper than 64 levels", text[:20]
 
 
 def test_batch_isolates_deeply_nested_document(tmp_path, capsys):

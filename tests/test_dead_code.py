@@ -1,12 +1,13 @@
 """Every function in `src/bhk` is entered by some command. The golden
 corpus, then one `batch --out` run over a document whose group is given by
-generators (the golden corpus has none), then the help of the program and of
-a command and one usage error, go through `cli.main` under a profile hook
-that records the code of each function entered. Every command first imports
-the package, so a fresh `import bhk.cli` in a bare child interpreter runs
-under the same hook, and the functions it enters, such as those that build
-the record classes, count as entered too. Every function the package
-defines must be among them, but for the listed exceptions."""
+generators (the golden corpus has none), then a document nested too deep,
+then the help of the program and of a command and one usage error, go
+through `cli.main` under a profile hook that records the code of each
+function entered. Every command first imports the package, so a fresh
+`import bhk.cli` in a bare child interpreter runs under the same hook, and
+the functions it enters, such as those that build the record classes, count
+as entered too. Every function the package defines must be among them, but
+for the listed exceptions."""
 
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ def _defined() -> dict[tuple[str, int], str]:
 
 def _run_commands(workdir: Path) -> None:
     """The golden corpus, then `batch --out` over the generators document,
-    then `--help`, `picard --help` and a `picard` without its file."""
+    then `picard` on a document nested 65 deep, `--help`, `picard --help`
+    and a `picard` without its file."""
     for i, case in enumerate(cases()):
         (workdir / str(i)).mkdir()
         replay(case, workdir / str(i))
@@ -58,7 +60,9 @@ def _run_commands(workdir: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["batch", str(batch), "--out", str(batch / "out.json")]) == cli.EXIT_OK
     assert json.loads((batch / "out.json").read_text())["status"] == "ok"
+    (workdir / "deep.json").write_text("[" * 65 + "]" * 65)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["picard", str(workdir / "deep.json")]) == cli.EXIT_INPUT
         assert cli.main(["--help"]) == cli.main(["picard", "--help"]) == cli.EXIT_OK
         assert cli.main(["picard"]) == cli.EXIT_USAGE
 

@@ -297,7 +297,7 @@ def test_derived_dual_order_identity_catches_a_filter_skipping_a_generator(a_f, 
 
     real = duality.Workspace._annihilated
     monkeypatch.setattr(
-        duality.Workspace, "_annihilated", lambda ws, dual, order, elements: real(ws, dual, order, list(elements)[:-1])
+        duality.Workspace, "_annihilated", lambda ws, dual, group, elements: real(ws, dual, group, list(elements)[:-1])
     )
     ws = Workspace(a_f.matrix, CHAR0, ((1, 1, 1, 1), (0, 0, 2, 2)))
     with pytest.raises(InternalCheckError, match="differs from"):
@@ -359,7 +359,7 @@ def swap_two_duals():
     [
         (repeat_a_dual, False, "lattice", "G -> G\\^T is not injective on the intermediate groups"),
         (swap_two_duals, False, "lattice", "G -> G\\^T does not reverse inclusion on the intermediate groups"),
-        (lambda: negate_second, True, "lattice", "the dual of SL, of order 4, differs from J of the transpose, of order 4"),
+        (lambda: negate_second, True, "lattice", "the dual of SL differs from J of the transpose"),
         (lambda: negate_second, False, "dual of SL", "the dual of SL differs from J of the transpose"),
     ],
     ids=["repeated", "swapped", "negated", "negated-dual-of-sl"],
@@ -376,6 +376,17 @@ def test_workspace_checks_the_duality_it_builds(monkeypatch, doctor, of_j, build
     ws = Workspace(A_F_ROWS, CHAR0)
     with pytest.raises(InternalCheckError, match=message):
         ws.lattice if build == "lattice" else ws.dual(ws.primal.sl)
+
+
+def test_dual_of_a_group_of_the_order_of_sl_outside_it():
+    """<j, (1,0,0,0), (0,1,0,0)> on the Fermat quartic has 64 elements, as
+    SL does, but lies outside SL, so its dual is not J of the transpose and
+    is no internal error: the elements of coordinate sum 0 whose first two
+    coordinates are 0."""
+    group = subgroup_generated(4, [(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0)])
+    ws = Workspace(A_F_ROWS, CHAR0)
+    assert group.order == ws.primal.sl_order == 64
+    assert ws.dual(group) == subgroup_generated(4, [(0, 0, 1, 3)])
 
 
 @pytest.mark.parametrize("rows", [A_EX_ROWS, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 42))])
